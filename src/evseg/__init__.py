@@ -72,6 +72,7 @@ from .variants import (
     component_likelihood,
     fuzzy_affinity,
     fuzzy_e_step,
+    fuzzy_m_step,
     mixture_e_step,
     mixture_m_step,
     segment_fuzzy,

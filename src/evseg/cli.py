@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .events import (
     EmptyPacketError,
     ImageGeometry,
     OutOfBoundsError,
-    sliding_windows,
+    count_windows,
     validate_packet,
 )
 from .evio import (
@@ -51,7 +52,7 @@ from .simulate import (
     preset_two_pebbles,
     simulate,
 )
-from .solver import DegenerateInitError, segment
+from .solver import DegenerateInitError, segment, segment_stream
 from .variants import segment_fuzzy, segment_mixture
 
 _DATA_ERRORS = (
@@ -116,7 +117,6 @@ def _build_parser() -> _Parser:
     seg.add_argument("--mu", type=float, help="ascent step scale")
     seg.add_argument("--max-iters", type=int)
     seg.add_argument("--seed", type=int)
-    seg.add_argument("--workers", type=int, help="reserved; kernels are vectorised")
     seg.add_argument("--width", type=int, help="sensor width if the file has no header")
     seg.add_argument("--height", type=int, help="sensor height if the file has no header")
     seg.add_argument("--cluster-images", action="store_true",
@@ -203,7 +203,6 @@ def _merge_run_config(args) -> RunConfig:
         "step_mu": args.mu,
         "max_iters": args.max_iters,
         "seed": args.seed,
-        "workers": args.workers,
     }
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -214,20 +213,23 @@ def _cmd_segment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solver_cfg = run.solver_config()
-    methods = {"layered": segment, "mixture": segment_mixture, "fuzzy": segment_fuzzy}
-    run_method = methods[run.method]
+    solve = {
+        "layered": segment,
+        "mixture": segment_mixture,
+        "fuzzy": partial(segment_fuzzy, b=run.fuzziness),
+    }[run.method]
 
     if run.window_events and run.window_events < packet.n:
-        windows = list(
-            sliding_windows(
-                packet, run.window_events, run.stride_events or None, run.t_ref_mode
-            )
+        stride = run.stride_events or None
+        multi = count_windows(packet.n, run.window_events, stride) > 1
+        pairs = segment_stream(
+            packet, run.n_clusters, run.model_list(), solver_cfg,
+            run.window_events, stride, run.t_ref_mode, solve,
         )
     else:
-        windows = [packet]
-    multi = len(windows) > 1
-    for idx, window in enumerate(windows):
-        result = run_method(window, run.n_clusters, run.model_list(), solver_cfg)
+        multi = False
+        pairs = [(packet, solve(packet, run.n_clusters, run.model_list(), solver_cfg))]
+    for idx, (window, result) in enumerate(pairs):
         suffix = f"_{idx:03d}" if multi else ""
         write_associations_csv(out / f"assoc{suffix}.csv", result)
         write_params_csv(out / f"params{suffix}.csv", result)

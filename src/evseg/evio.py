@@ -302,7 +302,6 @@ class RunConfig:
     collapse_frac: float = 0.02
     fuzziness: float = 2.0
     seed: int = 0
-    workers: int = 1
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(

@@ -602,10 +602,37 @@ def segment(
     greedy initialiser runs.  With ``early_stop`` off the full iteration
     budget is spent, which benchmarking uses for fixed-cost runs.
     """
+    return _alternate(
+        packet, n_clusters, models, config, init, early_stop, counter, "layered", _layered_step
+    )
+
+
+def _layered_step(packet, clusters, associations, config, counter):
+    """One layered alternation: association refresh, collapse, motion ascent.
+    Summed sharpness is this back-end's own objective, so none is returned."""
+    associations = update_associations(packet, clusters, associations, config, counter)
+    clusters, associations = apply_collapse(clusters, associations, config)
+    clusters = ascend_motion(packet, clusters, associations, config, counter)
+    return clusters, associations, None
+
+
+def _alternate(packet, n_clusters, models, config, init, early_stop, counter, method, step):
+    """The alternation every back-end shares.
+
+    Starts from ``init`` or the greedy initialiser, then repeats
+    ``step(packet, clusters, associations, config, counter)``: one
+    association refresh plus one motion update, returning the new clusters
+    and associations and the back-end's own objective (None when summed
+    sharpness is that objective).  The run stops once the own objective
+    gained less than ``rel_tol`` in ``convergence_window`` iterations in a
+    row.  Summed sharpness is traced for every back-end, so all of them
+    compare on one scale.
+    """
     if config is None:
         config = SolverConfig()
     if counter is None:
         counter = OpCounter()
+    models = _resolve_models(models, n_clusters)
     if init is None:
         clusters, associations = initialize_greedy(packet, n_clusters, models, config, counter)
         init_mode = "greedy"
@@ -615,34 +642,36 @@ def segment(
             raise ValueError("init shape does not match packet / cluster count")
         init_mode = "given"
     trace = [objective(packet, clusters, associations, config, counter)]
+    own_trace: list[float] = []
     stagnant = 0
-    iterations = 0
     converged = False
     for _ in range(config.max_iters):
-        associations = update_associations(packet, clusters, associations, config, counter)
-        clusters, associations = apply_collapse(clusters, associations, config)
-        clusters = ascend_motion(packet, clusters, associations, config, counter)
-        obj = objective(packet, clusters, associations, config, counter)
-        iterations += 1
-        gain = (obj - trace[-1]) / max(abs(trace[-1]), 1e-12)
-        trace.append(obj)
+        clusters, associations, own = step(packet, clusters, associations, config, counter)
+        trace.append(objective(packet, clusters, associations, config, counter))
         counter.snapshot()
-        if early_stop:
+        if own is not None:
+            own_trace.append(own)
+        series = trace if own is None else own_trace
+        if early_stop and len(series) >= 2:
+            gain = (series[-1] - series[-2]) / max(abs(series[-2]), 1e-12)
             stagnant = stagnant + 1 if gain < config.rel_tol else 0
             if stagnant >= config.convergence_window:
                 converged = True
                 break
+    diagnostics = {
+        "method": method,
+        "init": init_mode,
+        "warp_counts": np.asarray(counter.per_iteration, dtype=np.int64),
+    }
+    if own_trace:
+        diagnostics["own_trace"] = np.asarray(own_trace)
     return SegmentationResult(
         clusters=clusters,
         associations=associations,
         objective_trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
-        diagnostics={
-            "method": "layered",
-            "init": init_mode,
-            "warp_counts": np.asarray(counter.per_iteration, dtype=np.int64),
-        },
+        diagnostics=diagnostics,
     )
 
 
@@ -654,6 +683,7 @@ def segment_stream(
     window_events: int = 20000,
     stride_events: int | None = None,
     t_ref_mode: str = "first",
+    solve: Callable | None = None,
 ) -> Iterable[tuple[EventPacket, SegmentationResult]]:
     """Sliding-window segmentation of a long recording.
 
@@ -663,9 +693,16 @@ def segment_stream(
     the newly arrived events start out uniform.  If the carried-over motions
     score worse than standing still the window falls back to a fresh greedy
     initialisation.  Yields (window, result) pairs.
+
+    ``solve`` is the per-window back-end, :func:`segment` by default; any
+    function with its signature works, e.g. ``segment_mixture``.
     """
     if config is None:
         config = SolverConfig()
+    if solve is None:
+        # looked up per call, not bound as a default, so that a wrapper
+        # rebound over ``segment`` (perfbench's tracer) sees every window
+        solve = segment
     stride = stride_events if stride_events is not None else max(1, window_events // 2)
     overlap = max(0, window_events - stride)
     prev: SegmentationResult | None = None
@@ -686,6 +723,6 @@ def segment_stream(
                 window, zeros, assoc, config
             ):
                 init = (carried, assoc)
-        result = segment(window, n_clusters, models, config, init=init)
+        result = solve(window, n_clusters, models, config, init=init)
         prev = result
         yield window, result

@@ -24,13 +24,15 @@ import numpy as np
 
 from .events import EventPacket
 from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
+# initialize_greedy and objective run inside _alternate; they stay bound here
+# because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     ClusterSet,
     OpCounter,
     SegmentationResult,
     SolverConfig,
+    _alternate,
     _line_search_step,
-    _resolve_models,
     initialize_greedy,
     objective,
 )
@@ -66,6 +68,15 @@ def _density_image(packet: EventPacket, params: WarpParams, config: SolverConfig
     return smooth(img, config.sigma), wx, wy
 
 
+def _column_table(column, packet, clusters, config, counter) -> np.ndarray:
+    """(n_events, n_clusters) table of ``column(packet, params, config,
+    counter)`` for each live cluster; dead clusters' columns stay zero."""
+    table = np.zeros((packet.n, clusters.n_clusters))
+    for j in np.flatnonzero(clusters.alive):
+        table[:, j] = column(packet, clusters.params[j], config, counter)
+    return table
+
+
 def component_likelihood(
     packet: EventPacket,
     params: WarpParams,
@@ -97,15 +108,8 @@ def mixture_e_step(
     """Bayes membership refresh followed by the mixing-weight update
     (mixing weight = mean membership)."""
     clusters = state.clusters
-    n = packet.n
-    n_clusters = clusters.n_clusters
     if likelihoods is None:
-        likelihoods = np.zeros((n, n_clusters))
-        for j in range(n_clusters):
-            if clusters.alive[j]:
-                likelihoods[:, j] = component_likelihood(
-                    packet, clusters.params[j], config, counter
-                )
+        likelihoods = _column_table(component_likelihood, packet, clusters, config, counter)
     weighted = likelihoods * state.mixing
     rowsum = weighted.sum(axis=1, keepdims=True)
     membership = np.zeros_like(weighted)
@@ -127,26 +131,16 @@ def mixture_m_step(
     state: MixtureState,
     packet: EventPacket,
     config: SolverConfig,
-    counter: OpCounter | None = None,
-    likelihoods: np.ndarray | None = None,
+    counter: OpCounter | None,
+    likelihoods: np.ndarray,
 ) -> tuple[MixtureState, np.ndarray]:
     """One backtracking ascent step of the total log-likelihood per live
-    cluster, updating one component at a time.  Returns the new state plus
-    the refreshed likelihood table."""
+    cluster, updating one component at a time.  ``likelihoods`` is the table
+    at the current motions (the one the E-step used).  Returns the new state
+    plus the refreshed likelihood table."""
     clusters = state.clusters.copy()
-    n = packet.n
-    n_clusters = clusters.n_clusters
-    if likelihoods is None:
-        likelihoods = np.zeros((n, n_clusters))
-        for j in range(n_clusters):
-            if clusters.alive[j]:
-                likelihoods[:, j] = component_likelihood(
-                    packet, clusters.params[j], config, counter
-                )
     likelihoods = likelihoods.copy()
-    for j in range(n_clusters):
-        if not clusters.alive[j]:
-            continue
+    for j in np.flatnonzero(clusters.alive):
         kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
 
         def evaluate(candidate: WarpParams, _j=j) -> float:
@@ -186,13 +180,8 @@ def fuzzy_e_step(
     """Inverse-power membership refresh: p_kj proportional to
     affinity^(1/(b-1)); all-zero rows become uniform over live clusters."""
     clusters = state.clusters
-    n = packet.n
-    n_clusters = clusters.n_clusters
     if affinities is None:
-        affinities = np.zeros((n, n_clusters))
-        for j in range(n_clusters):
-            if clusters.alive[j]:
-                affinities[:, j] = fuzzy_affinity(packet, clusters.params[j], config, counter)
+        affinities = _column_table(fuzzy_affinity, packet, clusters, config, counter)
     powed = np.zeros_like(affinities)
     alive_idx = np.flatnonzero(clusters.alive)
     powed[:, alive_idx] = affinities[:, alive_idx] ** (1.0 / (state.b - 1.0))
@@ -205,100 +194,33 @@ def fuzzy_e_step(
     return FuzzyState(clusters.copy(), membership, state.b)
 
 
-def _run_variant(
+def fuzzy_m_step(
+    state: FuzzyState,
     packet: EventPacket,
-    n_clusters: int,
-    models,
     config: SolverConfig,
-    init,
-    early_stop: bool,
     counter: OpCounter | None,
-    method: str,
-    b: float = 2.0,
-) -> SegmentationResult:
-    if config is None:
-        config = SolverConfig()
-    if counter is None:
-        counter = OpCounter()
-    models = _resolve_models(models, n_clusters)
-    if init is None:
-        clusters, associations = initialize_greedy(packet, n_clusters, models, config, counter)
-    else:
-        clusters, associations = init[0].copy(), init[1].copy()
+    affinities: np.ndarray,
+) -> tuple[FuzzyState, np.ndarray]:
+    """One backtracking ascent step per live cluster of its
+    membership-weighted affinity sum, sum_k p_kj^b a_kj.  ``affinities`` is
+    the table at the current motions (the one the E-step used).  Returns the
+    new state plus the refreshed affinity table."""
+    clusters = state.clusters.copy()
+    affinities = affinities.copy()
+    for j in np.flatnonzero(clusters.alive):
+        kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
+        pw = state.membership[:, j] ** state.b
 
-    if method == "mixture":
-        mixing = associations.mean(axis=0)
-        mixing = mixing / mixing.sum()
-        state = MixtureState(clusters, associations, mixing)
-    else:
-        if b <= 1.0:
-            raise ValueError("fuzziness b must exceed 1")
-        state = FuzzyState(clusters, associations, b)
+        def evaluate(candidate: WarpParams, _pw=pw) -> float:
+            return float((_pw * fuzzy_affinity(packet, candidate, config, counter)).sum())
 
-    contrast_trace = [objective(packet, state.clusters, state.membership, config, counter)]
-    own_trace: list[float] = []
-    stagnant = 0
-    iterations = 0
-    converged = False
-    table: np.ndarray | None = None
-    for _ in range(config.max_iters):
-        if method == "mixture":
-            state = mixture_e_step(state, packet, config, counter, table)
-            state, table = mixture_m_step(state, packet, config, counter)
-            own = _log_likelihood(table, state.mixing)
-        else:
-            state = fuzzy_e_step(state, packet, config, counter, table)
-            table = np.zeros_like(state.membership)
-            for j in range(state.clusters.n_clusters):
-                if state.clusters.alive[j]:
-                    kappa = displacement_sensitivity(
-                        packet, state.clusters.params[j], config.fd_step
-                    )
-                    pw = state.membership[:, j] ** state.b
-
-                    def evaluate(candidate: WarpParams, _pw=pw) -> float:
-                        return float(
-                            (_pw * fuzzy_affinity(packet, candidate, config, counter)).sum()
-                        )
-
-                    new_prm, _, improved = _line_search_step(
-                        evaluate, state.clusters.params[j], kappa, config
-                    )
-                    if improved:
-                        state.clusters.params[j] = new_prm
-                    table[:, j] = fuzzy_affinity(
-                        packet, state.clusters.params[j], config, counter
-                    )
-            own = float(((state.membership**state.b) * table).sum())
-        own_trace.append(own)
-        contrast_trace.append(
-            objective(packet, state.clusters, state.membership, config, counter)
+        new_prm, _, improved = _line_search_step(
+            evaluate, clusters.params[j], kappa, config
         )
-        iterations += 1
-        counter.snapshot()
-        if early_stop and len(own_trace) >= 2:
-            prev = own_trace[-2]
-            gain = (own - prev) / max(abs(prev), 1e-12)
-            stagnant = stagnant + 1 if gain < config.rel_tol else 0
-            if stagnant >= config.convergence_window:
-                converged = True
-                break
-
-    diagnostics = {
-        "method": method,
-        "own_trace": np.asarray(own_trace),
-        "warp_counts": np.asarray(counter.per_iteration, dtype=np.int64),
-    }
-    if method == "mixture":
-        diagnostics["mixing"] = state.mixing.copy()
-    return SegmentationResult(
-        clusters=state.clusters,
-        associations=state.membership,
-        objective_trace=np.asarray(contrast_trace),
-        iterations=iterations,
-        converged=converged,
-        diagnostics=diagnostics,
-    )
+        if improved:
+            clusters.params[j] = new_prm
+            affinities[:, j] = fuzzy_affinity(packet, new_prm, config, counter)
+    return FuzzyState(clusters, state.membership, state.b), affinities
 
 
 def segment_mixture(
@@ -310,10 +232,28 @@ def segment_mixture(
     early_stop: bool = True,
     counter: OpCounter | None = None,
 ) -> SegmentationResult:
-    """Mixture-density clustering of one packet; see module docstring."""
-    return _run_variant(
-        packet, n_clusters, models, config, init, early_stop, counter, "mixture"
+    """Mixture-density clustering of one packet; see module docstring.  The
+    own objective is the total log-likelihood."""
+    mixing, table = None, None
+
+    def step(packet, clusters, membership, config, counter):
+        nonlocal mixing, table
+        if table is None:
+            mixing = membership.mean(axis=0)
+            mixing = mixing / mixing.sum()
+            table = _column_table(component_likelihood, packet, clusters, config, counter)
+        state = MixtureState(clusters, membership, mixing)
+        # the E-step's likelihood table is the M-step's starting table
+        state = mixture_e_step(state, packet, config, counter, table)
+        state, table = mixture_m_step(state, packet, config, counter, table)
+        mixing = state.mixing
+        return state.clusters, state.membership, _log_likelihood(table, mixing)
+
+    result = _alternate(
+        packet, n_clusters, models, config, init, early_stop, counter, "mixture", step
     )
+    result.diagnostics["mixing"] = mixing.copy()
+    return result
 
 
 def segment_fuzzy(
@@ -326,7 +266,20 @@ def segment_fuzzy(
     early_stop: bool = True,
     counter: OpCounter | None = None,
 ) -> SegmentationResult:
-    """Fuzzy-membership clustering of one packet; see module docstring."""
-    return _run_variant(
-        packet, n_clusters, models, config, init, early_stop, counter, "fuzzy", b=b
+    """Fuzzy-membership clustering of one packet; see module docstring.  The
+    own objective is the membership-weighted affinity sum."""
+    if b <= 1.0:
+        raise ValueError("fuzziness b must exceed 1")
+    table = None
+
+    def step(packet, clusters, membership, config, counter):
+        nonlocal table
+        if table is None:
+            table = _column_table(fuzzy_affinity, packet, clusters, config, counter)
+        state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, counter, table)
+        state, table = fuzzy_m_step(state, packet, config, counter, table)
+        return state.clusters, state.membership, float(((state.membership**b) * table).sum())
+
+    return _alternate(
+        packet, n_clusters, models, config, init, early_stop, counter, "fuzzy", step
     )

@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 from evseg.cli import main
-from evseg.evio import read_associations_csv, read_events_text
+from evseg.events import validate_packet
+from evseg.evio import read_associations_csv, read_events_text, write_associations_csv
+from evseg.solver import SolverConfig, segment_stream
+from evseg.variants import segment_mixture
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,37 @@ class TestPipeline:
         assoc, _, _ = read_associations_csv(out / "assoc_000.csv")
         assert assoc.shape == (2000, 2)
 
+    @pytest.mark.parametrize(
+        "method, stream_kwargs",
+        [("layered", {}), ("mixture", {"solve": segment_mixture})],
+        ids=["layered", "mixture"],
+    )
+    def test_windowed_segmentation_warm_starts(self, sim_dir, tmp_path, method, stream_kwargs):
+        # the second window must be solved from the first one's result,
+        # exactly as segment_stream does it
+        out = tmp_path / "win"
+        code = main(
+            [
+                "segment",
+                "--events", str(sim_dir / "events.txt"),
+                "--out", str(out),
+                "--j", "2", "--method", method,
+                "--window", "2000", "--stride", "2000", "--max-iters", "8",
+            ]
+        )
+        assert code == 0
+        packet = validate_packet(read_events_text(sim_dir / "events.txt")[0], strict=False)
+        pairs = list(
+            segment_stream(
+                packet, 2, "flow2", SolverConfig(max_iters=8),
+                window_events=2000, stride_events=2000, **stream_kwargs,
+            )
+        )
+        assert pairs[1][1].diagnostics["init"] == "given"
+        expected = tmp_path / "expected.csv"
+        write_associations_csv(expected, pairs[1][1])
+        assert (out / "assoc_001.csv").read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize("method", ["mixture", "fuzzy"])
     def test_variant_methods_run(self, sim_dir, tmp_path, method):
         out = tmp_path / method
@@ -184,6 +218,20 @@ class TestPipeline:
         assert code == 0
         assoc, _, _ = read_associations_csv(out / "assoc.csv")
         assert assoc.shape[1] == 2
+
+    def test_config_fuzziness_reaches_fuzzy(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fuzziness = 1.0\n")
+        code = main(
+            [
+                "segment",
+                "--events", str(sim_dir / "events.txt"),
+                "--out", str(tmp_path / "out"),
+                "--config", str(cfg), "--method", "fuzzy", "--max-iters", "2",
+            ]
+        )
+        assert code == 2
+        assert "fuzziness" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:

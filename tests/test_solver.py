@@ -19,6 +19,7 @@ from evseg.solver import (
     segment_stream,
     update_associations,
 )
+from evseg.variants import segment_fuzzy, segment_mixture
 from evseg.warps import WarpParams, zero_params
 
 from conftest import build_drift_packet
@@ -312,11 +313,19 @@ def test_segment_accepts_explicit_init(mini_recording, mini_result):
     np.testing.assert_array_equal(res.objective_trace, mini_result.objective_trace)
 
 
-def test_segment_checks_init_shapes(mini_recording):
+@pytest.mark.parametrize(
+    "solve", [segment, segment_mixture, segment_fuzzy], ids=["layered", "mixture", "fuzzy"]
+)
+def test_segment_checks_init_shapes(mini_recording, solve):
     clusters = ClusterSet([zero_params("flow2")], np.ones(1, dtype=bool))
     bad = np.ones((5, 1))
     with pytest.raises(ValueError):
-        segment(mini_recording.packet, 1, "flow2", init=(clusters, bad))
+        solve(mini_recording.packet, 1, "flow2", init=(clusters, bad))
+    # a three-cluster init for a two-cluster run
+    three = ClusterSet([zero_params("flow2")] * 3, np.ones(3, dtype=bool))
+    uniform = np.full((mini_recording.packet.n, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError):
+        solve(mini_recording.packet, 2, "flow2", init=(three, uniform))
 
 
 def test_segment_model_list_mismatch(mini_recording):
