@@ -115,9 +115,10 @@ def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:
     """Normalise a packet: sort by time, check bounds, clamp ``t_ref``.
 
     In strict mode events outside the sensor raise :class:`OutOfBoundsError`
-    with the offending indices; otherwise they are dropped.  Polarities must
-    be -1 or +1.  Idempotent: validating a validated packet is a no-op
-    (modulo array copies).
+    with the offending indices, and a NaN or infinite timestamp raises
+    ``ValueError`` naming the first bad row; otherwise both kinds of row are
+    dropped.  Polarities must be -1 or +1.  Idempotent: validating a
+    validated packet is a no-op (modulo array copies).
     """
     if packet.n == 0:
         raise EmptyPacketError("packet holds no events")
@@ -127,16 +128,21 @@ def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:
     if bad_p.any():
         raise ValueError(f"polarities must be -1 or +1; first bad row {int(np.argmax(bad_p))}")
 
+    finite_t = np.isfinite(t)
+    if strict and not finite_t.all():
+        raise ValueError(f"timestamps must be finite; first bad row {int(np.argmin(finite_t))}")
+
     inside = packet.geometry.contains(x, y)
-    if not inside.all():
+    keep = inside & finite_t
+    if not keep.all():
         if strict:
             idx = np.flatnonzero(~inside)
             raise OutOfBoundsError(
                 f"{idx.size} events outside {packet.geometry.width}x{packet.geometry.height}", idx
             )
-        x, y, t, p = x[inside], y[inside], t[inside], p[inside]
+        x, y, t, p = x[keep], y[keep], t[keep], p[keep]
         if x.size == 0:
-            raise EmptyPacketError("no events inside the sensor after filtering")
+            raise EmptyPacketError("no valid events left after filtering")
 
     order = np.argsort(t, kind="stable")
     if not np.array_equal(order, np.arange(order.size)):

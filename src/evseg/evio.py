@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventPacket, ImageGeometry, make_packet
-from .iwe import Iwe, accumulate_weighted, smooth
-from .solver import SegmentationResult, SolverConfig
-from .warps import MODEL_PARAM_COUNT, WarpParams, warp_packet
+from .iwe import Iwe
+from .solver import SegmentationResult, SolverConfig, cluster_image
+from .warps import MODEL_PARAM_COUNT, WarpParams
 
 
 class ParseError(ValueError):
@@ -239,9 +239,9 @@ def render_segmentation(
     rgb = np.zeros((geom.height, geom.width, 3))
     palette = cluster_palette(result.clusters.n_clusters)
     for j in np.flatnonzero(result.clusters.alive):
-        wx, wy = warp_packet(packet, result.clusters.params[j])
-        img = accumulate_weighted(wx, wy, result.associations[:, j], geom)
-        img = smooth(img, config.sigma)
+        img, _, _ = cluster_image(
+            packet, result.clusters.params[j], result.associations[:, j], config
+        )
         rgb += img.pixels[:, :, None] * palette[j]
     peak = float(rgb.max())
     if peak > 0:
@@ -272,9 +272,9 @@ def write_cluster_pgms(
     out_dir = Path(out_dir)
     paths = []
     for j in np.flatnonzero(result.clusters.alive):
-        wx, wy = warp_packet(packet, result.clusters.params[j])
-        img = accumulate_weighted(wx, wy, result.associations[:, j], packet.geometry)
-        img = smooth(img, config.sigma)
+        img, _, _ = cluster_image(
+            packet, result.clusters.params[j], result.associations[:, j], config
+        )
         p = out_dir / f"cluster_{j + 1}.pgm"
         write_pgm(p, img)
         paths.append(p)
@@ -317,18 +317,6 @@ class RunConfig:
         return [m.strip() for m in self.models.split(",") if m.strip()]
 
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
-
-
-def _coerce(text: str, target_type):
-    if target_type is bool:
-        word = text.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"expected a boolean, got {text!r}")
-        return _BOOL_WORDS[word]
-    return target_type(text)
-
-
 def read_config_file(path, base: RunConfig | None = None) -> RunConfig:
     """Apply ``key = value`` lines to a run configuration.
 
@@ -336,8 +324,7 @@ def read_config_file(path, base: RunConfig | None = None) -> RunConfig:
     line number.
     """
     cfg = base or RunConfig()
-    known = {f.name: f.type for f in dc_fields(RunConfig)}
-    type_map = {"str": str, "int": int, "float": float, "bool": bool}
+    known = {f.name for f in dc_fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -351,10 +338,8 @@ def read_config_file(path, base: RunConfig | None = None) -> RunConfig:
             value = value.strip()
             if key not in known:
                 raise ParseError(f"unknown setting {key!r}", lineno)
-            current = getattr(cfg, key)
-            target = type(current)
             try:
-                values[key] = _coerce(value, target)
+                values[key] = type(getattr(cfg, key))(value)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno)
     return replace(cfg, **values)

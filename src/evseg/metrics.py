@@ -1,14 +1,14 @@
 """Evaluation: labeled accuracy, displacement sweeps, detection, timing.
 
 Cluster indices are arbitrary, so accuracy first matches clusters to ground
-truth labels (exhaustively for small cluster counts, greedily otherwise) and
-then scores hard argmax assignments.  Noise events (label 0) never count.
+truth labels (an exact maximum-overlap assignment) and then scores hard
+argmax assignments.  Noise events (label 0) never count.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -71,46 +71,59 @@ def hard_assignments(associations: np.ndarray) -> np.ndarray:
     return np.argmax(associations, axis=1)
 
 
-def _match_exhaustive(overlap: np.ndarray, labels: Sequence[int]) -> dict:
-    n_clusters = overlap.shape[0]
-    best: dict = {}
-    best_score = -1
+def _max_assignment(gain: np.ndarray) -> np.ndarray:
+    """Column picked for each row of ``gain`` (rows <= columns) so that the
+    summed gain is largest, each column used at most once.
 
-    def recurse(li: int, used: frozenset, current: dict, score: int) -> None:
-        nonlocal best, best_score
-        if li == len(labels):
-            if score > best_score:
-                best_score = score
-                best = dict(current)
-            return
-        recurse(li + 1, used, current, score)
-        lab = labels[li]
-        for j in range(n_clusters):
-            if j in used:
-                continue
-            current[j] = lab
-            recurse(li + 1, used | {j}, current, score + int(overlap[j, li]))
-            del current[j]
+    Shortest augmenting paths with row and column potentials (the Hungarian
+    method in its Jonker-Volgenant form), one row added per round.  Exact
+    for integer gains.
+    """
+    n, m = gain.shape
+    cost = -gain.astype(np.float64)
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    owner = np.zeros(m + 1, dtype=np.int64)  # row (1-based) holding column j; 0: free
+    via = np.zeros(m + 1, dtype=np.int64)
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while owner[col]:
+            used[col] = True
+            i = owner[col]
+            reduced = cost[i - 1] - u[i] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            via[1:][better] = col
+            free = np.flatnonzero(~used[1:]) + 1
+            nxt = free[np.argmin(slack[free])]
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    picked = np.empty(n, dtype=np.int64)
+    picked[owner[1:][owner[1:] > 0] - 1] = np.flatnonzero(owner[1:] > 0)
+    return picked
 
-    recurse(0, frozenset(), {}, 0)
-    return best
 
-
-def _match_greedy(overlap: np.ndarray, labels: Sequence[int]) -> dict:
-    pairs = [
-        (int(overlap[j, li]), j, li)
-        for j in range(overlap.shape[0])
-        for li in range(len(labels))
-    ]
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    matched: dict = {}
-    used_labels: set = set()
-    for count, j, li in pairs:
-        if count <= 0 or j in matched or li in used_labels:
-            continue
-        matched[j] = labels[li]
-        used_labels.add(li)
-    return matched
+def _match(overlap: np.ndarray) -> list:
+    """(cluster, label) index pairs of an injective matching with the most
+    overlap in total; only pairs with positive overlap are kept.  Among
+    equally good matchings the one pairing the most labels wins."""
+    # the pair-count tie-break is worth less than one overlapping event
+    gain = overlap * (min(overlap.shape) + 1) + (overlap > 0)
+    if overlap.shape[0] <= overlap.shape[1]:
+        pairs = enumerate(_max_assignment(gain))
+    else:
+        pairs = ((j, li) for li, j in enumerate(_max_assignment(gain.T)))
+    return sorted((int(j), int(li)) for j, li in pairs if overlap[j, li] > 0)
 
 
 def per_event_accuracy(
@@ -121,9 +134,10 @@ def per_event_accuracy(
     """Match clusters to true object labels and score hard assignments.
 
     Events labeled 0 (noise/background) are excluded.  The matching is
-    injective: up to ten clusters are matched exhaustively, more than ten
-    greedily by overlap.  ``degenerate`` flags a run where some present
-    object ended up without any matched cluster.
+    injective and exact: it maximises the number of correctly assigned
+    events, pairing only clusters and labels that overlap.  ``degenerate``
+    flags a run where some present object ended up without any matched
+    cluster.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != associations.shape[0]:
@@ -147,25 +161,14 @@ def per_event_accuracy(
         sel = scored & (assigned == j)
         for li, lab in enumerate(present):
             overlap[col, li] = int((labels[sel] == lab).sum())
-    if live.size <= 10:
-        matching_local = _match_exhaustive(overlap, present)
-    else:
-        matching_local = _match_greedy(overlap, present)
-    matching = {int(live[j]): lab for j, lab in matching_local.items()}
-    correct = 0
-    for j, lab in matching.items():
-        correct += int(((assigned == j) & scored & (labels == lab)).sum())
-    matched_labels = {
-        lab
-        for j, lab in matching.items()
-        if int(((assigned == j) & scored & (labels == lab)).sum()) > 0
-    }
+    pairs = _match(overlap)
+    correct = sum(int(overlap[j, li]) for j, li in pairs)
     return AccuracyReport(
         accuracy=correct / n_scored,
-        matching=matching,
+        matching={int(live[j]): present[li] for j, li in pairs},
         per_cluster_mass=mass,
         n_scored=n_scored,
-        degenerate=len(matched_labels) < len(present),
+        degenerate=len(pairs) < len(present),
     )
 
 

@@ -57,7 +57,6 @@ class SolverConfig:
     fd_step: float = 1e-2           # finite-difference h, native parameter units
     step_clamp_px: float = 2.0      # max warped-position change per ascent step
     backtrack_max: int = 8
-    bilinear: bool = True
     seed: int = 0
     # greedy initialisation
     init_claim_prob: float = 0.9
@@ -152,9 +151,12 @@ def cluster_image(
     counter: OpCounter | None = None,
 ) -> tuple[Iwe, np.ndarray, np.ndarray]:
     """Warp the packet under one hypothesis, deposit the given weights and
-    blur.  Returns the smoothed image plus the warped coordinates."""
+    blur.  Returns the smoothed image plus the warped coordinates.
+
+    Every full-sensor image of warped events is built here, so ``counter``
+    sees each build."""
     wx, wy = warp_packet(packet, params)
-    img = accumulate_weighted(wx, wy, weights, packet.geometry, config.bilinear)
+    img = accumulate_weighted(wx, wy, weights, packet.geometry)
     if counter is not None:
         counter.iwe_builds += 1
     return smooth(img, config.sigma), wx, wy
@@ -356,7 +358,7 @@ def _coarse_eval_factory(
 
     def evaluate(params: WarpParams) -> float:
         wx, wy = warp_points(xs, ys, ts, params, t_ref, center)
-        img = accumulate_weighted(wx / scale, wy / scale, ws, geom, config.bilinear)
+        img = accumulate_weighted(wx / scale, wy / scale, ws, geom)
         return variance_contrast(smooth(img, 0.75))
 
     return evaluate

@@ -24,7 +24,9 @@ import numpy as np
 
 from .events import EventPacket
 from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
-# initialize_greedy and objective run inside _alternate; they stay bound here
+# initialize_greedy and objective run inside _alternate, and every image is
+# built by cluster_image, so this module no longer calls accumulate_unweighted,
+# smooth, variance_contrast or warp_packet; those names stay bound here
 # because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     ClusterSet,
@@ -33,6 +35,7 @@ from .solver import (
     SolverConfig,
     _alternate,
     _line_search_step,
+    cluster_image,
     initialize_greedy,
     objective,
 )
@@ -57,17 +60,6 @@ class FuzzyState:
     b: float
 
 
-def _density_image(packet: EventPacket, params: WarpParams, config: SolverConfig,
-                   counter: OpCounter | None = None):
-    """Smoothed unit-mass image of all events under one motion, plus the
-    warped coordinates."""
-    wx, wy = warp_packet(packet, params)
-    img = accumulate_unweighted(wx, wy, packet.geometry, config.bilinear)
-    if counter is not None:
-        counter.iwe_builds += 1
-    return smooth(img, config.sigma), wx, wy
-
-
 def _column_table(column, packet, clusters, config, counter) -> np.ndarray:
     """(n_events, n_clusters) table of ``column(packet, params, config,
     counter)`` for each live cluster; dead clusters' columns stay zero."""
@@ -90,7 +82,7 @@ def component_likelihood(
     floored at ``epsilon_c`` so events off the cluster's support keep a tiny
     but non-zero likelihood.
     """
-    img, wx, wy = _density_image(packet, params, config, counter)
+    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config, counter)
     total = img.total_mass
     values = sample_local(img, wx, wy)
     if total > 0.0:
@@ -166,7 +158,7 @@ def fuzzy_affinity(
 ) -> np.ndarray:
     """Per-event affinity log(1 + image value) under one motion; zero where
     the warped position lands on empty pixels."""
-    img, wx, wy = _density_image(packet, params, config, counter)
+    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config, counter)
     return np.log1p(np.maximum(sample_local(img, wx, wy), 0.0))
 
 

@@ -99,6 +99,18 @@ def test_validate_lenient_drops_out_of_bounds():
     assert v.x.tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_non_finite_timestamps(bad):
+    p = make_packet([1, 2, 3, 4], [1, 1, 1, 1], [0.1, bad, 0.3, 0.4], [1, 1, 1, 1], GEOM)
+    with pytest.raises(ValueError, match="first bad row 1"):
+        validate_packet(p, strict=True)
+    # lenient mode drops the row together with out-of-sensor rows
+    p = make_packet([1, 2, 99, 4], [1, 1, 1, 1], [0.1, bad, 0.3, 0.4], [1, 1, 1, 1], GEOM)
+    v = validate_packet(p, strict=False)
+    assert v.x.tolist() == [1.0, 4.0]
+    assert v.duration == pytest.approx(0.3)
+
+
 def test_validate_rejects_bad_polarity():
     p = make_packet([1], [1], [0.1], [0], GEOM)
     with pytest.raises(ValueError):

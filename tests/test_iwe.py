@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,27 @@ def gaussian_kernel_oracle(sigma):
     u = np.arange(-r, r + 1, dtype=np.float64)
     k = np.exp(-0.5 * (u / sigma) ** 2)
     return k / k.sum()
+
+
+def bilinear_oracle(wx, wy, geometry):
+    """Per-event, per-corner bilinear footprint with explicit bounds checks:
+    a list of (event, row, column, weight) for every in-sensor corner."""
+    out = []
+    for k, (x, y) in enumerate(zip(wx, wy)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        x0, y0 = math.floor(x), math.floor(y)
+        ax, ay = x - x0, y - y0
+        for dx, dy, cw in (
+            (0, 0, (1.0 - ax) * (1.0 - ay)),
+            (1, 0, ax * (1.0 - ay)),
+            (0, 1, (1.0 - ax) * ay),
+            (1, 1, ax * ay),
+        ):
+            c, r = x0 + dx, y0 + dy
+            if 0 <= c < geometry.width and 0 <= r < geometry.height:
+                out.append((k, r, c, cw))
+    return out
 
 
 def variance_oracle(img):
@@ -65,6 +88,13 @@ def test_negative_weights_rejected():
         accumulate_weighted([1.0], [1.0], [-0.1], GEOM)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    # rejected off the sensor too: a zero corner weight times inf is NaN
+    with pytest.raises(ValueError, match="finite"):
+        accumulate_weighted([1.0, -9.0], [1.0, -9.0], [1.0, bad], GEOM)
+
+
 def test_unweighted_equals_unit_weights():
     rng = np.random.default_rng(0)
     wx = rng.uniform(-1, GEOM.width, 300)
@@ -83,12 +113,6 @@ def test_accumulation_order_invariant():
     a = accumulate_weighted(wx, wy, w, GEOM)
     b = accumulate_weighted(wx[perm], wy[perm], w[perm], GEOM)
     np.testing.assert_allclose(b.pixels, a.pixels, atol=1e-9 * max(1.0, a.total_mass))
-
-
-def test_nearest_vote_ablation():
-    iwe = accumulate_weighted([2.4], [3.6], [1.0], GEOM, bilinear=False)
-    assert iwe.pixels[4, 2] == 1.0
-    assert iwe.total_mass == 1.0
 
 
 def test_shape_mismatch_rejected():
@@ -172,3 +196,32 @@ def test_splat_and_sample_are_adjoint():
     lhs = float((accumulate_weighted(wx, wy, w, GEOM).pixels * field).sum())
     rhs = float((w * sample_local(Iwe(field, GEOM), wx, wy)).sum())
     assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(lhs)))
+
+
+def test_splat_and_sample_match_per_corner_oracle():
+    # positions over [-2, w+1] x [-2, h+1] reach all four border strips and
+    # beyond; NaN and infinite positions must deposit and read nothing
+    rng = np.random.default_rng(4)
+    n = 600
+    wx = rng.uniform(-2, GEOM.width + 1, n)
+    wy = rng.uniform(-2, GEOM.height + 1, n)
+    wx[:40] = np.round(wx[:40])  # lattice points and exact border lines
+    wy[40:80] = np.round(wy[40:80])
+    wx[80:84] = [np.nan, np.inf, -np.inf, 1e300]
+    wy[84:88] = [np.nan, np.inf, -np.inf, -1e300]
+    w = rng.uniform(0, 3, n)
+    field = rng.normal(size=(GEOM.height, GEOM.width))
+    expect_img = np.zeros((GEOM.height, GEOM.width))
+    expect_read = np.zeros(n)
+    for k, r, c, cw in bilinear_oracle(wx, wy, GEOM):
+        expect_img[r, c] += w[k] * cw
+        expect_read[k] += cw * field[r, c]
+    with np.errstate(invalid="ignore"):  # casting NaN and inf to int warns
+        img = accumulate_weighted(wx, wy, w, GEOM).pixels
+        read = sample_local(Iwe(field, GEOM), wx, wy)
+    np.testing.assert_allclose(img, expect_img, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(read, expect_read, rtol=1e-12, atol=1e-12)
+    assert np.all(read[80:88] == 0.0)
+    # the border strips do receive mass, so the check above covers them
+    assert expect_img[:, -1].sum() > 0 and expect_img[-1, :].sum() > 0
+    assert expect_img[:, 0].sum() > 0 and expect_img[0, :].sum() > 0

@@ -1,9 +1,15 @@
 """Evaluation tests: matched accuracy scoring, displacement sweep geometry,
 detection boxes, and benchmark plumbing."""
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import evseg
 
 from evseg.events import ImageGeometry, make_packet
 from evseg.metrics import (
@@ -122,6 +128,34 @@ class TestAccuracy:
         report = per_event_accuracy(assoc, labels, alive)
         assert report.accuracy == 0.0
         assert report.degenerate
+
+    def test_matching_is_exact_beyond_ten_clusters(self):
+        # cluster 0 holds 10 events of object 1 and 9 of object 2, cluster 1
+        # holds 9 of object 1, clusters 2-10 one object-2 event each: pairing
+        # the largest overlap first scores 11/37, the optimum 18/37
+        assigned = [0] * 19 + [1] * 9 + list(range(2, 11))
+        labels = np.array([1] * 10 + [2] * 9 + [1] * 9 + [2] * 9)
+        report = per_event_accuracy(one_hot(assigned, 11), labels)
+        assert report.accuracy == pytest.approx(18 / 37)
+        assert report.matching == {0: 2, 1: 1}
+        assert not report.degenerate
+
+    def test_ties_prefer_matching_more_labels(self):
+        # overlap [[2, 1], [1, 0]]: {0: 1} and {0: 2, 1: 1} both score 2
+        assigned = [0, 0, 0, 1]
+        labels = np.array([1, 1, 2, 1])
+        report = per_event_accuracy(one_hot(assigned, 2), labels)
+        assert report.accuracy == pytest.approx(2 / 4)
+        assert report.matching == {0: 2, 1: 1}
+        assert not report.degenerate
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the matcher is written in numpy because importing scipy.optimize
+        # adds about 22 MB of resident memory to every process
+        src = str(Path(evseg.__file__).resolve().parent.parent)
+        code = "import sys, evseg; sys.exit(int('scipy.optimize' in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_greedy_path_handles_many_clusters(self):
         n_clusters = 12
