@@ -231,6 +231,8 @@ def _line_search_step(
     parameter), clamped so no warped position moves more than
     ``step_clamp_px``, then backtracked until the value does not decrease.
     Returns (new params, new value, whether the value strictly improved).
+    When it improved, the new params were the last ones passed to
+    ``evaluate``, so a caller may keep what that call built.
     """
     p = params.param_count
     h = config.fd_step

@@ -129,24 +129,24 @@ def mixture_m_step(
     """One backtracking ascent step of the total log-likelihood per live
     cluster, updating one component at a time.  ``likelihoods`` is the table
     at the current motions (the one the E-step used).  Returns the new state
-    plus the refreshed likelihood table."""
+    plus the refreshed likelihood table (``likelihoods`` itself when no motion
+    improved)."""
     clusters = state.clusters.copy()
-    likelihoods = likelihoods.copy()
     for j in np.flatnonzero(clusters.alive):
         kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
+        table = likelihoods.copy()
 
-        def evaluate(candidate: WarpParams, _j=j) -> float:
-            col = component_likelihood(packet, candidate, config, counter)
-            table = likelihoods.copy()
-            table[:, _j] = col
-            return _log_likelihood(table, state.mixing)
+        def evaluate(candidate: WarpParams, _j=j, _table=table) -> float:
+            _table[:, _j] = component_likelihood(packet, candidate, config, counter)
+            return _log_likelihood(_table, state.mixing)
 
         new_prm, _, improved = _line_search_step(
             evaluate, clusters.params[j], kappa, config
         )
         if improved:
+            # the accepted candidate was evaluated last, so its column is in table
             clusters.params[j] = new_prm
-            likelihoods[:, j] = component_likelihood(packet, new_prm, config, counter)
+            likelihoods = table
     return MixtureState(clusters, state.membership, state.mixing), likelihoods
 
 
@@ -202,16 +202,19 @@ def fuzzy_m_step(
     for j in np.flatnonzero(clusters.alive):
         kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
         pw = state.membership[:, j] ** state.b
+        last = [None]
 
-        def evaluate(candidate: WarpParams, _pw=pw) -> float:
-            return float((_pw * fuzzy_affinity(packet, candidate, config, counter)).sum())
+        def evaluate(candidate: WarpParams, _pw=pw, _last=last) -> float:
+            _last[0] = fuzzy_affinity(packet, candidate, config, counter)
+            return float((_pw * _last[0]).sum())
 
         new_prm, _, improved = _line_search_step(
             evaluate, clusters.params[j], kappa, config
         )
         if improved:
+            # the accepted candidate was evaluated last
             clusters.params[j] = new_prm
-            affinities[:, j] = fuzzy_affinity(packet, new_prm, config, counter)
+            affinities[:, j] = last[0]
     return FuzzyState(clusters, state.membership, state.b), affinities
 
 

@@ -74,7 +74,11 @@ def warp_points(
     dt = np.asarray(t, dtype=np.float64) - t_ref
     th = params.theta
     if params.model == "flow2":
-        return x - dt * th[0], y - dt * th[1]
+        # dt * theta goes straight into each output and is subtracted in
+        # place, so the two outputs are the only arrays allocated after dt
+        rx = np.multiply(dt, th[0], out=np.empty(np.broadcast(x, dt).shape))
+        ry = np.multiply(dt, th[1], out=np.empty(np.broadcast(y, dt).shape))
+        return np.subtract(x, rx, out=rx), np.subtract(y, ry, out=ry)
     if params.model == "rotation":
         cx, cy, omega = th
         ang = -omega * dt

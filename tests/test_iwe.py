@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from evseg.iwe import (
     smooth,
     variance_contrast,
 )
+from evseg.warps import WarpParams, warp_points
 
 
 GEOM = ImageGeometry(16, 12)
@@ -148,6 +153,22 @@ def test_smooth_impulse_matches_kernel_oracle():
     assert out.total_mass == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("sigma", [0.75, 1.0, 1.5, 2.3])
+def test_smooth_equals_scipy_gaussian_filter_bytes(sigma):
+    # smooth runs gaussian_filter's two correlation passes itself; on the
+    # strided images splatting returns it must give the same bytes
+    from scipy import ndimage
+
+    rng = np.random.default_rng(7)
+    iwe = accumulate_weighted(
+        rng.uniform(-1, 60, 3000), rng.uniform(-1, 45, 3000), np.ones(3000), ImageGeometry(60, 45)
+    )
+    expect = ndimage.gaussian_filter(
+        iwe.pixels, sigma=sigma, mode="constant", cval=0.0, radius=int(np.ceil(3 * sigma))
+    )
+    assert smooth(iwe, sigma).pixels.tobytes() == expect.tobytes()
+
+
 def test_smooth_leaks_mass_at_border():
     iwe = accumulate_weighted([0.0], [0.0], [1.0], GEOM)
     assert smooth(iwe, 1.5).total_mass < 1.0
@@ -216,7 +237,8 @@ def test_splat_and_sample_match_per_corner_oracle():
     for k, r, c, cw in bilinear_oracle(wx, wy, GEOM):
         expect_img[r, c] += w[k] * cw
         expect_read[k] += cw * field[r, c]
-    with np.errstate(invalid="ignore"):  # casting NaN and inf to int warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN and inf positions must not warn
         img = accumulate_weighted(wx, wy, w, GEOM).pixels
         read = sample_local(Iwe(field, GEOM), wx, wy)
     np.testing.assert_allclose(img, expect_img, rtol=1e-12, atol=1e-12)
@@ -225,3 +247,113 @@ def test_splat_and_sample_match_per_corner_oracle():
     # the border strips do receive mass, so the check above covers them
     assert expect_img[:, -1].sum() > 0 and expect_img[-1, :].sum() > 0
     assert expect_img[:, 0].sum() > 0 and expect_img[0, :].sum() > 0
+
+
+def _in_fresh_thread(fn):
+    """Run ``fn`` in a new thread, whose kernel scratch starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_scratch_reuse_across_sizes_and_geometries():
+    # 40k, 3k and 40k positions on the full sensor, the coarse-scan grid and
+    # a pattern patch, called in turn: each result must equal the bytes of a
+    # fresh call, and results kept from earlier calls must not change
+    rng = np.random.default_rng(5)
+    flow = WarpParams("flow2", np.array([60.0, -50.0]))
+    cases = []
+    for n, geom in (
+        (40_000, ImageGeometry(240, 180)),
+        (3_000, ImageGeometry(60, 45)),
+        (40_000, ImageGeometry(209, 78)),
+    ):
+        x = rng.uniform(-2, geom.width + 1, n)
+        y = rng.uniform(-2, geom.height + 1, n)
+        x[:3] = [np.nan, np.inf, -np.inf]
+        t = rng.uniform(0.0, 0.12, n)
+        w = rng.uniform(0, 2, n)
+        field = Iwe(rng.normal(size=(geom.height, geom.width)), geom)
+        cases.append((geom, x, y, t, w, field))
+
+    def run(case):
+        geom, x, y, t, w, field = case
+        wx, wy = warp_points(x, y, t, flow, 0.06)
+        return [wx, wy, accumulate_weighted(wx, wy, w, geom).pixels, sample_local(field, wx, wy)]
+
+    def as_bytes(outs):
+        return [a.tobytes() for a in outs]
+
+    fresh = [as_bytes(_in_fresh_thread(lambda c=c: run(c))) for c in cases]
+    kept = [run(c) for c in cases]
+    for k in (1, 0, 2, 1, 0):
+        assert as_bytes(run(cases[k])) == fresh[k]
+    assert [as_bytes(outs) for outs in kept] == fresh
+
+
+def test_concurrent_threads_keep_their_own_scratch():
+    # more threads than cores, switching often: a scratch shared between
+    # threads would mix their footprints
+    geom = ImageGeometry(120, 90)
+    inputs = []
+    for seed in range(4):
+        rng = np.random.default_rng(10 + seed)
+        n = 20_000 + 1_000 * seed
+        wx = rng.uniform(-2, geom.width + 1, n)
+        wy = rng.uniform(-2, geom.height + 1, n)
+        inputs.append((wx, wy, rng.uniform(0, 2, n)))
+
+    def run(wx, wy, w):
+        img = accumulate_weighted(wx, wy, w, geom)
+        return img.pixels.tobytes() + sample_local(img, wx, wy).tobytes()
+
+    expect = [run(*args) for args in inputs]
+    mismatches = []
+
+    def worker(k):
+        for _ in range(10):
+            if run(*inputs[k]) != expect[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm-up: the first call grows this thread's scratch
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_allocate_no_position_sized_temporaries():
+    # with position-sized temporaries each kernel call below peaks at about
+    # 5.5 MB, and the flow2 warp at four position-sized arrays
+    rng = np.random.default_rng(6)
+    n = 40_000
+    geom = ImageGeometry(240, 180)
+    wx = rng.uniform(-2, geom.width + 1, n)
+    wy = rng.uniform(-2, geom.height + 1, n)
+    w = rng.uniform(0, 2, n)
+    t = rng.uniform(0.0, 0.12, n)
+    img = accumulate_weighted(wx, wy, w, geom)
+    assert _peak_bytes(lambda: accumulate_weighted(wx, wy, w, geom)) < 1_500_000
+    assert _peak_bytes(lambda: sample_local(img, wx, wy)) < 2_000_000
+    flow = WarpParams("flow2", np.array([60.0, -50.0]))
+    assert _peak_bytes(lambda: warp_points(wx, wy, t, flow, 0.06)) <= 3 * wx.nbytes + 16_384

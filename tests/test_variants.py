@@ -9,8 +9,11 @@ from evseg.variants import (
     MixtureState,
     component_likelihood,
     fuzzy_affinity,
+    _column_table,
     fuzzy_e_step,
+    fuzzy_m_step,
     mixture_e_step,
+    mixture_m_step,
     segment_fuzzy,
     segment_mixture,
 )
@@ -54,6 +57,30 @@ def test_mixture_e_step_matches_bayes_by_hand(drift_packet):
     np.testing.assert_allclose(new.membership, expect, atol=1e-12)
     np.testing.assert_allclose(new.mixing, expect.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(new.membership.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["mixture", "fuzzy"])
+def test_m_step_table_equals_rebuild_at_new_motions(drift_packet, method):
+    # the M-steps keep the columns their line searches built last; those
+    # must be the columns at the accepted motions
+    pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
+    cfg = SolverConfig()
+    state = two_cluster_state(pk, [(26.0, 2.0), (-20.0, 11.0)])
+    column, m_step = component_likelihood, mixture_m_step
+    if method == "fuzzy":
+        column, m_step = fuzzy_affinity, fuzzy_m_step
+        state = FuzzyState(state.clusters, state.membership, 2.0)
+    table = _column_table(column, pk, state.clusters, cfg, None)
+    before = table.copy()
+    new, refreshed = m_step(state, pk, cfg, None, table)
+    moved = [
+        not np.array_equal(a.theta, b.theta)
+        for a, b in zip(new.clusters.params, state.clusters.params)
+    ]
+    assert all(moved)
+    expect = _column_table(column, pk, new.clusters, cfg, None)
+    assert refreshed.tobytes() == expect.tobytes()
+    np.testing.assert_array_equal(table, before)
 
 
 def test_mixture_e_step_separates_true_clusters(drift_packet):
