@@ -53,11 +53,11 @@ from .simulate import (
 from .solver import (
     ClusterSet,
     DegenerateInitError,
-    OpCounter,
     SegmentationResult,
     SolverConfig,
     apply_collapse,
     ascend_motion,
+    build_count,
     cluster_contrast,
     initialize_greedy,
     maximize_single_cluster,

@@ -163,8 +163,17 @@ def _geometry_override(args) -> ImageGeometry | None:
 
 
 def _load_packet(args):
+    """Read and leniently validate the events file, saying on stderr how many
+    rows validation dropped."""
     packet, _ = read_events_text(args.events, _geometry_override(args))
-    return validate_packet(packet, strict=False)
+    valid = validate_packet(packet, strict=False)
+    if valid.n < packet.n:
+        print(
+            f"dropped {packet.n - valid.n} of {packet.n} events "
+            "(off the sensor or non-finite time)",
+            file=sys.stderr,
+        )
+    return valid
 
 
 def _cmd_simulate(args) -> int:
@@ -229,7 +238,17 @@ def _cmd_segment(args) -> int:
     else:
         multi = False
         pairs = [(packet, solve(packet, run.n_clusters, run.model_list(), solver_cfg))]
+    solved = 0
     for idx, (window, result) in enumerate(pairs):
+        if result is None:
+            # segment_stream skips a window only when its greedy init raised
+            # DegenerateInitError
+            print(
+                f"window {idx}: {window.n} events, skipped (no motion beats standing still)",
+                file=sys.stderr,
+            )
+            continue
+        solved += 1
         suffix = f"_{idx:03d}" if multi else ""
         write_associations_csv(out / f"assoc{suffix}.csv", result)
         write_params_csv(out / f"params{suffix}.csv", result)
@@ -242,6 +261,9 @@ def _cmd_segment(args) -> int:
             f"objective {result.objective_trace[-1]:.4g}, "
             f"{result.iterations} iterations"
         )
+    if not solved:
+        print("error: every window was skipped", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -111,8 +111,17 @@ def make_packet(x, y, t, polarity, geometry: ImageGeometry, t_ref: float | None 
     return EventPacket(x=x, y=y, t=t, polarity=polarity, geometry=geometry, t_ref=float(t_ref))
 
 
+def subsample_indices(n: int, max_points: int) -> np.ndarray:
+    """Rows ``0, s, 2s, ...`` of ``n`` events at stride
+    ``s = max(1, n // max_points)``: every row when ``n < 2 * max_points``,
+    otherwise at least ``max_points`` and fewer than twice as many."""
+    step = max(1, n // max_points)
+    return np.arange(0, n, step)
+
+
 def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:
-    """Normalise a packet: sort by time, check bounds, clamp ``t_ref``.
+    """Normalise a packet: sort by time, check bounds, clamp ``t_ref`` into
+    the kept time span (a NaN ``t_ref`` becomes the first time).
 
     In strict mode events outside the sensor raise :class:`OutOfBoundsError`
     with the offending indices, and a NaN or infinite timestamp raises
@@ -148,7 +157,9 @@ def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:
     if not np.array_equal(order, np.arange(order.size)):
         x, y, t, p = x[order], y[order], t[order], p[order]
 
-    t_ref = min(max(packet.t_ref, float(t[0])), float(t[-1]))
+    # a packet made from rows whose first time was NaN carries a NaN t_ref
+    t_ref = float(t[0]) if np.isnan(packet.t_ref) else packet.t_ref
+    t_ref = min(max(t_ref, float(t[0])), float(t[-1]))
     return EventPacket(x=x, y=y, t=t, polarity=p, geometry=packet.geometry, t_ref=t_ref)
 
 

@@ -17,9 +17,9 @@ from .simulate import SimConfig, preset_two_pebbles, simulate
 from .solver import (
     ClusterSet,
     DegenerateInitError,
-    OpCounter,
     SegmentationResult,
     SolverConfig,
+    build_count,
     initialize_greedy,
     segment,
 )
@@ -364,16 +364,15 @@ def compare_methods(
     if config is None:
         config = SolverConfig()
     cfg = dc_replace(config, max_iters=iterations)
-    shared_counter = OpCounter()
-    init = initialize_greedy(packet, n_clusters, models, cfg, shared_counter)
+    start = build_count()
+    init = initialize_greedy(packet, n_clusters, models, cfg)
     runners = {
         "layered": segment,
         "mixture": segment_mixture,
         "fuzzy": segment_fuzzy,
     }
-    out: dict = {"init_warp_cost": shared_counter.iwe_builds}
+    out: dict = {"init_warp_cost": build_count() - start}
     for name, run in runners.items():
-        counter = OpCounter()
         result = run(
             packet,
             n_clusters,
@@ -381,7 +380,6 @@ def compare_methods(
             cfg,
             init=(init[0].copy(), init[1].copy()),
             early_stop=False,
-            counter=counter,
         )
         entry = {
             "result": result,

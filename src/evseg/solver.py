@@ -17,12 +17,13 @@ falls below a floor are marked dead and take no further part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .events import EventPacket, ImageGeometry, sliding_windows
+from .events import EventPacket, ImageGeometry, sliding_windows, subsample_indices
 from .iwe import Iwe, accumulate_weighted, sample_local, smooth, variance_contrast
 from .warps import (
     MODEL_PARAM_COUNT,
@@ -91,17 +92,6 @@ class SolverConfig:
 
 
 @dataclass
-class OpCounter:
-    """Counts warp-and-accumulate passes; snapshots give per-iteration cost."""
-
-    iwe_builds: int = 0
-    per_iteration: list = field(default_factory=list)
-
-    def snapshot(self) -> None:
-        self.per_iteration.append(self.iwe_builds)
-
-
-@dataclass
 class ClusterSet:
     """Motion hypotheses plus liveness flags for J clusters."""
 
@@ -143,22 +133,37 @@ def _resolve_models(models, n_clusters: int) -> list:
     return models
 
 
+class _Builds(threading.local):
+    """One thread's count of full-sensor image builds."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
+_builds = _Builds()
+
+
+def build_count() -> int:
+    """Full-sensor images of warped events built so far in the calling
+    thread.  The count never resets; a caller measures a span of work by the
+    difference of two readings.  Each thread counts only its own builds."""
+    return _builds.count
+
+
 def cluster_image(
     packet: EventPacket,
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> tuple[Iwe, np.ndarray, np.ndarray]:
     """Warp the packet under one hypothesis, deposit the given weights and
     blur.  Returns the smoothed image plus the warped coordinates.
 
-    Every full-sensor image of warped events is built here, so ``counter``
-    sees each build."""
+    Every full-sensor image of warped events is built here, so this is the
+    one place that adds to :func:`build_count`."""
     wx, wy = warp_packet(packet, params)
     img = accumulate_weighted(wx, wy, weights, packet.geometry)
-    if counter is not None:
-        counter.iwe_builds += 1
+    _builds.count += 1
     return smooth(img, config.sigma), wx, wy
 
 
@@ -167,9 +172,8 @@ def cluster_contrast(
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> float:
-    img, _, _ = cluster_image(packet, params, weights, config, counter)
+    img, _, _ = cluster_image(packet, params, weights, config)
     return variance_contrast(img)
 
 
@@ -178,14 +182,13 @@ def objective(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> float:
     """Summed per-cluster sharpness at the current motions and associations."""
     total = 0.0
     for j, prm in enumerate(clusters.params):
         if not clusters.alive[j]:
             continue
-        total += cluster_contrast(packet, prm, associations[:, j], config, counter)
+        total += cluster_contrast(packet, prm, associations[:, j], config)
     return total
 
 
@@ -194,7 +197,6 @@ def update_associations(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Closed-form association refresh.
 
@@ -207,9 +209,7 @@ def update_associations(
     alive_idx = np.flatnonzero(clusters.alive)
     scores = np.empty((n, alive_idx.size))
     for col, j in enumerate(alive_idx):
-        img, wx, wy = cluster_image(
-            packet, clusters.params[j], associations[:, j], config, counter
-        )
+        img, wx, wy = cluster_image(packet, clusters.params[j], associations[:, j], config)
         scores[:, col] = sample_local(img, wx, wy)
     scores = np.maximum(scores, config.epsilon_c)
     out = np.zeros_like(associations)
@@ -276,7 +276,6 @@ def ascend_motion(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> ClusterSet:
     """One line-searched ascent step per live cluster, associations fixed.
 
@@ -294,7 +293,7 @@ def ascend_motion(
         kappa = displacement_sensitivity(packet, prm, config.fd_step)
 
         def evaluate(candidate: WarpParams, _w=w) -> float:
-            return cluster_contrast(packet, candidate, _w, config, counter)
+            return cluster_contrast(packet, candidate, _w, config)
 
         new_params[j], _, _ = _line_search_step(evaluate, prm, kappa, config)
     return ClusterSet(new_params, clusters.alive.copy())
@@ -333,11 +332,6 @@ def apply_collapse(
 # greedy initialisation
 
 
-def _subsample_indices(n: int, max_points: int) -> np.ndarray:
-    step = max(1, n // max_points)
-    return np.arange(0, n, step)
-
-
 def _coarse_eval_factory(
     packet: EventPacket, weights: np.ndarray, config: SolverConfig
 ):
@@ -347,7 +341,7 @@ def _coarse_eval_factory(
     downscale widens the basin so a coarse parameter grid cannot step over
     the optimum.
     """
-    idx = _subsample_indices(packet.n, config.init_scan_events)
+    idx = subsample_indices(packet.n, config.init_scan_events)
     xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
     ws = weights[idx]
     scale = float(max(1, config.init_scan_downscale))
@@ -429,10 +423,9 @@ def _ascend_single(
     weights: np.ndarray,
     config: SolverConfig,
     iters: int,
-    counter: OpCounter | None,
 ) -> tuple[WarpParams, float]:
     def evaluate(candidate: WarpParams) -> float:
-        return cluster_contrast(packet, candidate, weights, config, counter)
+        return cluster_contrast(packet, candidate, weights, config)
 
     f = evaluate(params)
     for _ in range(iters):
@@ -451,7 +444,6 @@ def maximize_single_cluster(
     weights: np.ndarray,
     config: SolverConfig,
     rng=None,
-    counter: OpCounter | None = None,
 ) -> WarpParams:
     """Best single-motion hypothesis for the given residual weights.
 
@@ -463,7 +455,7 @@ def maximize_single_cluster(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     base = zero_params(model)
-    f_zero = cluster_contrast(packet, base, weights, config, counter)
+    f_zero = cluster_contrast(packet, base, weights, config)
 
     coarse = _coarse_eval_factory(packet, weights, config)
     best, best_val = base, coarse(base)
@@ -481,9 +473,7 @@ def maximize_single_cluster(
         seeds.append(moving)
     params, f = base, -np.inf
     for seed_params in seeds:
-        cand, fc = _ascend_single(
-            packet, seed_params, weights, config, config.init_ascend_iters, counter
-        )
+        cand, fc = _ascend_single(packet, seed_params, weights, config, config.init_ascend_iters)
         if fc > f:
             params, f = cand, fc
     if f > f_zero * (1.0 + config.rel_tol):
@@ -491,7 +481,7 @@ def maximize_single_cluster(
     # scan found nothing: try random restarts before declaring degeneracy
     for _ in range(config.init_random_draws):
         cand = _random_params(model, packet.geometry, config, rng)
-        cand, fc = _ascend_single(packet, cand, weights, config, 4, counter)
+        cand, fc = _ascend_single(packet, cand, weights, config, 4)
         if fc > f:
             params, f = cand, fc
     if f > f_zero * (1.0 + config.rel_tol):
@@ -506,11 +496,10 @@ def _claim_mask(
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
-    counter: OpCounter | None,
 ) -> np.ndarray:
     """Events whose local sharpness strictly drops when the optimised motion
     is perturbed: these are the events the motion explains."""
-    img, wx, wy = cluster_image(packet, params, weights, config, counter)
+    img, wx, wy = cluster_image(packet, params, weights, config)
     c_star = sample_local(img, wx, wy)
     kappa = displacement_sensitivity(packet, params, config.fd_step)
     acc = np.zeros(packet.n)
@@ -519,9 +508,7 @@ def _claim_mask(
         for sign in (1.0, -1.0):
             th = params.theta.copy()
             th[i] += sign * config.init_perturb_px / kappa[i]
-            pimg, pwx, pwy = cluster_image(
-                packet, params.replace_theta(th), weights, config, counter
-            )
+            pimg, pwx, pwy = cluster_image(packet, params.replace_theta(th), weights, config)
             acc += sample_local(pimg, pwx, pwy)
             n_probes += 1
     return (c_star - acc / n_probes) > 0.0
@@ -532,7 +519,6 @@ def initialize_greedy(
     n_clusters: int,
     models="flow2",
     config: SolverConfig | None = None,
-    counter: OpCounter | None = None,
 ) -> tuple[ClusterSet, np.ndarray]:
     """Sequentially claim motions: optimise one cluster on the residual
     weights, hand events that sharpened under it a strong association, damp
@@ -559,7 +545,7 @@ def initialize_greedy(
             params_list.append(zero_params(models[j]))
             continue
         try:
-            prm = maximize_single_cluster(packet, models[j], residual, config, rng, counter)
+            prm = maximize_single_cluster(packet, models[j], residual, config, rng)
         except DegenerateInitError:
             if j == 0:
                 raise  # nothing in the packet moves: give up
@@ -569,7 +555,7 @@ def initialize_greedy(
             continue
         params_list.append(prm)
         if j < n_clusters - 1:
-            newly = _claim_mask(packet, prm, residual, config, counter) & ~claimed
+            newly = _claim_mask(packet, prm, residual, config) & ~claimed
             if newly.any():
                 associations[newly] = low
                 associations[newly, j] = share
@@ -597,7 +583,6 @@ def segment(
     config: SolverConfig | None = None,
     init: tuple[ClusterSet, np.ndarray] | None = None,
     early_stop: bool = True,
-    counter: OpCounter | None = None,
 ) -> SegmentationResult:
     """Run the alternating association/motion solver on one packet.
 
@@ -607,52 +592,53 @@ def segment(
     budget is spent, which benchmarking uses for fixed-cost runs.
     """
     return _alternate(
-        packet, n_clusters, models, config, init, early_stop, counter, "layered", _layered_step
+        packet, n_clusters, models, config, init, early_stop, "layered", _layered_step
     )
 
 
-def _layered_step(packet, clusters, associations, config, counter):
+def _layered_step(packet, clusters, associations, config):
     """One layered alternation: association refresh, collapse, motion ascent.
     Summed sharpness is this back-end's own objective, so none is returned."""
-    associations = update_associations(packet, clusters, associations, config, counter)
+    associations = update_associations(packet, clusters, associations, config)
     clusters, associations = apply_collapse(clusters, associations, config)
-    clusters = ascend_motion(packet, clusters, associations, config, counter)
+    clusters = ascend_motion(packet, clusters, associations, config)
     return clusters, associations, None
 
 
-def _alternate(packet, n_clusters, models, config, init, early_stop, counter, method, step):
+def _alternate(packet, n_clusters, models, config, init, early_stop, method, step):
     """The alternation every back-end shares.
 
     Starts from ``init`` or the greedy initialiser, then repeats
-    ``step(packet, clusters, associations, config, counter)``: one
-    association refresh plus one motion update, returning the new clusters
-    and associations and the back-end's own objective (None when summed
+    ``step(packet, clusters, associations, config)``: one association
+    refresh plus one motion update, returning the new clusters and
+    associations and the back-end's own objective (None when summed
     sharpness is that objective).  The run stops once the own objective
     gained less than ``rel_tol`` in ``convergence_window`` iterations in a
     row.  Summed sharpness is traced for every back-end, so all of them
-    compare on one scale.
+    compare on one scale.  ``warp_counts`` holds, per iteration, the image
+    builds made since the call began, greedy initialisation included.
     """
     if config is None:
         config = SolverConfig()
-    if counter is None:
-        counter = OpCounter()
+    start = build_count()
     models = _resolve_models(models, n_clusters)
     if init is None:
-        clusters, associations = initialize_greedy(packet, n_clusters, models, config, counter)
+        clusters, associations = initialize_greedy(packet, n_clusters, models, config)
         init_mode = "greedy"
     else:
         clusters, associations = init[0].copy(), init[1].copy()
         if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
             raise ValueError("init shape does not match packet / cluster count")
         init_mode = "given"
-    trace = [objective(packet, clusters, associations, config, counter)]
+    trace = [objective(packet, clusters, associations, config)]
     own_trace: list[float] = []
+    warp_counts: list[int] = []
     stagnant = 0
     converged = False
     for _ in range(config.max_iters):
-        clusters, associations, own = step(packet, clusters, associations, config, counter)
-        trace.append(objective(packet, clusters, associations, config, counter))
-        counter.snapshot()
+        clusters, associations, own = step(packet, clusters, associations, config)
+        trace.append(objective(packet, clusters, associations, config))
+        warp_counts.append(build_count() - start)
         if own is not None:
             own_trace.append(own)
         series = trace if own is None else own_trace
@@ -665,7 +651,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, counter, me
     diagnostics = {
         "method": method,
         "init": init_mode,
-        "warp_counts": np.asarray(counter.per_iteration, dtype=np.int64),
+        "warp_counts": np.asarray(warp_counts, dtype=np.int64),
     }
     if own_trace:
         diagnostics["own_trace"] = np.asarray(own_trace)
@@ -688,7 +674,7 @@ def segment_stream(
     stride_events: int | None = None,
     t_ref_mode: str = "first",
     solve: Callable | None = None,
-) -> Iterable[tuple[EventPacket, SegmentationResult]]:
+) -> Iterable[tuple[EventPacket, SegmentationResult | None]]:
     """Sliding-window segmentation of a long recording.
 
     Motion parameters carry over between windows (they describe constant
@@ -697,6 +683,11 @@ def segment_stream(
     the newly arrived events start out uniform.  If the carried-over motions
     score worse than standing still the window falls back to a fresh greedy
     initialisation.  Yields (window, result) pairs.
+
+    A window whose greedy initialisation raises :class:`DegenerateInitError`
+    (nothing in it moves) yields ``(window, None)`` and costs only itself:
+    the next window starts cold, since nothing carries over from a skipped
+    window.
 
     ``solve`` is the per-window back-end, :func:`segment` by default; any
     function with its signature works, e.g. ``segment_mixture``.
@@ -727,6 +718,8 @@ def segment_stream(
                 window, zeros, assoc, config
             ):
                 init = (carried, assoc)
-        result = solve(window, n_clusters, models, config, init=init)
-        prev = result
-        yield window, result
+        try:
+            prev = solve(window, n_clusters, models, config, init=init)
+        except DegenerateInitError:
+            prev = None
+        yield window, prev

@@ -30,7 +30,6 @@ from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
 # because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     ClusterSet,
-    OpCounter,
     SegmentationResult,
     SolverConfig,
     _alternate,
@@ -60,12 +59,12 @@ class FuzzyState:
     b: float
 
 
-def _column_table(column, packet, clusters, config, counter) -> np.ndarray:
-    """(n_events, n_clusters) table of ``column(packet, params, config,
-    counter)`` for each live cluster; dead clusters' columns stay zero."""
+def _column_table(column, packet, clusters, config) -> np.ndarray:
+    """(n_events, n_clusters) table of ``column(packet, params, config)``
+    for each live cluster; dead clusters' columns stay zero."""
     table = np.zeros((packet.n, clusters.n_clusters))
     for j in np.flatnonzero(clusters.alive):
-        table[:, j] = column(packet, clusters.params[j], config, counter)
+        table[:, j] = column(packet, clusters.params[j], config)
     return table
 
 
@@ -73,7 +72,6 @@ def component_likelihood(
     packet: EventPacket,
     params: WarpParams,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Per-event likelihood under one mixture component.
 
@@ -82,7 +80,7 @@ def component_likelihood(
     floored at ``epsilon_c`` so events off the cluster's support keep a tiny
     but non-zero likelihood.
     """
-    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config, counter)
+    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config)
     total = img.total_mass
     values = sample_local(img, wx, wy)
     if total > 0.0:
@@ -94,14 +92,13 @@ def mixture_e_step(
     state: MixtureState,
     packet: EventPacket,
     config: SolverConfig,
-    counter: OpCounter | None = None,
     likelihoods: np.ndarray | None = None,
 ) -> MixtureState:
     """Bayes membership refresh followed by the mixing-weight update
     (mixing weight = mean membership)."""
     clusters = state.clusters
     if likelihoods is None:
-        likelihoods = _column_table(component_likelihood, packet, clusters, config, counter)
+        likelihoods = _column_table(component_likelihood, packet, clusters, config)
     weighted = likelihoods * state.mixing
     rowsum = weighted.sum(axis=1, keepdims=True)
     membership = np.zeros_like(weighted)
@@ -123,7 +120,6 @@ def mixture_m_step(
     state: MixtureState,
     packet: EventPacket,
     config: SolverConfig,
-    counter: OpCounter | None,
     likelihoods: np.ndarray,
 ) -> tuple[MixtureState, np.ndarray]:
     """One backtracking ascent step of the total log-likelihood per live
@@ -137,7 +133,7 @@ def mixture_m_step(
         table = likelihoods.copy()
 
         def evaluate(candidate: WarpParams, _j=j, _table=table) -> float:
-            _table[:, _j] = component_likelihood(packet, candidate, config, counter)
+            _table[:, _j] = component_likelihood(packet, candidate, config)
             return _log_likelihood(_table, state.mixing)
 
         new_prm, _, improved = _line_search_step(
@@ -154,11 +150,10 @@ def fuzzy_affinity(
     packet: EventPacket,
     params: WarpParams,
     config: SolverConfig,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Per-event affinity log(1 + image value) under one motion; zero where
     the warped position lands on empty pixels."""
-    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config, counter)
+    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config)
     return np.log1p(np.maximum(sample_local(img, wx, wy), 0.0))
 
 
@@ -166,14 +161,13 @@ def fuzzy_e_step(
     state: FuzzyState,
     packet: EventPacket,
     config: SolverConfig,
-    counter: OpCounter | None = None,
     affinities: np.ndarray | None = None,
 ) -> FuzzyState:
     """Inverse-power membership refresh: p_kj proportional to
     affinity^(1/(b-1)); all-zero rows become uniform over live clusters."""
     clusters = state.clusters
     if affinities is None:
-        affinities = _column_table(fuzzy_affinity, packet, clusters, config, counter)
+        affinities = _column_table(fuzzy_affinity, packet, clusters, config)
     powed = np.zeros_like(affinities)
     alive_idx = np.flatnonzero(clusters.alive)
     powed[:, alive_idx] = affinities[:, alive_idx] ** (1.0 / (state.b - 1.0))
@@ -190,7 +184,6 @@ def fuzzy_m_step(
     state: FuzzyState,
     packet: EventPacket,
     config: SolverConfig,
-    counter: OpCounter | None,
     affinities: np.ndarray,
 ) -> tuple[FuzzyState, np.ndarray]:
     """One backtracking ascent step per live cluster of its
@@ -205,7 +198,7 @@ def fuzzy_m_step(
         last = [None]
 
         def evaluate(candidate: WarpParams, _pw=pw, _last=last) -> float:
-            _last[0] = fuzzy_affinity(packet, candidate, config, counter)
+            _last[0] = fuzzy_affinity(packet, candidate, config)
             return float((_pw * _last[0]).sum())
 
         new_prm, _, improved = _line_search_step(
@@ -225,28 +218,25 @@ def segment_mixture(
     config: SolverConfig | None = None,
     init=None,
     early_stop: bool = True,
-    counter: OpCounter | None = None,
 ) -> SegmentationResult:
     """Mixture-density clustering of one packet; see module docstring.  The
     own objective is the total log-likelihood."""
     mixing, table = None, None
 
-    def step(packet, clusters, membership, config, counter):
+    def step(packet, clusters, membership, config):
         nonlocal mixing, table
         if table is None:
             mixing = membership.mean(axis=0)
             mixing = mixing / mixing.sum()
-            table = _column_table(component_likelihood, packet, clusters, config, counter)
+            table = _column_table(component_likelihood, packet, clusters, config)
         state = MixtureState(clusters, membership, mixing)
         # the E-step's likelihood table is the M-step's starting table
-        state = mixture_e_step(state, packet, config, counter, table)
-        state, table = mixture_m_step(state, packet, config, counter, table)
+        state = mixture_e_step(state, packet, config, table)
+        state, table = mixture_m_step(state, packet, config, table)
         mixing = state.mixing
         return state.clusters, state.membership, _log_likelihood(table, mixing)
 
-    result = _alternate(
-        packet, n_clusters, models, config, init, early_stop, counter, "mixture", step
-    )
+    result = _alternate(packet, n_clusters, models, config, init, early_stop, "mixture", step)
     result.diagnostics["mixing"] = mixing.copy()
     return result
 
@@ -259,7 +249,6 @@ def segment_fuzzy(
     init=None,
     b: float = 2.0,
     early_stop: bool = True,
-    counter: OpCounter | None = None,
 ) -> SegmentationResult:
     """Fuzzy-membership clustering of one packet; see module docstring.  The
     own objective is the membership-weighted affinity sum."""
@@ -267,14 +256,12 @@ def segment_fuzzy(
         raise ValueError("fuzziness b must exceed 1")
     table = None
 
-    def step(packet, clusters, membership, config, counter):
+    def step(packet, clusters, membership, config):
         nonlocal table
         if table is None:
-            table = _column_table(fuzzy_affinity, packet, clusters, config, counter)
-        state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, counter, table)
-        state, table = fuzzy_m_step(state, packet, config, counter, table)
+            table = _column_table(fuzzy_affinity, packet, clusters, config)
+        state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, table)
+        state, table = fuzzy_m_step(state, packet, config, table)
         return state.clusters, state.membership, float(((state.membership**b) * table).sum())
 
-    return _alternate(
-        packet, n_clusters, models, config, init, early_stop, counter, "fuzzy", step
-    )
+    return _alternate(packet, n_clusters, models, config, init, early_stop, "fuzzy", step)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .events import subsample_indices
+
 MODEL_PARAM_COUNT = {"flow2": 2, "rotation": 3, "fourdof": 4}
 
 MODEL_PARAM_NAMES = {
@@ -157,9 +159,7 @@ def displacement_sensitivity(
     Used to express pixel-unit step limits and perturbations in native
     parameter units.
     """
-    n = packet.n
-    step = max(1, n // max_points)
-    idx = np.arange(0, n, step)
+    idx = subsample_indices(packet.n, max_points)
     xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
     center = packet.geometry.center
     kappa = np.empty(params.param_count)

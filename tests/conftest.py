@@ -87,6 +87,18 @@ def build_drift_packet(velocities, n_sources=40, n_times=25, seed=11,
     return packet, labels[order]
 
 
+def motionless_prefix(packet, n=2000):
+    """``packet`` after ``n`` copies of its first rows, all at its first
+    timestamp: a window of them holds no motion at all."""
+    return make_packet(
+        np.concatenate([packet.x[:n], packet.x]),
+        np.concatenate([packet.y[:n], packet.y]),
+        np.concatenate([np.full(n, packet.t[0]), packet.t]),
+        np.concatenate([packet.polarity[:n], packet.polarity]),
+        packet.geometry,
+    )
+
+
 @pytest.fixture
 def drift_packet():
     return build_drift_packet

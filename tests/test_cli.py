@@ -3,10 +3,17 @@ import numpy as np
 import pytest
 
 from evseg.cli import main
-from evseg.events import validate_packet
-from evseg.evio import read_associations_csv, read_events_text, write_associations_csv
+from evseg.events import make_packet, validate_packet
+from evseg.evio import (
+    read_associations_csv,
+    read_events_text,
+    write_associations_csv,
+    write_events_text,
+)
 from evseg.solver import SolverConfig, segment_stream
 from evseg.variants import segment_mixture
+
+from conftest import motionless_prefix
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +62,23 @@ class TestDataErrors:
         code = main(["segment", "--events", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invalid_rows_are_dropped_with_a_count(self, sim_dir, tmp_path, capsys):
+        header, *rows = (sim_dir / "events.txt").read_text().splitlines()
+        # a NaN time in the first row, a row off the 120x90 sensor in the last
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join([header, "nan 10 10 1", *rows, "0.01 500 10 1"]) + "\n")
+        line = f"dropped 2 of {len(rows) + 2} events (off the sensor or non-finite time)"
+        outs = []
+        for events, err in ((sim_dir / "events.txt", ""), (bad, line)):
+            out = tmp_path / events.stem
+            argv = ["segment", "--events", str(events), "--out", str(out), "--max-iters", "2"]
+            assert main(argv) == 0
+            assert capsys.readouterr().err.strip() == err
+            outs.append(out)
+        # the kept rows are solved exactly as the clean file's
+        for name in ("assoc.csv", "params.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_eval_shape_mismatch(self, tmp_path):
         assoc = tmp_path / "assoc.csv"
@@ -172,6 +196,54 @@ class TestPipeline:
         expected = tmp_path / "expected.csv"
         write_associations_csv(expected, pairs[1][1])
         assert (out / "assoc_001.csv").read_bytes() == expected.read_bytes()
+
+    def test_windowed_segmentation_skips_a_motionless_window(self, sim_dir, tmp_path, capsys):
+        packet = validate_packet(read_events_text(sim_dir / "events.txt")[0])
+        events = tmp_path / "still_first.txt"
+        write_events_text(events, motionless_prefix(packet))
+        out = tmp_path / "win"
+        code = main(
+            [
+                "segment",
+                "--events", str(events),
+                "--out", str(out),
+                "--j", "2", "--window", "2000", "--stride", "2000", "--max-iters", "8",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "window 0: 2000 events, skipped (no motion beats standing still)\n"
+        )
+        assert "window 0" not in captured.out
+        assert "window 1: 2000 events, 2/2 live clusters" in captured.out
+        assert not (out / "assoc_000.csv").exists()
+        assert (out / "assoc_001.csv").exists()
+        assert (out / "assoc_002.csv").exists()
+
+    def test_windowed_segmentation_fails_when_every_window_is_skipped(
+        self, sim_dir, tmp_path, capsys
+    ):
+        packet = validate_packet(read_events_text(sim_dir / "events.txt")[0])
+        events = tmp_path / "still.txt"
+        n = 4000
+        still = make_packet(
+            packet.x[:n], packet.y[:n], np.full(n, packet.t[0]), packet.polarity[:n],
+            packet.geometry,
+        )
+        write_events_text(events, still)
+        code = main(
+            [
+                "segment",
+                "--events", str(events),
+                "--out", str(tmp_path / "win"),
+                "--window", "2000", "--stride", "2000",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("skipped (") == 2
+        assert err.splitlines()[-1] == "error: every window was skipped"
 
     @pytest.mark.parametrize("method", ["mixture", "fuzzy"])
     def test_variant_methods_run(self, sim_dir, tmp_path, method):

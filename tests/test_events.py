@@ -9,6 +9,7 @@ from evseg.events import (
     count_windows,
     make_packet,
     sliding_windows,
+    subsample_indices,
     validate_packet,
     with_t_ref,
 )
@@ -111,6 +112,13 @@ def test_validate_non_finite_timestamps(bad):
     assert v.duration == pytest.approx(0.3)
 
 
+def test_validate_lenient_nan_first_time_keeps_t_ref_finite():
+    # make_packet takes t_ref from the first row, here a NaN
+    p = make_packet([1, 2, 3], [1, 1, 1], [np.nan, 0.2, 0.3], [1, 1, 1], GEOM)
+    assert np.isnan(p.t_ref)
+    assert validate_packet(p, strict=False).t_ref == 0.2
+
+
 def test_validate_rejects_bad_polarity():
     p = make_packet([1], [1], [0.1], [0], GEOM)
     with pytest.raises(ValueError):
@@ -180,3 +188,13 @@ def test_window_count_matches_enumeration_randomised():
         assert len(wins) == count_windows(n, w, s)
         if wins:
             assert all(win.n == w for win in wins)
+
+
+def test_subsample_indices_stride():
+    for n, max_points in [(0, 5), (4, 5), (9, 5), (10, 5), (19, 5), (44372, 512)]:
+        idx = subsample_indices(n, max_points)
+        assert idx.tolist() == list(range(0, n, max(1, n // max_points)))
+        if n < 2 * max_points:
+            assert idx.size == n
+        else:
+            assert max_points <= idx.size < 2 * max_points

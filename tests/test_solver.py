@@ -1,17 +1,22 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
 from evseg.events import ImageGeometry, count_windows, make_packet
 from evseg.metrics import per_event_accuracy
-from evseg.simulate import Rect, SceneObject, SimConfig, simulate
+from evseg.simulate import Rect, SceneObject, SimConfig, preset_two_pebbles, simulate
 from evseg.solver import (
     ClusterSet,
     DegenerateInitError,
     SolverConfig,
     apply_collapse,
     ascend_motion,
+    build_count,
     cluster_contrast,
+    cluster_image,
     initialize_greedy,
     maximize_single_cluster,
     objective,
@@ -22,7 +27,7 @@ from evseg.solver import (
 from evseg.variants import segment_fuzzy, segment_mixture
 from evseg.warps import WarpParams, zero_params
 
-from conftest import build_drift_packet
+from conftest import build_drift_packet, motionless_prefix
 
 
 def contrast_oracle(packet, vx, vy, sigma=1.0):
@@ -298,6 +303,41 @@ def test_segment_result_invariants(mini_result):
     assert (np.diff(counts) > 0).all()
 
 
+def test_build_count_counts_cluster_images(drift_packet):
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=10, n_times=10)
+    start = build_count()
+    cluster_image(pk, WarpParams("flow2", np.array([30.0, 0.0])), np.ones(pk.n), SolverConfig())
+    cluster_contrast(pk, zero_params("flow2"), np.ones(pk.n), SolverConfig())
+    assert build_count() - start == 2
+
+
+def test_build_counts_stay_per_thread():
+    # two solves interleaved at a very short switch interval must each
+    # count only their own builds
+    geometry = ImageGeometry(60, 45)
+    sim = SimConfig(duration=0.07, seed=5)
+    packet = simulate(preset_two_pebbles(60.0, 40.0, geometry, sim), geometry, sim).packet
+    cfg = SolverConfig(max_iters=4)
+    serial = segment(packet, 2, "flow2", cfg).diagnostics["warp_counts"]
+    counts = [None, None]
+
+    def run(i):
+        counts[i] = segment(packet, 2, "flow2", cfg).diagnostics["warp_counts"]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for c in counts:
+        np.testing.assert_array_equal(c, serial)
+
+
 def test_segment_is_deterministic(mini_recording, mini_result):
     again = segment(mini_recording.packet, 2, "flow2")
     np.testing.assert_array_equal(again.associations, mini_result.associations)
@@ -397,3 +437,18 @@ def test_stream_falls_back_on_abrupt_velocity_change():
     second = [w for w, _ in segment_stream(stream, 1, "flow2", window_events=n, stride_events=n)][1]
     cold = segment(second, 1, "flow2")
     np.testing.assert_array_equal(results[1].clusters.params[0].theta, cold.clusters.params[0].theta)
+
+
+def test_stream_skips_a_motionless_window(mini_recording):
+    stream = motionless_prefix(mini_recording.packet)
+    cfg = SolverConfig(max_iters=8)
+    pairs = list(segment_stream(stream, 2, "flow2", cfg, window_events=2000, stride_events=2000))
+    assert len(pairs) == 3
+    assert pairs[0][1] is None
+    # nothing carries over from a skipped window: the next one starts cold
+    window, result = pairs[1]
+    assert result.diagnostics["init"] == "greedy"
+    cold = segment(window, 2, "flow2", cfg)
+    np.testing.assert_array_equal(result.associations, cold.associations)
+    np.testing.assert_array_equal(result.objective_trace, cold.objective_trace)
+    assert pairs[2][1].diagnostics["init"] == "given"

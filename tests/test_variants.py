@@ -70,15 +70,15 @@ def test_m_step_table_equals_rebuild_at_new_motions(drift_packet, method):
     if method == "fuzzy":
         column, m_step = fuzzy_affinity, fuzzy_m_step
         state = FuzzyState(state.clusters, state.membership, 2.0)
-    table = _column_table(column, pk, state.clusters, cfg, None)
+    table = _column_table(column, pk, state.clusters, cfg)
     before = table.copy()
-    new, refreshed = m_step(state, pk, cfg, None, table)
+    new, refreshed = m_step(state, pk, cfg, table)
     moved = [
         not np.array_equal(a.theta, b.theta)
         for a, b in zip(new.clusters.params, state.clusters.params)
     ]
     assert all(moved)
-    expect = _column_table(column, pk, new.clusters, cfg, None)
+    expect = _column_table(column, pk, new.clusters, cfg)
     assert refreshed.tobytes() == expect.tobytes()
     np.testing.assert_array_equal(table, before)
 
