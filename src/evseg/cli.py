@@ -176,6 +176,14 @@ def _load_packet(args):
     return valid
 
 
+def _write_table(lines: list, out: str | None) -> str:
+    """The CSV text of ``lines``, also written to ``out`` when given."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    return text
+
+
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,10 +289,7 @@ def _cmd_eval(args) -> int:
     ]
     for j, lab in sorted(report.matching.items()):
         lines.append(f"cluster_{j + 1}_label,{lab}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
+    print(_write_table(lines, args.out), end="")
     return 0
 
 
@@ -298,10 +303,7 @@ def _cmd_bench(args) -> int:
         lines.append(
             f"{pt.n_clusters},{pt.kev_per_s!r},{pt.seconds!r},{pt.n_events},{pt.iterations}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
+    print(_write_table(lines, args.out), end="")
     return 0
 
 
@@ -321,9 +323,7 @@ def _cmd_compare(args) -> int:
         for i, val in enumerate(trace):
             builds = counts[i - 1] if 0 < i <= len(counts) else 0
             lines.append(f"{name},{i},{val!r},{builds}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write_table(lines, args.out)
     for name in ("layered", "mixture", "fuzzy"):
         entry = report[name]
         acc = f", accuracy {entry['accuracy']:.3f}" if "accuracy" in entry else ""
@@ -345,10 +345,7 @@ def _cmd_curve(args) -> int:
             f"{pt.delta_v!r},{pt.window_span!r},{pt.displacement_px!r},"
             f"{pt.accuracy!r},{pt.n_events},{int(pt.degenerate)}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
+    print(_write_table(lines, args.out), end="")
     return 0
 
 

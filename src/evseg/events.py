@@ -176,6 +176,19 @@ def with_t_ref(packet: EventPacket, mode: str = "first") -> EventPacket:
     return replace(packet, t_ref=t_ref)
 
 
+def window_stride(window_events: int, stride_events: int | None = None) -> int:
+    """Events between window starts: ``stride_events``, or half a window
+    (rounded down, at least 1) when it is None.  Raises ``ValueError`` unless
+    the window and the stride are positive."""
+    if window_events <= 0:
+        raise ValueError("window_events must be positive")
+    if stride_events is None:
+        return max(1, window_events // 2)
+    if stride_events <= 0:
+        raise ValueError("stride_events must be positive")
+    return stride_events
+
+
 def sliding_windows(
     events: EventPacket,
     window_events: int,
@@ -189,14 +202,8 @@ def sliding_windows(
     A trailing partial window is dropped.  Every yielded packet gets its own
     ``t_ref`` per ``t_ref_mode``.
     """
-    if window_events <= 0:
-        raise ValueError("window_events must be positive")
-    if stride_events is None:
-        stride_events = max(1, window_events // 2)
-    if stride_events <= 0:
-        raise ValueError("stride_events must be positive")
-    n = events.n
-    for start in range(0, n - window_events + 1, stride_events):
+    stride = window_stride(window_events, stride_events)
+    for start in range(0, events.n - window_events + 1, stride):
         stop = start + window_events
         win = EventPacket(
             x=events.x[start:stop],
@@ -210,9 +217,9 @@ def sliding_windows(
 
 
 def count_windows(n_events: int, window_events: int, stride_events: int | None = None) -> int:
-    """Number of complete windows a recording of ``n_events`` yields."""
-    if stride_events is None:
-        stride_events = max(1, window_events // 2)
+    """Number of complete windows a recording of ``n_events`` yields; raises
+    ``ValueError`` for the same arguments :func:`sliding_windows` does."""
+    stride = window_stride(window_events, stride_events)
     if n_events < window_events:
         return 0
-    return (n_events - window_events) // stride_events + 1
+    return (n_events - window_events) // stride + 1

@@ -268,22 +268,21 @@ def detection_success(
     result: SegmentationResult,
     packet: EventPacket,
     box: tuple,
-    membership_threshold: float = 0.5,
 ) -> bool:
     """Whether some cluster detects the object marked by ``box``.
 
     ``box`` is (x0, y0, width, height).  For each live cluster the bounding
-    rectangle of its confidently owned events (association above the
-    threshold) is taken; the best-overlapping cluster succeeds iff the
-    intersection covers at least half of ``box`` and more of the cluster's
-    rectangle lies inside the box than outside.
+    rectangle of its confidently owned events (association above one half)
+    is taken; the best-overlapping cluster succeeds iff the intersection
+    covers at least half of ``box`` and more of the cluster's rectangle lies
+    inside the box than outside.
     """
     bx = (box[0], box[1], box[0] + box[2], box[1] + box[3])
     box_area = _rect_area(bx)
     best_inter = -1.0
     best_rect = None
     for j in np.flatnonzero(result.clusters.alive):
-        sel = result.associations[:, j] > membership_threshold
+        sel = result.associations[:, j] > 0.5
         if not sel.any():
             continue
         rect = _rect_of(packet.x[sel], packet.y[sel])
@@ -304,22 +303,20 @@ def throughput_benchmark(
     config: SolverConfig | None = None,
     iterations: int = 10,
     repeats: int = 5,
-    models: str = "flow2",
-    seed: int = 0,
 ) -> list:
     """Median wall-clock throughput of the layered solver at a fixed
     iteration budget, in kilo-events-times-iterations per second.
 
-    Initialisation is a fixed random draw (not the greedy search) and
-    cluster death is disabled, so every run performs the same amount of
-    work per iteration.
+    Every cluster uses the flow2 model.  Initialisation is a fixed random
+    draw (not the greedy search) and cluster death is disabled, so every run
+    performs the same amount of work per iteration.
     """
     if config is None:
         config = SolverConfig()
     cfg = dc_replace(config, max_iters=iterations, collapse_frac=1e-12)
     out = []
     for j in j_values:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         params = [
             WarpParams("flow2", rng.uniform(-60.0, 60.0, 2)) for _ in range(j)
         ]
@@ -331,7 +328,7 @@ def throughput_benchmark(
                 uniform.copy(),
             )
             t0 = time.perf_counter()
-            segment(packet, j, models, cfg, init=init, early_stop=False)
+            segment(packet, j, "flow2", cfg, init=init, early_stop=False)
             times.append(time.perf_counter() - t0)
         med = float(np.median(times))
         out.append(

@@ -23,6 +23,11 @@ from .iwe import Iwe, sample_local
 from .warps import WarpParams, warp_points
 
 
+# the scene is rendered at max(MIN_SAMPLE_HZ, OVERSAMPLE * top speed) per second
+MIN_SAMPLE_HZ = 1000.0
+OVERSAMPLE = 10.0       # samples per pixel crossed at top speed
+
+
 class SceneConfigError(ValueError):
     """Raised for unusable scene descriptions (zero-area objects,
     non-positive duration or threshold, out-of-frame placement)."""
@@ -72,8 +77,6 @@ class SimConfig:
     timestamp_jitter: float = 0.0   # stddev of gaussian timestamp noise, s
     noise_rate: float = 0.0         # uniform noise events per pixel per second
     seed: int = 7
-    min_sample_hz: float = 1000.0
-    oversample: float = 10.0        # samples per pixel crossed at top speed
 
     def __post_init__(self) -> None:
         if self.contrast_threshold <= 0:
@@ -97,8 +100,10 @@ class LabeledEvents:
         return self.packet.n
 
 
-def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
-    """Integer pixel box sure to contain the object at time t (clipped)."""
+def _corner_extent(obj: SceneObject):
+    """The object's four region corners at time 0, the centre its motion
+    turns or scales about (a rotation's own centre, otherwise the region's
+    centre) and the largest corner distance from that centre."""
     r = obj.region
     corners = np.array(
         [
@@ -108,6 +113,17 @@ def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
             [r.x0 + r.width - 1, r.y0 + r.height - 1],
         ]
     )
+    if obj.motion.model == "rotation":
+        cx, cy = obj.motion.theta[:2]
+    else:
+        cx, cy = corners.mean(axis=0)
+    rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
+    return corners, cx, cy, rad
+
+
+def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
+    """Integer pixel box sure to contain the object at time t (clipped)."""
+    corners, cx, cy, rad = _corner_extent(obj)
     th = obj.motion.theta
     if obj.motion.model == "flow2":
         fx = corners[:, 0] + t * th[0]
@@ -115,14 +131,10 @@ def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
         lo_x, hi_x = fx.min(), fx.max()
         lo_y, hi_y = fy.min(), fy.max()
     elif obj.motion.model == "rotation":
-        cx, cy, _ = th
-        rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
         lo_x, hi_x = cx - rad, cx + rad
         lo_y, hi_y = cy - rad, cy + rad
     else:  # fourdof: centre translates, radius grows at most exponentially
         vx, vy, _, s = th
-        cx, cy = corners.mean(axis=0)
-        rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
         rad *= float(np.exp(abs(s) * t))
         lo_x, hi_x = cx + t * vx - rad, cx + t * vx + rad
         lo_y, hi_y = cy + t * vy - rad, cy + t * vy + rad
@@ -134,25 +146,13 @@ def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
 
 
 def _speed_bound(obj: SceneObject, duration: float) -> float:
-    r = obj.region
     th = obj.motion.theta
-    corners = np.array(
-        [
-            [r.x0, r.y0],
-            [r.x0 + r.width - 1, r.y0],
-            [r.x0, r.y0 + r.height - 1],
-            [r.x0 + r.width - 1, r.y0 + r.height - 1],
-        ]
-    )
     if obj.motion.model == "flow2":
         return float(np.hypot(th[0], th[1]))
+    _, _, _, rad = _corner_extent(obj)
     if obj.motion.model == "rotation":
-        cx, cy, omega = th
-        rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
-        return abs(omega) * rad
+        return abs(th[2]) * rad
     vx, vy, omega, s = th
-    cx, cy = corners.mean(axis=0)
-    rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
     rad *= float(np.exp(abs(s) * duration))
     return float(np.hypot(vx, vy)) + (abs(omega) + abs(s)) * rad
 
@@ -224,7 +224,7 @@ def simulate(
     c_thr = config.contrast_threshold
     rng = np.random.default_rng(config.seed)
     v_fast = max(_speed_bound(obj, config.duration) for obj in scene)
-    rate = max(config.min_sample_hz, config.oversample * v_fast)
+    rate = max(MIN_SAMPLE_HZ, OVERSAMPLE * v_fast)
     n_steps = int(np.ceil(config.duration * rate))
     times = np.minimum((np.arange(1, n_steps + 1) / rate), config.duration)
 

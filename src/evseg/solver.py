@@ -23,7 +23,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .events import EventPacket, ImageGeometry, sliding_windows, subsample_indices
+from .events import (
+    EventPacket,
+    ImageGeometry,
+    sliding_windows,
+    subsample_indices,
+    window_stride,
+)
 from .iwe import Iwe, accumulate_weighted, sample_local, smooth, variance_contrast
 from .warps import (
     MODEL_PARAM_COUNT,
@@ -41,54 +47,49 @@ class DegenerateInitError(RuntimeError):
     contrast."""
 
 
+# Fixed parts of the method, not user settings.  Tests that need a coarser
+# solver patch them on the module, so every use reads them at call time.
+CONVERGENCE_WINDOW = 3      # stagnant iterations before stopping
+EPSILON_C = 1e-6            # association sampling floor
+FD_STEP = 1e-2              # finite-difference h, native parameter units
+STEP_CLAMP_PX = 2.0         # max warped-position change per ascent step
+BACKTRACK_MAX = 8
+# greedy initialisation
+INIT_CLAIM_PROB = 0.9
+INIT_PERTURB_PX = 1.5       # probe displacement for the claim test
+INIT_SCAN_PX = 6.0          # coarse scan displacement resolution
+INIT_SCAN_EVENTS = 3000
+INIT_SCAN_DOWNSCALE = 4
+INIT_V_BOUND = 300.0        # px/s
+INIT_OMEGA_BOUND = 40.0     # rad/s
+INIT_S_BOUND = 2.0          # 1/s
+INIT_RANDOM_DRAWS = 16
+INIT_ASCEND_ITERS = 12
+
+
 @dataclass
 class SolverConfig:
-    """Tunables shared by the layered solver and its variants.
+    """Settings shared by the layered solver and its variants; the fixed
+    tunables are the upper-case constants above.
 
-    All values positive; ``rel_tol`` well below 1.
+    ``max_iters`` and ``collapse_frac`` positive, ``rel_tol`` in (0, 1),
+    ``step_mu`` and ``sigma`` non-negative.
     """
 
     step_mu: float = 1.0            # scale on the curvature-normalised ascent step
     max_iters: int = 100
     rel_tol: float = 1e-4           # relative gain regarded as stagnation
-    convergence_window: int = 3     # stagnant iterations before stopping
     sigma: float = 1.0              # blur applied before scoring / sampling, px
-    epsilon_c: float = 1e-6         # association sampling floor
     collapse_frac: float = 0.02     # death threshold as a fraction of N/J
-    fd_step: float = 1e-2           # finite-difference h, native parameter units
-    step_clamp_px: float = 2.0      # max warped-position change per ascent step
-    backtrack_max: int = 8
     seed: int = 0
-    # greedy initialisation
-    init_claim_prob: float = 0.9
-    init_perturb_px: float = 1.5    # probe displacement for the claim test
-    init_scan_px: float = 6.0       # coarse scan displacement resolution
-    init_scan_events: int = 3000
-    init_scan_downscale: int = 4
-    init_v_bound: float = 300.0     # px/s
-    init_omega_bound: float = 40.0  # rad/s
-    init_s_bound: float = 2.0       # 1/s
-    init_random_draws: int = 16
-    init_ascend_iters: int = 12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        for name in (
-            "max_iters",
-            "convergence_window",
-            "epsilon_c",
-            "collapse_frac",
-            "fd_step",
-            "step_clamp_px",
-            "init_claim_prob",
-            "init_perturb_px",
-            "init_scan_px",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.step_mu < 0 or self.sigma < 0 or self.backtrack_max < 0:
-            raise ValueError("step_mu, sigma and backtrack_max must be non-negative")
+        if self.max_iters <= 0 or self.collapse_frac <= 0:
+            raise ValueError("max_iters and collapse_frac must be positive")
+        if self.step_mu < 0 or self.sigma < 0:
+            raise ValueError("step_mu and sigma must be non-negative")
 
 
 @dataclass
@@ -211,7 +212,7 @@ def update_associations(
     for col, j in enumerate(alive_idx):
         img, wx, wy = cluster_image(packet, clusters.params[j], associations[:, j], config)
         scores[:, col] = sample_local(img, wx, wy)
-    scores = np.maximum(scores, config.epsilon_c)
+    scores = np.maximum(scores, EPSILON_C)
     out = np.zeros_like(associations)
     out[:, alive_idx] = scores / scores.sum(axis=1, keepdims=True)
     return out
@@ -229,13 +230,13 @@ def _line_search_step(
     Central differences give gradient and diagonal curvature; the step is
     the gradient over |curvature| (a one-dimensional Newton guess per
     parameter), clamped so no warped position moves more than
-    ``step_clamp_px``, then backtracked until the value does not decrease.
+    ``STEP_CLAMP_PX``, then backtracked until the value does not decrease.
     Returns (new params, new value, whether the value strictly improved).
     When it improved, the new params were the last ones passed to
     ``evaluate``, so a caller may keep what that call built.
     """
     p = params.param_count
-    h = config.fd_step
+    h = FD_STEP
     f0 = evaluate(params) if f_current is None else f_current
     grad = np.empty(p)
     curv = np.empty(p)
@@ -254,13 +255,13 @@ def _line_search_step(
     floor = max(1e-3 * cmax, 1e-12)
     direction = grad / np.maximum(np.abs(curv), floor)
     # clamp in pixel units so a step never jumps past the sharpness basin
-    over = float(np.max(np.abs(direction) * kappa)) * config.step_mu / config.step_clamp_px
+    over = float(np.max(np.abs(direction) * kappa)) * config.step_mu / STEP_CLAMP_PX
     if over > 1.0:
         direction = direction / over
     alpha = config.step_mu
     if alpha == 0.0:
         return params, f0, False
-    for _ in range(config.backtrack_max + 1):
+    for _ in range(BACKTRACK_MAX + 1):
         cand = params.replace_theta(params.theta + alpha * direction)
         fc = evaluate(cand)
         if fc > f0:
@@ -290,7 +291,7 @@ def ascend_motion(
         w = associations[:, j]
         if float(w.sum()) <= 0.0:
             continue
-        kappa = displacement_sensitivity(packet, prm, config.fd_step)
+        kappa = displacement_sensitivity(packet, prm)
 
         def evaluate(candidate: WarpParams, _w=w) -> float:
             return cluster_contrast(packet, candidate, _w, config)
@@ -317,34 +318,38 @@ def apply_collapse(
         alive[keep] = True
     if np.array_equal(alive, clusters.alive):
         return clusters, associations
-    out = associations.copy()
-    out[:, ~alive] = 0.0
-    rowsum = out.sum(axis=1, keepdims=True)
-    dead_rows = rowsum[:, 0] <= 0.0
-    np.divide(out, rowsum, out=out, where=rowsum > 0.0)
-    if dead_rows.any():
-        out[dead_rows] = 0.0
-        out[np.ix_(dead_rows, np.flatnonzero(alive))] = 1.0 / alive.sum()
+    out = _normalize_rows(np.where(alive, associations, 0.0), alive)
     return ClusterSet(list(clusters.params), alive), out
+
+
+def _normalize_rows(table: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Non-negative ``table`` with each row divided by its sum; rows summing
+    to zero come out uniform over the live columns."""
+    rowsum = table.sum(axis=1, keepdims=True)
+    out = np.zeros_like(table)
+    np.divide(table, rowsum, out=out, where=rowsum > 0.0)
+    zero_rows = rowsum[:, 0] <= 0.0
+    if zero_rows.any():
+        alive_idx = np.flatnonzero(alive)
+        out[np.ix_(zero_rows, alive_idx)] = 1.0 / alive_idx.size
+    return out
 
 
 # ---------------------------------------------------------------------------
 # greedy initialisation
 
 
-def _coarse_eval_factory(
-    packet: EventPacket, weights: np.ndarray, config: SolverConfig
-):
+def _coarse_eval_factory(packet: EventPacket, weights: np.ndarray):
     """Sharpness evaluator on a subsampled packet and a downscaled grid.
 
     Cheap enough to call hundreds of times during the initial scan; the
     downscale widens the basin so a coarse parameter grid cannot step over
     the optimum.
     """
-    idx = subsample_indices(packet.n, config.init_scan_events)
+    idx = subsample_indices(packet.n, INIT_SCAN_EVENTS)
     xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
     ws = weights[idx]
-    scale = float(max(1, config.init_scan_downscale))
+    scale = float(INIT_SCAN_DOWNSCALE)
     geom = ImageGeometry(
         max(2, int(np.ceil(packet.geometry.width / scale))),
         max(2, int(np.ceil(packet.geometry.height / scale))),
@@ -360,16 +365,16 @@ def _coarse_eval_factory(
     return evaluate
 
 
-def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray, config: SolverConfig):
+def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray):
     """Candidate parameter vectors for the coarse scan of one model."""
     dt = np.abs(packet.t - packet.t_ref)
     dt_max = float(dt.max())
     if dt_max <= 0.0:
         return []
-    step_v = config.init_scan_px / dt_max
+    step_v = INIT_SCAN_PX / dt_max
     grids = []
     if model in ("flow2", "fourdof"):
-        vals = np.arange(-config.init_v_bound, config.init_v_bound + 0.5 * step_v, step_v)
+        vals = np.arange(-INIT_V_BOUND, INIT_V_BOUND + 0.5 * step_v, step_v)
         pad = np.zeros(MODEL_PARAM_COUNT[model] - 2)
         for vx in vals:
             for vy in vals:
@@ -383,9 +388,9 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray, config: So
         r2 = (packet.x - cx) ** 2 + (packet.y - cy) ** 2
         r_rms = float(np.sqrt((weights * r2).sum() / wsum))
         r_rms = max(r_rms, 2.0)
-        step_w = config.init_scan_px / (dt_max * r_rms)
+        step_w = INIT_SCAN_PX / (dt_max * r_rms)
         vals = np.arange(
-            -config.init_omega_bound, config.init_omega_bound + 0.5 * step_w, step_w
+            -INIT_OMEGA_BOUND, INIT_OMEGA_BOUND + 0.5 * step_w, step_w
         )
         for om in vals:
             grids.append(WarpParams(model, np.array([cx, cy, om])))
@@ -394,24 +399,24 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray, config: So
     return grids
 
 
-def _random_params(model: str, geometry: ImageGeometry, config: SolverConfig, rng) -> WarpParams:
+def _random_params(model: str, geometry: ImageGeometry, rng) -> WarpParams:
     if model == "flow2":
-        th = rng.uniform(-config.init_v_bound, config.init_v_bound, 2)
+        th = rng.uniform(-INIT_V_BOUND, INIT_V_BOUND, 2)
     elif model == "rotation":
         th = np.array(
             [
                 rng.uniform(0, geometry.width - 1),
                 rng.uniform(0, geometry.height - 1),
-                rng.uniform(-config.init_omega_bound, config.init_omega_bound),
+                rng.uniform(-INIT_OMEGA_BOUND, INIT_OMEGA_BOUND),
             ]
         )
     else:
         th = np.array(
             [
-                rng.uniform(-config.init_v_bound, config.init_v_bound),
-                rng.uniform(-config.init_v_bound, config.init_v_bound),
-                rng.uniform(-config.init_omega_bound, config.init_omega_bound),
-                rng.uniform(-config.init_s_bound, config.init_s_bound),
+                rng.uniform(-INIT_V_BOUND, INIT_V_BOUND),
+                rng.uniform(-INIT_V_BOUND, INIT_V_BOUND),
+                rng.uniform(-INIT_OMEGA_BOUND, INIT_OMEGA_BOUND),
+                rng.uniform(-INIT_S_BOUND, INIT_S_BOUND),
             ]
         )
     return WarpParams(model, th)
@@ -429,7 +434,7 @@ def _ascend_single(
 
     f = evaluate(params)
     for _ in range(iters):
-        kappa = displacement_sensitivity(packet, params, config.fd_step)
+        kappa = displacement_sensitivity(packet, params)
         params, f_new, improved = _line_search_step(evaluate, params, kappa, config, f)
         if not improved or f_new <= f * (1.0 + config.rel_tol):
             f = f_new
@@ -457,10 +462,10 @@ def maximize_single_cluster(
     base = zero_params(model)
     f_zero = cluster_contrast(packet, base, weights, config)
 
-    coarse = _coarse_eval_factory(packet, weights, config)
+    coarse = _coarse_eval_factory(packet, weights)
     best, best_val = base, coarse(base)
     moving, moving_val = None, -np.inf
-    for cand in _scan_grids(packet, model, weights, config):
+    for cand in _scan_grids(packet, model, weights):
         v = coarse(cand)
         if v > best_val:
             best, best_val = cand, v
@@ -473,14 +478,14 @@ def maximize_single_cluster(
         seeds.append(moving)
     params, f = base, -np.inf
     for seed_params in seeds:
-        cand, fc = _ascend_single(packet, seed_params, weights, config, config.init_ascend_iters)
+        cand, fc = _ascend_single(packet, seed_params, weights, config, INIT_ASCEND_ITERS)
         if fc > f:
             params, f = cand, fc
     if f > f_zero * (1.0 + config.rel_tol):
         return params
     # scan found nothing: try random restarts before declaring degeneracy
-    for _ in range(config.init_random_draws):
-        cand = _random_params(model, packet.geometry, config, rng)
+    for _ in range(INIT_RANDOM_DRAWS):
+        cand = _random_params(model, packet.geometry, rng)
         cand, fc = _ascend_single(packet, cand, weights, config, 4)
         if fc > f:
             params, f = cand, fc
@@ -501,13 +506,13 @@ def _claim_mask(
     is perturbed: these are the events the motion explains."""
     img, wx, wy = cluster_image(packet, params, weights, config)
     c_star = sample_local(img, wx, wy)
-    kappa = displacement_sensitivity(packet, params, config.fd_step)
+    kappa = displacement_sensitivity(packet, params)
     acc = np.zeros(packet.n)
     n_probes = 0
     for i in range(params.param_count):
         for sign in (1.0, -1.0):
             th = params.theta.copy()
-            th[i] += sign * config.init_perturb_px / kappa[i]
+            th[i] += sign * INIT_PERTURB_PX / kappa[i]
             pimg, pwx, pwy = cluster_image(packet, params.replace_theta(th), weights, config)
             acc += sample_local(pimg, pwx, pwy)
             n_probes += 1
@@ -532,7 +537,7 @@ def initialize_greedy(
     n = packet.n
     if n == 0:
         raise ValueError("cannot initialise on an empty packet")
-    share = config.init_claim_prob
+    share = INIT_CLAIM_PROB
     low = (1.0 - share) / (n_clusters - 1) if n_clusters > 1 else 0.0
 
     associations = np.full((n, n_clusters), 1.0 / n_clusters)
@@ -613,7 +618,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     refresh plus one motion update, returning the new clusters and
     associations and the back-end's own objective (None when summed
     sharpness is that objective).  The run stops once the own objective
-    gained less than ``rel_tol`` in ``convergence_window`` iterations in a
+    gained less than ``rel_tol`` in ``CONVERGENCE_WINDOW`` iterations in a
     row.  Summed sharpness is traced for every back-end, so all of them
     compare on one scale.  ``warp_counts`` holds, per iteration, the image
     builds made since the call began, greedy initialisation included.
@@ -645,7 +650,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         if early_stop and len(series) >= 2:
             gain = (series[-1] - series[-2]) / max(abs(series[-2]), 1e-12)
             stagnant = stagnant + 1 if gain < config.rel_tol else 0
-            if stagnant >= config.convergence_window:
+            if stagnant >= CONVERGENCE_WINDOW:
                 converged = True
                 break
     diagnostics = {
@@ -698,10 +703,10 @@ def segment_stream(
         # looked up per call, not bound as a default, so that a wrapper
         # rebound over ``segment`` (perfbench's tracer) sees every window
         solve = segment
-    stride = stride_events if stride_events is not None else max(1, window_events // 2)
+    stride = window_stride(window_events, stride_events)
     overlap = max(0, window_events - stride)
     prev: SegmentationResult | None = None
-    for window in sliding_windows(recording, window_events, stride_events, t_ref_mode):
+    for window in sliding_windows(recording, window_events, stride, t_ref_mode):
         init = None
         if prev is not None:
             carried = ClusterSet(list(prev.clusters.params), np.ones(n_clusters, dtype=bool))

@@ -29,11 +29,13 @@ from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
 # smooth, variance_contrast or warp_packet; those names stay bound here
 # because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
+    EPSILON_C,
     ClusterSet,
     SegmentationResult,
     SolverConfig,
     _alternate,
     _line_search_step,
+    _normalize_rows,
     cluster_image,
     initialize_greedy,
     objective,
@@ -77,7 +79,7 @@ def component_likelihood(
 
     The component's smoothed unweighted image, rescaled to integrate to one
     over the sensor, is read out at each event's warped position; values are
-    floored at ``epsilon_c`` so events off the cluster's support keep a tiny
+    floored at ``EPSILON_C`` so events off the cluster's support keep a tiny
     but non-zero likelihood.
     """
     img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config)
@@ -85,7 +87,7 @@ def component_likelihood(
     values = sample_local(img, wx, wy)
     if total > 0.0:
         values = values / total
-    return np.maximum(values, config.epsilon_c)
+    return np.maximum(values, EPSILON_C)
 
 
 def mixture_e_step(
@@ -99,14 +101,7 @@ def mixture_e_step(
     clusters = state.clusters
     if likelihoods is None:
         likelihoods = _column_table(component_likelihood, packet, clusters, config)
-    weighted = likelihoods * state.mixing
-    rowsum = weighted.sum(axis=1, keepdims=True)
-    membership = np.zeros_like(weighted)
-    np.divide(weighted, rowsum, out=membership, where=rowsum > 0.0)
-    uniform_rows = rowsum[:, 0] <= 0.0
-    if uniform_rows.any():
-        alive_idx = np.flatnonzero(clusters.alive)
-        membership[np.ix_(uniform_rows, alive_idx)] = 1.0 / alive_idx.size
+    membership = _normalize_rows(likelihoods * state.mixing, clusters.alive)
     mixing = membership.mean(axis=0)
     return MixtureState(clusters.copy(), membership, mixing)
 
@@ -129,7 +124,7 @@ def mixture_m_step(
     improved)."""
     clusters = state.clusters.copy()
     for j in np.flatnonzero(clusters.alive):
-        kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
+        kappa = displacement_sensitivity(packet, clusters.params[j])
         table = likelihoods.copy()
 
         def evaluate(candidate: WarpParams, _j=j, _table=table) -> float:
@@ -171,13 +166,7 @@ def fuzzy_e_step(
     powed = np.zeros_like(affinities)
     alive_idx = np.flatnonzero(clusters.alive)
     powed[:, alive_idx] = affinities[:, alive_idx] ** (1.0 / (state.b - 1.0))
-    rowsum = powed.sum(axis=1, keepdims=True)
-    membership = np.zeros_like(powed)
-    np.divide(powed, rowsum, out=membership, where=rowsum > 0.0)
-    zero_rows = rowsum[:, 0] <= 0.0
-    if zero_rows.any():
-        membership[np.ix_(zero_rows, alive_idx)] = 1.0 / alive_idx.size
-    return FuzzyState(clusters.copy(), membership, state.b)
+    return FuzzyState(clusters.copy(), _normalize_rows(powed, clusters.alive), state.b)
 
 
 def fuzzy_m_step(
@@ -193,7 +182,7 @@ def fuzzy_m_step(
     clusters = state.clusters.copy()
     affinities = affinities.copy()
     for j in np.flatnonzero(clusters.alive):
-        kappa = displacement_sensitivity(packet, clusters.params[j], config.fd_step)
+        kappa = displacement_sensitivity(packet, clusters.params[j])
         pw = state.membership[:, j] ** state.b
         last = [None]
 

@@ -147,19 +147,16 @@ def numeric_warp_jacobian(
     return out
 
 
-def displacement_sensitivity(
-    packet,
-    params: WarpParams,
-    h: float = 1e-2,
-    max_points: int = 512,
-) -> np.ndarray:
+def displacement_sensitivity(packet, params: WarpParams) -> np.ndarray:
     """Per-parameter bound on how far warped positions move per unit change
-    of that parameter, estimated on an event subsample.
+    of that parameter, estimated by central differences of step 1e-2 on a
+    subsample of at least 512 events (every event of a smaller packet).
 
     Used to express pixel-unit step limits and perturbations in native
     parameter units.
     """
-    idx = subsample_indices(packet.n, max_points)
+    h = 1e-2
+    idx = subsample_indices(packet.n, 512)
     xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
     center = packet.geometry.center
     kappa = np.empty(params.param_count)

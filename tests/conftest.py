@@ -7,10 +7,16 @@ by the tests.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evseg.events import ImageGeometry, make_packet
 from evseg.simulate import SimConfig, preset_fan_and_coin, preset_two_pebbles, simulate
 from evseg.solver import segment
+
+# property tests draw the same examples on every run, and few enough of them
+# that the suite's time stays flat
+settings.register_profile("evseg", derandomize=True, max_examples=40, deadline=None, database=None)
+settings.load_profile("evseg")
 
 
 @pytest.fixture(scope="session")

@@ -164,30 +164,19 @@ def test_windows_exact_fit_and_too_small():
 
 
 def test_windows_reject_bad_sizes():
-    p = simple_packet(10)
-    with pytest.raises(ValueError):
-        list(sliding_windows(p, 0))
-    with pytest.raises(ValueError):
-        list(sliding_windows(p, 5, 0))
+    # count_windows refuses exactly what sliding_windows refuses
+    p = simple_packet(100)
+    for window, stride in [(0, None), (-4, 3), (5, 0), (10, -2)]:
+        with pytest.raises(ValueError):
+            list(sliding_windows(p, window, stride))
+        with pytest.raises(ValueError):
+            count_windows(100, window, stride)
 
 
 def test_windows_apply_t_ref_mode():
     p = simple_packet(60)
     for w in sliding_windows(p, 20, 10, t_ref_mode="midpoint"):
         assert w.t_ref == pytest.approx(0.5 * float(w.t[0] + w.t[-1]))
-
-
-def test_window_count_matches_enumeration_randomised():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        n = int(rng.integers(1, 400))
-        w = int(rng.integers(1, 80))
-        s = int(rng.integers(1, 40))
-        p = simple_packet(n, seed=int(rng.integers(1 << 30)))
-        wins = list(sliding_windows(p, w, s))
-        assert len(wins) == count_windows(n, w, s)
-        if wins:
-            assert all(win.n == w for win in wins)
 
 
 def test_subsample_indices_stride():

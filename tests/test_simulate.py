@@ -5,6 +5,8 @@ import pytest
 
 from evseg.events import ImageGeometry
 from evseg.simulate import (
+    MIN_SAMPLE_HZ,
+    OVERSAMPLE,
     LabeledEvents,
     Rect,
     SceneConfigError,
@@ -38,7 +40,7 @@ def _axis_weight(l, size):
 def dense_reference_counts(rect, v, amplitude, geometry, config, refine=10):
     """Per-pixel (positive, negative) event counts from a brute-force
     integrator sampled ``refine`` times finer than the simulator."""
-    rate = max(config.min_sample_hz, config.oversample * float(np.hypot(*v)))
+    rate = max(MIN_SAMPLE_HZ, OVERSAMPLE * float(np.hypot(*v)))
     rate *= refine
     n_steps = int(np.ceil(config.duration * rate))
     times = np.minimum(np.arange(1, n_steps + 1) / rate, config.duration)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+import evseg.solver as solver
 from evseg.events import ImageGeometry, count_windows, make_packet
 from evseg.metrics import per_event_accuracy
 from evseg.simulate import Rect, SceneObject, SimConfig, preset_two_pebbles, simulate
@@ -390,14 +391,15 @@ def four_span_stream():
     return make_packet(x, y, t, p, geom, t_ref=0.0), labels
 
 
-def test_stream_warm_start_halves_iterations():
+def test_stream_warm_start_halves_iterations(monkeypatch):
     # window 1 pays for initialisation: a deliberately coarse greedy
     # (little polish, small steps) makes that cost visible, and the carried
     # parameters spare every later window from repeating it
+    monkeypatch.setattr(solver, "STEP_CLAMP_PX", 0.5)
+    monkeypatch.setattr(solver, "INIT_ASCEND_ITERS", 2)
     stream, _ = four_span_stream()
-    cfg = SolverConfig(step_clamp_px=0.5, init_ascend_iters=2)
     results = [
-        r for _, r in segment_stream(stream, 2, "flow2", cfg, window_events=3000, stride_events=3000)
+        r for _, r in segment_stream(stream, 2, "flow2", window_events=3000, stride_events=3000)
     ]
     assert len(results) == count_windows(stream.n, 3000, 3000) == 4
     assert results[0].diagnostics["init"] == "greedy"

@@ -3,7 +3,7 @@ import pytest
 
 from evseg.events import ImageGeometry, make_packet
 from evseg.metrics import per_event_accuracy
-from evseg.solver import ClusterSet, SolverConfig, initialize_greedy, segment
+from evseg.solver import EPSILON_C, ClusterSet, SolverConfig, initialize_greedy, segment
 from evseg.variants import (
     FuzzyState,
     MixtureState,
@@ -35,7 +35,7 @@ def test_component_likelihood_floor_and_contrast(drift_packet):
     cfg = SolverConfig()
     aligned = component_likelihood(pk, WarpParams("flow2", np.array([30.0, 0.0])), cfg)
     off = component_likelihood(pk, WarpParams("flow2", np.array([-40.0, 25.0])), cfg)
-    assert (aligned >= cfg.epsilon_c).all()
+    assert (aligned >= EPSILON_C).all()
     # events under their own motion sit on dense pixels of the density
     assert np.median(aligned) > np.median(off)
 
