@@ -14,6 +14,14 @@ solver alternates
 
 until the summed sharpness stops improving.  Clusters whose association mass
 falls below a floor are marked dead and take no further part.
+
+A cluster whose ascent step fails (its line search finds no gain) is settled
+for the rest of the :func:`segment` call: it keeps its motion and takes no
+further step, so it costs one image build per iteration, its sharpness at
+the new associations.  Each iteration's ascent keeps every live cluster's
+image at its final motion; the summed sharpness traced for the iteration and
+the next association refresh both read those images rather than rebuilding
+them.
 """
 from __future__ import annotations
 
@@ -198,6 +206,8 @@ def update_associations(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
+    *,
+    images: dict | None = None,
 ) -> np.ndarray:
     """Closed-form association refresh.
 
@@ -205,12 +215,20 @@ def update_associations(
     associations) is sampled at that cluster's warped event positions; rows
     are floored and renormalised.  Events every cluster scores at or below
     the floor come out uniform over live clusters.  Dead columns stay zero.
+
+    ``images`` may map a cluster index to that image, already built at the
+    cluster's params and incoming column; such a cluster is only re-warped.
     """
     n, n_clusters = associations.shape
     alive_idx = np.flatnonzero(clusters.alive)
     scores = np.empty((n, alive_idx.size))
     for col, j in enumerate(alive_idx):
-        img, wx, wy = cluster_image(packet, clusters.params[j], associations[:, j], config)
+        prm = clusters.params[j]
+        if images is not None and j in images:
+            img = images[j]
+            wx, wy = warp_packet(packet, prm)
+        else:
+            img, wx, wy = cluster_image(packet, prm, associations[:, j], config)
         scores[:, col] = sample_local(img, wx, wy)
     scores = np.maximum(scores, EPSILON_C)
     out = np.zeros_like(associations)
@@ -277,26 +295,45 @@ def ascend_motion(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
+    *,
+    settled: np.ndarray | None = None,
+    kept: dict | None = None,
 ) -> ClusterSet:
     """One line-searched ascent step per live cluster, associations fixed.
 
     With associations frozen the summed objective splits per cluster, so
     backtracking each cluster against its own sharpness keeps the total
     non-decreasing.  Dead clusters keep their parameters untouched.
+
+    ``settled``, a boolean mask over clusters, carries the settle rule
+    across calls: a marked cluster takes no step, and a cluster whose line
+    search fails gets marked.  ``kept``, a dict, receives for each live
+    cluster ``(contrast, image)`` at its returned params and the given
+    column: the accepted candidate's image, or the starting image when the
+    cluster did not move.
     """
     new_params = list(clusters.params)
     for j, prm in enumerate(clusters.params):
         if not clusters.alive[j]:
             continue
         w = associations[:, j]
-        if float(w.sum()) <= 0.0:
-            continue
-        kappa = displacement_sensitivity(packet, prm)
+        last = [None]
 
-        def evaluate(candidate: WarpParams, _w=w) -> float:
-            return cluster_contrast(packet, candidate, _w, config)
+        def evaluate(candidate: WarpParams, _w=w, _last=last) -> float:
+            _last[0], _, _ = cluster_image(packet, candidate, _w, config)
+            return variance_contrast(_last[0])
 
-        new_params[j], _, _ = _line_search_step(evaluate, prm, kappa, config)
+        f0 = evaluate(prm)
+        start = last[0]
+        improved = False
+        if float(w.sum()) > 0.0 and not (settled is not None and settled[j]):
+            kappa = displacement_sensitivity(packet, prm)
+            new_params[j], f, improved = _line_search_step(evaluate, prm, kappa, config, f0)
+            if settled is not None and not improved:
+                settled[j] = True
+        if kept is not None:
+            # an accepted candidate was the last one evaluated
+            kept[j] = (f, last[0]) if improved else (f0, start)
     return ClusterSet(new_params, clusters.alive.copy())
 
 
@@ -595,19 +632,37 @@ def segment(
     window or a shared starting point for method comparison; otherwise the
     greedy initialiser runs.  With ``early_stop`` off the full iteration
     budget is spent, which benchmarking uses for fixed-cost runs.
+
+    ``diagnostics["settled"]`` gives, per cluster, the iteration (counted
+    from 1) in which its ascent step failed and it settled, or -1.
     """
-    return _alternate(
-        packet, n_clusters, models, config, init, early_stop, "layered", _layered_step
-    )
+    settled = np.full(n_clusters, -1, dtype=np.int64)
+    kept: dict = {}     # cluster -> (contrast, image) from the last ascent
+    iteration = 0
 
+    def step(packet, clusters, associations, config):
+        """One layered alternation: association refresh, collapse, motion
+        ascent.  Every image it reads after the first refresh is one the
+        previous ascent built; summed sharpness is its own objective."""
+        nonlocal iteration
+        iteration += 1
+        associations = update_associations(
+            packet, clusters, associations, config,
+            images={j: img for j, (_, img) in kept.items()},
+        )
+        kept.clear()
+        clusters, associations = apply_collapse(clusters, associations, config)
+        mask = settled >= 0
+        clusters = ascend_motion(packet, clusters, associations, config, settled=mask, kept=kept)
+        settled[mask & (settled < 0)] = iteration     # marked by this ascent
+        total = 0.0
+        for j in np.flatnonzero(clusters.alive):
+            total += kept[j][0]
+        return clusters, associations, total, None
 
-def _layered_step(packet, clusters, associations, config):
-    """One layered alternation: association refresh, collapse, motion ascent.
-    Summed sharpness is this back-end's own objective, so none is returned."""
-    associations = update_associations(packet, clusters, associations, config)
-    clusters, associations = apply_collapse(clusters, associations, config)
-    clusters = ascend_motion(packet, clusters, associations, config)
-    return clusters, associations, None
+    result = _alternate(packet, n_clusters, models, config, init, early_stop, "layered", step)
+    result.diagnostics["settled"] = settled
+    return result
 
 
 def _alternate(packet, n_clusters, models, config, init, early_stop, method, step):
@@ -616,12 +671,13 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     Starts from ``init`` or the greedy initialiser, then repeats
     ``step(packet, clusters, associations, config)``: one association
     refresh plus one motion update, returning the new clusters and
-    associations and the back-end's own objective (None when summed
-    sharpness is that objective).  The run stops once the own objective
-    gained less than ``rel_tol`` in ``CONVERGENCE_WINDOW`` iterations in a
-    row.  Summed sharpness is traced for every back-end, so all of them
-    compare on one scale.  ``warp_counts`` holds, per iteration, the image
-    builds made since the call began, greedy initialisation included.
+    associations, their summed sharpness (what :func:`objective` gives) and
+    the back-end's own objective (None when summed sharpness is that
+    objective).  The run stops once the own objective gained less than
+    ``rel_tol`` in ``CONVERGENCE_WINDOW`` iterations in a row.  Summed
+    sharpness is traced for every back-end, so all of them compare on one
+    scale.  ``warp_counts`` holds, per iteration, the image builds made
+    since the call began, greedy initialisation included.
     """
     if config is None:
         config = SolverConfig()
@@ -641,8 +697,8 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     stagnant = 0
     converged = False
     for _ in range(config.max_iters):
-        clusters, associations, own = step(packet, clusters, associations, config)
-        trace.append(objective(packet, clusters, associations, config))
+        clusters, associations, sharpness, own = step(packet, clusters, associations, config)
+        trace.append(sharpness)
         warp_counts.append(build_count() - start)
         if own is not None:
             own_trace.append(own)

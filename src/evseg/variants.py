@@ -18,15 +18,16 @@ on one scale.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .events import EventPacket
 from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
-# initialize_greedy and objective run inside _alternate, and every image is
-# built by cluster_image, so this module no longer calls accumulate_unweighted,
-# smooth, variance_contrast or warp_packet; those names stay bound here
+# initialize_greedy runs inside _alternate and every image is built by
+# cluster_image, so this module no longer calls accumulate_unweighted, smooth,
+# variance_contrast or warp_packet; those names stay bound here
 # because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     EPSILON_C,
@@ -70,6 +71,16 @@ def _column_table(column, packet, clusters, config) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=2)
+def _unit_weights(n: int) -> np.ndarray:
+    """All-ones weights for ``n`` events: every event's full mass, as the
+    unweighted images of both variants deposit it.  Read-only, because
+    every build of a packet that size shares it."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def component_likelihood(
     packet: EventPacket,
     params: WarpParams,
@@ -82,7 +93,7 @@ def component_likelihood(
     floored at ``EPSILON_C`` so events off the cluster's support keep a tiny
     but non-zero likelihood.
     """
-    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config)
+    img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
     total = img.total_mass
     values = sample_local(img, wx, wy)
     if total > 0.0:
@@ -148,7 +159,7 @@ def fuzzy_affinity(
 ) -> np.ndarray:
     """Per-event affinity log(1 + image value) under one motion; zero where
     the warped position lands on empty pixels."""
-    img, wx, wy = cluster_image(packet, params, np.ones(packet.n), config)
+    img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
     return np.log1p(np.maximum(sample_local(img, wx, wy), 0.0))
 
 
@@ -223,7 +234,8 @@ def segment_mixture(
         state = mixture_e_step(state, packet, config, table)
         state, table = mixture_m_step(state, packet, config, table)
         mixing = state.mixing
-        return state.clusters, state.membership, _log_likelihood(table, mixing)
+        sharpness = objective(packet, state.clusters, state.membership, config)
+        return state.clusters, state.membership, sharpness, _log_likelihood(table, mixing)
 
     result = _alternate(packet, n_clusters, models, config, init, early_stop, "mixture", step)
     result.diagnostics["mixing"] = mixing.copy()
@@ -251,6 +263,8 @@ def segment_fuzzy(
             table = _column_table(fuzzy_affinity, packet, clusters, config)
         state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, table)
         state, table = fuzzy_m_step(state, packet, config, table)
-        return state.clusters, state.membership, float(((state.membership**b) * table).sum())
+        own = float(((state.membership**b) * table).sum())
+        sharpness = objective(packet, state.clusters, state.membership, config)
+        return state.clusters, state.membership, sharpness, own
 
     return _alternate(packet, n_clusters, models, config, init, early_stop, "fuzzy", step)

@@ -1,16 +1,21 @@
 """Invariants checked on generated inputs: association tables keep rows that
-sum to one and dead columns at zero through every row normalisation, and the
-window count agrees with the windows actually yielded."""
+sum to one and dead columns at zero through every row normalisation, the
+window count agrees with the windows actually yielded, and a settled cluster
+of the layered solver never moves or steps again."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
-from evseg.solver import ClusterSet, SolverConfig, apply_collapse
+import evseg.solver as solver
+from evseg.solver import ClusterSet, SolverConfig, apply_collapse, segment
 from evseg.variants import FuzzyState, MixtureState, fuzzy_e_step, mixture_e_step
-from evseg.warps import zero_params
+from evseg.warps import WarpParams, zero_params
+
+from conftest import build_drift_packet
 
 ROW_TOL = 1e-12
 
@@ -87,3 +92,51 @@ def test_count_windows_matches_sliding_windows(n, window, stride):
     windows = list(sliding_windows(packet, window, stride))
     assert count_windows(n, window, stride) == len(windows)
     assert all(w.n == window for w in windows)
+
+
+velocities = st.tuples(st.floats(-40.0, 40.0), st.floats(-25.0, 25.0))
+
+
+@given(
+    st.lists(velocities, min_size=1, max_size=2),
+    st.lists(velocities, min_size=2, max_size=3),
+    st.integers(0, 1000),
+)
+def test_settled_cluster_never_moves_or_steps_again(truth, starts, seed):
+    packet, _ = build_drift_packet(truth, n_sources=12, n_times=10, seed=seed)
+    j = len(starts)
+    init = (
+        ClusterSet([WarpParams("flow2", np.array(v)) for v in starts], np.ones(j, dtype=bool)),
+        np.full((packet.n, j), 1.0 / j),
+    )
+    budget = 20
+    config = SolverConfig(max_iters=budget)
+    # line searches per iteration and cluster, the cluster found by the
+    # identity of the params the ascent hands to the line search
+    calls = []
+    ascend, line_search = solver.ascend_motion, solver._line_search_step
+
+    def counting_ascend(packet, clusters, *args, **kwargs):
+        calls.append([clusters.params, []])
+        return ascend(packet, clusters, *args, **kwargs)
+
+    def counting_line_search(evaluate, params, *args, **kwargs):
+        owners, stepped = calls[-1]
+        stepped.append(next(k for k, prm in enumerate(owners) if prm is params))
+        return line_search(evaluate, params, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "ascend_motion", counting_ascend)
+        mp.setattr(solver, "_line_search_step", counting_line_search)
+        full = segment(packet, j, "flow2", config, init=init, early_stop=False)
+    assert len(calls) == budget
+    for c, k in enumerate(full.diagnostics["settled"]):
+        if k < 0:
+            continue
+        assert 1 <= k <= budget
+        # it settled in the iteration of its last line search
+        assert c in calls[k - 1][1]
+        assert not any(c in stepped for _, stepped in calls[k:])
+        short = segment(packet, j, "flow2", SolverConfig(max_iters=int(k)), init=init,
+                        early_stop=False)
+        assert short.clusters.params[c].theta.tobytes() == full.clusters.params[c].theta.tobytes()

@@ -7,6 +7,7 @@ from scipy.ndimage import gaussian_filter
 
 import evseg.solver as solver
 from evseg.events import ImageGeometry, count_windows, make_packet
+from evseg.iwe import variance_contrast
 from evseg.metrics import per_event_accuracy
 from evseg.simulate import Rect, SceneObject, SimConfig, preset_two_pebbles, simulate
 from evseg.solver import (
@@ -184,6 +185,28 @@ def test_ascend_leaves_dead_clusters_alone(drift_packet):
     assert out.params[1] is dead
 
 
+def test_ascend_keeps_each_image_and_skips_settled_clusters(drift_packet):
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=25, n_times=20)
+    cfg = SolverConfig()
+    clusters = ClusterSet(
+        [WarpParams("flow2", np.array([20.0, 0.0])) for _ in range(2)],
+        np.ones(2, dtype=bool),
+    )
+    w = np.full((pk.n, 2), 0.5)
+    settled = np.array([False, True])
+    kept = {}
+    out = ascend_motion(pk, clusters, w, cfg, settled=settled, kept=kept)
+    assert out.params[0].theta[0] > 20.0
+    assert out.params[1] is clusters.params[1]
+    np.testing.assert_array_equal(settled, [False, True])
+    # each kept image is the one a fresh build gives at the returned params
+    for j in range(2):
+        contrast, img = kept[j]
+        fresh, _, _ = cluster_image(pk, out.params[j], w[:, j], cfg)
+        np.testing.assert_array_equal(img.pixels, fresh.pixels)
+        assert contrast == variance_contrast(fresh)
+
+
 def test_objective_invariant_under_relabeling(drift_packet):
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=25, n_times=20)
     rng = np.random.default_rng(3)
@@ -337,6 +360,56 @@ def test_build_counts_stay_per_thread():
         sys.setswitchinterval(interval)
     for c in counts:
         np.testing.assert_array_equal(c, serial)
+
+
+@pytest.fixture(scope="module")
+def dying_run(mini_recording):
+    """Four clusters on the two-strip mini scene from a greedy start: two of
+    them die."""
+    init = initialize_greedy(mini_recording.packet, 4, "flow2")
+    result = segment(mini_recording.packet, 4, "flow2", init=init)
+    assert 0 < result.clusters.n_alive < 4
+    return init, result
+
+
+def test_trace_ends_at_the_objective_of_the_result(mini_recording, mini_result, dying_run):
+    # the trace sums the contrasts the ascent kept; objective() rebuilds them
+    for r in (mini_result, dying_run[1]):
+        final = objective(mini_recording.packet, r.clusters, r.associations, SolverConfig())
+        assert r.objective_trace[-1] == final
+
+
+def test_layered_step_equals_its_phases_run_apart(mini_recording, dying_run):
+    # the same phases with every image rebuilt: reusing images changes no bit
+    pk = mini_recording.packet
+    cfg = SolverConfig()
+    (clusters, assoc), result = dying_run
+    settled = np.zeros(clusters.n_clusters, dtype=bool)
+    trace = [objective(pk, clusters, assoc, cfg)]
+    for _ in range(result.iterations):
+        assoc = update_associations(pk, clusters, assoc, cfg)
+        clusters, assoc = apply_collapse(clusters, assoc, cfg)
+        clusters = ascend_motion(pk, clusters, assoc, cfg, settled=settled)
+        trace.append(objective(pk, clusters, assoc, cfg))
+    np.testing.assert_array_equal(result.objective_trace, trace)
+    np.testing.assert_array_equal(result.associations, assoc)
+    np.testing.assert_array_equal(result.clusters.alive, clusters.alive)
+    for a, b in zip(result.clusters.params, clusters.params):
+        np.testing.assert_array_equal(a.theta, b.theta)
+    np.testing.assert_array_equal(result.diagnostics["settled"] > 0, settled)
+
+
+def test_settled_clusters_cost_one_build_each(mini_result, dying_run):
+    for r in (mini_result, dying_run[1]):
+        settled = r.diagnostics["settled"]
+        assert settled.dtype == np.int64 and settled.shape == (r.clusters.n_clusters,)
+        live = settled[r.clusters.alive]
+        assert (live > 0).all()
+        last = int(live.max())
+        assert last < r.iterations
+        # steps[i] is the builds of iteration i + 2 (iterations count from 1)
+        steps = np.diff(r.diagnostics["warp_counts"])
+        assert (steps[last - 1 :] == r.clusters.n_alive).all()
 
 
 def test_segment_is_deterministic(mini_recording, mini_result):
