@@ -15,13 +15,14 @@ solver alternates
 until the summed sharpness stops improving.  Clusters whose association mass
 falls below a floor are marked dead and take no further part.
 
-A cluster whose ascent step fails (its line search finds no gain) is settled
-for the rest of the :func:`segment` call: it keeps its motion and takes no
-further step, so it costs one image build per iteration, its sharpness at
-the new associations.  Each iteration's ascent keeps every live cluster's
-image at its final motion; the summed sharpness traced for the iteration and
-the next association refresh both read those images rather than rebuilding
-them.
+Every back-end climbs its objective with :func:`_line_search_step`, which
+hands back what it built at the params it returns, and follows one settle
+rule that :func:`_alternate` keeps for the run: a cluster whose line search
+finds no gain keeps its motion and takes no further step.  A settled layered
+cluster costs one image build per iteration, its sharpness at the new
+associations.  Each iteration's ascent keeps every live cluster's image at
+its final motion; the summed sharpness traced for the iteration and the next
+association refresh both read those images rather than rebuilding them.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ class SolverConfig:
     tunables are the upper-case constants above.
 
     ``max_iters`` and ``collapse_frac`` positive, ``rel_tol`` in (0, 1),
-    ``step_mu`` and ``sigma`` non-negative.
+    ``step_mu`` and ``sigma`` non-negative; all of them finite.
     """
 
     step_mu: float = 1.0            # scale on the curvature-normalised ascent step
@@ -98,6 +99,8 @@ class SolverConfig:
             raise ValueError("max_iters and collapse_frac must be positive")
         if self.step_mu < 0 or self.sigma < 0:
             raise ValueError("step_mu and sigma must be non-negative")
+        if not np.isfinite([self.step_mu, self.sigma, self.collapse_frac]).all():
+            raise ValueError("step_mu, sigma and collapse_frac must be finite")
 
 
 @dataclass
@@ -237,38 +240,38 @@ def update_associations(
 
 
 def _line_search_step(
-    evaluate: Callable[[WarpParams], float],
+    evaluate: Callable[[WarpParams], tuple[float, object]],
     params: WarpParams,
     kappa: np.ndarray,
     config: SolverConfig,
-    f_current: float | None = None,
-) -> tuple[WarpParams, float, bool]:
+    f0: float,
+    built0: object,
+) -> tuple[WarpParams, float, object, bool]:
     """One ascent step of ``evaluate`` from ``params``.
 
-    Central differences give gradient and diagonal curvature; the step is
-    the gradient over |curvature| (a one-dimensional Newton guess per
-    parameter), clamped so no warped position moves more than
-    ``STEP_CLAMP_PX``, then backtracked until the value does not decrease.
-    Returns (new params, new value, whether the value strictly improved).
-    When it improved, the new params were the last ones passed to
-    ``evaluate``, so a caller may keep what that call built.
+    ``evaluate`` returns a candidate's value and what it built to get it;
+    ``f0`` and ``built0`` are those at ``params``.  Central differences give
+    gradient and diagonal curvature; the step is the gradient over
+    |curvature| (a one-dimensional Newton guess per parameter), clamped so no
+    warped position moves more than ``STEP_CLAMP_PX``, then backtracked until
+    the value does not decrease.  Returns (new params, their value, what was
+    built at them, whether the value strictly improved).
     """
     p = params.param_count
     h = FD_STEP
-    f0 = evaluate(params) if f_current is None else f_current
     grad = np.empty(p)
     curv = np.empty(p)
     for i in range(p):
         tp = params.theta.copy()
         tp[i] += h
-        fp = evaluate(params.replace_theta(tp))
+        fp, _ = evaluate(params.replace_theta(tp))
         tm = params.theta.copy()
         tm[i] -= h
-        fm = evaluate(params.replace_theta(tm))
+        fm, _ = evaluate(params.replace_theta(tm))
         grad[i] = (fp - fm) / (2.0 * h)
         curv[i] = (fp - 2.0 * f0 + fm) / (h * h)
     if not np.isfinite(grad).all() or not np.any(grad):
-        return params, f0, False
+        return params, f0, built0, False
     cmax = float(np.abs(curv).max())
     floor = max(1e-3 * cmax, 1e-12)
     direction = grad / np.maximum(np.abs(curv), floor)
@@ -278,16 +281,16 @@ def _line_search_step(
         direction = direction / over
     alpha = config.step_mu
     if alpha == 0.0:
-        return params, f0, False
+        return params, f0, built0, False
     for _ in range(BACKTRACK_MAX + 1):
         cand = params.replace_theta(params.theta + alpha * direction)
-        fc = evaluate(cand)
+        fc, built = evaluate(cand)
         if fc > f0:
-            return cand, fc, True
+            return cand, fc, built, True
         if fc == f0:
-            return params, f0, False
+            break
         alpha *= 0.5
-    return params, f0, False
+    return params, f0, built0, False
 
 
 def ascend_motion(
@@ -295,10 +298,8 @@ def ascend_motion(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
-    *,
-    settled: np.ndarray | None = None,
-    kept: dict | None = None,
-) -> ClusterSet:
+    settled: np.ndarray,
+) -> tuple[ClusterSet, dict]:
     """One line-searched ascent step per live cluster, associations fixed.
 
     With associations frozen the summed objective splits per cluster, so
@@ -307,34 +308,29 @@ def ascend_motion(
 
     ``settled``, a boolean mask over clusters, carries the settle rule
     across calls: a marked cluster takes no step, and a cluster whose line
-    search fails gets marked.  ``kept``, a dict, receives for each live
-    cluster ``(contrast, image)`` at its returned params and the given
-    column: the accepted candidate's image, or the starting image when the
-    cluster did not move.
+    search fails gets marked.  Returns the new clusters and a dict that maps
+    each live cluster to ``(contrast, image)`` at its returned params and
+    the given column.
     """
     new_params = list(clusters.params)
-    for j, prm in enumerate(clusters.params):
-        if not clusters.alive[j]:
-            continue
+    kept = {}
+    for j in np.flatnonzero(clusters.alive):
         w = associations[:, j]
-        last = [None]
 
-        def evaluate(candidate: WarpParams, _w=w, _last=last) -> float:
-            _last[0], _, _ = cluster_image(packet, candidate, _w, config)
-            return variance_contrast(_last[0])
+        def evaluate(candidate: WarpParams, _w=w) -> tuple[float, Iwe]:
+            img, _, _ = cluster_image(packet, candidate, _w, config)
+            return variance_contrast(img), img
 
-        f0 = evaluate(prm)
-        start = last[0]
-        improved = False
-        if float(w.sum()) > 0.0 and not (settled is not None and settled[j]):
+        prm = clusters.params[j]
+        f, img = evaluate(prm)
+        if float(w.sum()) > 0.0 and not settled[j]:
             kappa = displacement_sensitivity(packet, prm)
-            new_params[j], f, improved = _line_search_step(evaluate, prm, kappa, config, f0)
-            if settled is not None and not improved:
-                settled[j] = True
-        if kept is not None:
-            # an accepted candidate was the last one evaluated
-            kept[j] = (f, last[0]) if improved else (f0, start)
-    return ClusterSet(new_params, clusters.alive.copy())
+            new_params[j], f, img, improved = _line_search_step(
+                evaluate, prm, kappa, config, f, img
+            )
+            settled[j] = not improved
+        kept[j] = (f, img)
+    return ClusterSet(new_params, clusters.alive.copy()), kept
 
 
 def apply_collapse(
@@ -466,13 +462,13 @@ def _ascend_single(
     config: SolverConfig,
     iters: int,
 ) -> tuple[WarpParams, float]:
-    def evaluate(candidate: WarpParams) -> float:
-        return cluster_contrast(packet, candidate, weights, config)
+    def evaluate(candidate: WarpParams) -> tuple[float, None]:
+        return cluster_contrast(packet, candidate, weights, config), None
 
-    f = evaluate(params)
+    f, _ = evaluate(params)
     for _ in range(iters):
         kappa = displacement_sensitivity(packet, params)
-        params, f_new, improved = _line_search_step(evaluate, params, kappa, config, f)
+        params, f_new, _, improved = _line_search_step(evaluate, params, kappa, config, f, None)
         if not improved or f_new <= f * (1.0 + config.rel_tol):
             f = f_new
             break
@@ -632,52 +628,43 @@ def segment(
     window or a shared starting point for method comparison; otherwise the
     greedy initialiser runs.  With ``early_stop`` off the full iteration
     budget is spent, which benchmarking uses for fixed-cost runs.
-
-    ``diagnostics["settled"]`` gives, per cluster, the iteration (counted
-    from 1) in which its ascent step failed and it settled, or -1.
     """
-    settled = np.full(n_clusters, -1, dtype=np.int64)
     kept: dict = {}     # cluster -> (contrast, image) from the last ascent
-    iteration = 0
 
-    def step(packet, clusters, associations, config):
+    def step(packet, clusters, associations, config, settled):
         """One layered alternation: association refresh, collapse, motion
         ascent.  Every image it reads after the first refresh is one the
         previous ascent built; summed sharpness is its own objective."""
-        nonlocal iteration
-        iteration += 1
+        nonlocal kept
         associations = update_associations(
             packet, clusters, associations, config,
             images={j: img for j, (_, img) in kept.items()},
         )
-        kept.clear()
+        kept = {}       # free the old images before the ascent builds new ones
         clusters, associations = apply_collapse(clusters, associations, config)
-        mask = settled >= 0
-        clusters = ascend_motion(packet, clusters, associations, config, settled=mask, kept=kept)
-        settled[mask & (settled < 0)] = iteration     # marked by this ascent
-        total = 0.0
-        for j in np.flatnonzero(clusters.alive):
-            total += kept[j][0]
+        clusters, kept = ascend_motion(packet, clusters, associations, config, settled)
+        total = sum(contrast for contrast, _ in kept.values())
         return clusters, associations, total, None
 
-    result = _alternate(packet, n_clusters, models, config, init, early_stop, "layered", step)
-    result.diagnostics["settled"] = settled
-    return result
+    return _alternate(packet, n_clusters, models, config, init, early_stop, "layered", step)
 
 
 def _alternate(packet, n_clusters, models, config, init, early_stop, method, step):
     """The alternation every back-end shares.
 
     Starts from ``init`` or the greedy initialiser, then repeats
-    ``step(packet, clusters, associations, config)``: one association
-    refresh plus one motion update, returning the new clusters and
-    associations, their summed sharpness (what :func:`objective` gives) and
-    the back-end's own objective (None when summed sharpness is that
-    objective).  The run stops once the own objective gained less than
+    ``step(packet, clusters, associations, config, settled)``: one
+    association refresh plus one motion update, returning the new clusters
+    and associations, their summed sharpness (what :func:`objective` gives)
+    and the back-end's own objective (None when summed sharpness is that
+    objective).  ``settled`` is the run's boolean settle mask: the step skips
+    the ascent of a marked cluster and marks each cluster whose line search
+    fails.  The run stops once the own objective gained less than
     ``rel_tol`` in ``CONVERGENCE_WINDOW`` iterations in a row.  Summed
     sharpness is traced for every back-end, so all of them compare on one
     scale.  ``warp_counts`` holds, per iteration, the image builds made
-    since the call began, greedy initialisation included.
+    since the call began, greedy initialisation included; ``settled`` holds,
+    per cluster, the iteration (counted from 1) it settled in, or -1.
     """
     if config is None:
         config = SolverConfig()
@@ -694,10 +681,15 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     trace = [objective(packet, clusters, associations, config)]
     own_trace: list[float] = []
     warp_counts: list[int] = []
+    settled = np.zeros(n_clusters, dtype=bool)
+    settled_at = np.full(n_clusters, -1, dtype=np.int64)
     stagnant = 0
     converged = False
-    for _ in range(config.max_iters):
-        clusters, associations, sharpness, own = step(packet, clusters, associations, config)
+    for iteration in range(1, config.max_iters + 1):
+        clusters, associations, sharpness, own = step(
+            packet, clusters, associations, config, settled
+        )
+        settled_at[settled & (settled_at < 0)] = iteration
         trace.append(sharpness)
         warp_counts.append(build_count() - start)
         if own is not None:
@@ -713,6 +705,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         "method": method,
         "init": init_mode,
         "warp_counts": np.asarray(warp_counts, dtype=np.int64),
+        "settled": settled_at,
     }
     if own_trace:
         diagnostics["own_trace"] = np.asarray(own_trace)

@@ -12,9 +12,11 @@ for head-to-head comparison:
   classic inverse-power rule with fuzziness b, and motions climb the
   membership-weighted affinity sum.
 
-Both report the same result type as the layered solver and additionally
-track the summed per-cluster sharpness so the three methods can be compared
-on one scale.
+Both follow the layered solver's line search and settle rule; a settled
+cluster keeps its column of the per-event table, so it costs no build in
+the motion step.  Both report the same result type as the layered solver
+and additionally track the summed per-cluster sharpness so the three
+methods can be compared on one scale.
 """
 from __future__ import annotations
 
@@ -127,28 +129,29 @@ def mixture_m_step(
     packet: EventPacket,
     config: SolverConfig,
     likelihoods: np.ndarray,
+    settled: np.ndarray,
 ) -> tuple[MixtureState, np.ndarray]:
     """One backtracking ascent step of the total log-likelihood per live
-    cluster, updating one component at a time.  ``likelihoods`` is the table
-    at the current motions (the one the E-step used).  Returns the new state
-    plus the refreshed likelihood table (``likelihoods`` itself when no motion
-    improved)."""
+    cluster not marked in ``settled``, updating one component at a time; a
+    cluster whose line search fails gets marked.  ``likelihoods`` is the
+    table at the current motions (the one the E-step used).  Returns the new
+    state plus the refreshed likelihood table."""
     clusters = state.clusters.copy()
-    for j in np.flatnonzero(clusters.alive):
+    likelihoods = likelihoods.copy()
+    for j in np.flatnonzero(clusters.alive & ~settled):
         kappa = displacement_sensitivity(packet, clusters.params[j])
-        table = likelihoods.copy()
+        trial = likelihoods.copy()
 
-        def evaluate(candidate: WarpParams, _j=j, _table=table) -> float:
-            _table[:, _j] = component_likelihood(packet, candidate, config)
-            return _log_likelihood(_table, state.mixing)
+        def evaluate(candidate: WarpParams, _j=j, _trial=trial) -> tuple[float, np.ndarray]:
+            column = component_likelihood(packet, candidate, config)
+            _trial[:, _j] = column
+            return _log_likelihood(_trial, state.mixing), column
 
-        new_prm, _, improved = _line_search_step(
-            evaluate, clusters.params[j], kappa, config
+        f0 = _log_likelihood(likelihoods, state.mixing)
+        clusters.params[j], _, likelihoods[:, j], improved = _line_search_step(
+            evaluate, clusters.params[j], kappa, config, f0, likelihoods[:, j]
         )
-        if improved:
-            # the accepted candidate was evaluated last, so its column is in table
-            clusters.params[j] = new_prm
-            likelihoods = table
+        settled[j] = not improved
     return MixtureState(clusters, state.membership, state.mixing), likelihoods
 
 
@@ -185,29 +188,28 @@ def fuzzy_m_step(
     packet: EventPacket,
     config: SolverConfig,
     affinities: np.ndarray,
+    settled: np.ndarray,
 ) -> tuple[FuzzyState, np.ndarray]:
-    """One backtracking ascent step per live cluster of its
-    membership-weighted affinity sum, sum_k p_kj^b a_kj.  ``affinities`` is
-    the table at the current motions (the one the E-step used).  Returns the
-    new state plus the refreshed affinity table."""
+    """One backtracking ascent step of its membership-weighted affinity sum,
+    sum_k p_kj^b a_kj, per live cluster not marked in ``settled``; a cluster
+    whose line search fails gets marked.  ``affinities`` is the table at the
+    current motions (the one the E-step used).  Returns the new state plus
+    the refreshed affinity table."""
     clusters = state.clusters.copy()
     affinities = affinities.copy()
-    for j in np.flatnonzero(clusters.alive):
+    for j in np.flatnonzero(clusters.alive & ~settled):
         kappa = displacement_sensitivity(packet, clusters.params[j])
         pw = state.membership[:, j] ** state.b
-        last = [None]
 
-        def evaluate(candidate: WarpParams, _pw=pw, _last=last) -> float:
-            _last[0] = fuzzy_affinity(packet, candidate, config)
-            return float((_pw * _last[0]).sum())
+        def evaluate(candidate: WarpParams, _pw=pw) -> tuple[float, np.ndarray]:
+            column = fuzzy_affinity(packet, candidate, config)
+            return float((_pw * column).sum()), column
 
-        new_prm, _, improved = _line_search_step(
-            evaluate, clusters.params[j], kappa, config
+        f0 = float((pw * affinities[:, j]).sum())
+        clusters.params[j], _, affinities[:, j], improved = _line_search_step(
+            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j]
         )
-        if improved:
-            # the accepted candidate was evaluated last
-            clusters.params[j] = new_prm
-            affinities[:, j] = last[0]
+        settled[j] = not improved
     return FuzzyState(clusters, state.membership, state.b), affinities
 
 
@@ -223,7 +225,7 @@ def segment_mixture(
     own objective is the total log-likelihood."""
     mixing, table = None, None
 
-    def step(packet, clusters, membership, config):
+    def step(packet, clusters, membership, config, settled):
         nonlocal mixing, table
         if table is None:
             mixing = membership.mean(axis=0)
@@ -232,7 +234,7 @@ def segment_mixture(
         state = MixtureState(clusters, membership, mixing)
         # the E-step's likelihood table is the M-step's starting table
         state = mixture_e_step(state, packet, config, table)
-        state, table = mixture_m_step(state, packet, config, table)
+        state, table = mixture_m_step(state, packet, config, table, settled)
         mixing = state.mixing
         sharpness = objective(packet, state.clusters, state.membership, config)
         return state.clusters, state.membership, sharpness, _log_likelihood(table, mixing)
@@ -253,16 +255,16 @@ def segment_fuzzy(
 ) -> SegmentationResult:
     """Fuzzy-membership clustering of one packet; see module docstring.  The
     own objective is the membership-weighted affinity sum."""
-    if b <= 1.0:
-        raise ValueError("fuzziness b must exceed 1")
+    if not 1.0 < b < np.inf:
+        raise ValueError("fuzziness b must be finite and exceed 1")
     table = None
 
-    def step(packet, clusters, membership, config):
+    def step(packet, clusters, membership, config, settled):
         nonlocal table
         if table is None:
             table = _column_table(fuzzy_affinity, packet, clusters, config)
         state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, table)
-        state, table = fuzzy_m_step(state, packet, config, table)
+        state, table = fuzzy_m_step(state, packet, config, table, settled)
         own = float(((state.membership**b) * table).sum())
         sharpness = objective(packet, state.clusters, state.membership, config)
         return state.clusters, state.membership, sharpness, own

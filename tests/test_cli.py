@@ -80,6 +80,15 @@ class TestDataErrors:
         for name in ("assoc.csv", "params.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--sigma", "inf"), ("--mu", "nan")])
+    def test_non_finite_solver_setting_is_data_error(self, sim_dir, tmp_path, capsys, flag, value):
+        argv = [
+            "segment", "--events", str(sim_dir / "events.txt"), "--out", str(tmp_path),
+            flag, value, "--max-iters", "2",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_eval_shape_mismatch(self, tmp_path):
         assoc = tmp_path / "assoc.csv"
         assoc.write_text("# live 1\np_1\n1.0\n1.0\n")

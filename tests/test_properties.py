@@ -1,7 +1,7 @@
 """Invariants checked on generated inputs: association tables keep rows that
-sum to one and dead columns at zero through every row normalisation, the
-window count agrees with the windows actually yielded, and a settled cluster
-of the layered solver never moves or steps again."""
+sum to one and dead columns at zero through every row normalisation and
+association refresh, the window count agrees with the windows actually
+yielded, and a settled cluster of any back-end never moves or steps again."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,23 @@ from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
 import evseg.solver as solver
-from evseg.solver import ClusterSet, SolverConfig, apply_collapse, segment
-from evseg.variants import FuzzyState, MixtureState, fuzzy_e_step, mixture_e_step
+import evseg.variants as variants
+from evseg.solver import (
+    ClusterSet,
+    SolverConfig,
+    apply_collapse,
+    cluster_image,
+    segment,
+    update_associations,
+)
+from evseg.variants import (
+    FuzzyState,
+    MixtureState,
+    fuzzy_e_step,
+    mixture_e_step,
+    segment_fuzzy,
+    segment_mixture,
+)
 from evseg.warps import WarpParams, zero_params
 
 from conftest import build_drift_packet
@@ -43,15 +58,21 @@ def assert_rows_normalised(rows, alive):
     assert not rows[:, ~alive].any()
 
 
+def valid_associations(table, alive):
+    """``table`` made a valid association table: live columns only, every
+    row summing to one."""
+    assoc = np.where(alive, table, 0.0)
+    assoc[assoc.sum(axis=1) == 0.0] = np.where(alive, 1.0, 0.0)
+    assoc /= assoc.sum(axis=1, keepdims=True)
+    return assoc
+
+
 # death thresholds up to five times a cluster's fair share, so that any number
 # of clusters dies, down to the one the collapse always keeps
 @given(tables(), st.floats(0.01, 5.0))
 def test_apply_collapse_keeps_rows_normalised(drawn, collapse_frac):
     table, alive = drawn
-    # a valid association table: live columns only, every row summing to one
-    assoc = np.where(alive, table, 0.0)
-    assoc[assoc.sum(axis=1) == 0.0] = np.where(alive, 1.0, 0.0)
-    assoc /= assoc.sum(axis=1, keepdims=True)
+    assoc = valid_associations(table, alive)
     clusters, out = apply_collapse(
         clusters_of(alive), assoc, SolverConfig(collapse_frac=collapse_frac)
     )
@@ -81,6 +102,44 @@ def test_fuzzy_e_step_keeps_rows_normalised(drawn, b):
     assert_rows_normalised(out.membership, alive)
 
 
+@st.composite
+def refreshes(draw):
+    """A small packet on a small sensor, flow2 clusters with an alive mask, a
+    valid association table, and which live clusters have their image
+    passed in."""
+    table, alive = draw(tables())
+    n, j = table.shape
+    width, height = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+
+    def floats(size, lo, hi):
+        return draw(arrays(np.float64, size, elements=st.floats(lo, hi)))
+
+    packet = make_packet(
+        floats(n, 0.0, width - 1),
+        floats(n, 0.0, height - 1),
+        np.sort(floats(n, 0.0, 0.1)),
+        np.ones(n),
+        ImageGeometry(width, height),
+    )
+    params = [WarpParams("flow2", floats(2, -60.0, 60.0)) for _ in range(j)]
+    reuse = draw(arrays(np.bool_, j))
+    return packet, ClusterSet(params, alive), valid_associations(table, alive), reuse
+
+
+@given(refreshes(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_update_associations_keeps_rows_normalised_and_reuses_images(drawn, sigma):
+    packet, clusters, assoc, reuse = drawn
+    config = SolverConfig(sigma=sigma)
+    rebuilt = update_associations(packet, clusters, assoc, config)
+    assert_rows_normalised(rebuilt, clusters.alive)
+    images = {
+        j: cluster_image(packet, clusters.params[j], assoc[:, j], config)[0]
+        for j in np.flatnonzero(clusters.alive & reuse)
+    }
+    reused = update_associations(packet, clusters, assoc, config, images=images)
+    assert reused.tobytes() == rebuilt.tobytes()
+
+
 @given(
     st.integers(0, 400),
     st.integers(1, 80),
@@ -96,13 +155,23 @@ def test_count_windows_matches_sliding_windows(n, window, stride):
 
 velocities = st.tuples(st.floats(-40.0, 40.0), st.floats(-25.0, 25.0))
 
+# each back-end, the module and name of its per-iteration motion step, and
+# where that step's arguments hold the clusters
+MOTION_STEPS = {
+    "layered": (segment, solver, "ascend_motion", lambda packet, clusters, *_: clusters),
+    "mixture": (segment_mixture, variants, "mixture_m_step", lambda state, *_: state.clusters),
+    "fuzzy": (segment_fuzzy, variants, "fuzzy_m_step", lambda state, *_: state.clusters),
+}
 
+
+@pytest.mark.parametrize("method", list(MOTION_STEPS))
 @given(
     st.lists(velocities, min_size=1, max_size=2),
     st.lists(velocities, min_size=2, max_size=3),
     st.integers(0, 1000),
 )
-def test_settled_cluster_never_moves_or_steps_again(truth, starts, seed):
+def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed):
+    run, module, step_name, clusters_in = MOTION_STEPS[method]
     packet, _ = build_drift_packet(truth, n_sources=12, n_times=10, seed=seed)
     j = len(starts)
     init = (
@@ -112,13 +181,13 @@ def test_settled_cluster_never_moves_or_steps_again(truth, starts, seed):
     budget = 20
     config = SolverConfig(max_iters=budget)
     # line searches per iteration and cluster, the cluster found by the
-    # identity of the params the ascent hands to the line search
+    # identity of the params the motion step hands to the line search
     calls = []
-    ascend, line_search = solver.ascend_motion, solver._line_search_step
+    motion_step, line_search = getattr(module, step_name), solver._line_search_step
 
-    def counting_ascend(packet, clusters, *args, **kwargs):
-        calls.append([clusters.params, []])
-        return ascend(packet, clusters, *args, **kwargs)
+    def counting_step(*args, **kwargs):
+        calls.append([clusters_in(*args).params, []])
+        return motion_step(*args, **kwargs)
 
     def counting_line_search(evaluate, params, *args, **kwargs):
         owners, stepped = calls[-1]
@@ -126,9 +195,11 @@ def test_settled_cluster_never_moves_or_steps_again(truth, starts, seed):
         return line_search(evaluate, params, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "ascend_motion", counting_ascend)
+        mp.setattr(module, step_name, counting_step)
+        # variants binds the line search by name
         mp.setattr(solver, "_line_search_step", counting_line_search)
-        full = segment(packet, j, "flow2", config, init=init, early_stop=False)
+        mp.setattr(variants, "_line_search_step", counting_line_search)
+        full = run(packet, j, "flow2", config, init=init, early_stop=False)
     assert len(calls) == budget
     for c, k in enumerate(full.diagnostics["settled"]):
         if k < 0:
@@ -137,6 +208,6 @@ def test_settled_cluster_never_moves_or_steps_again(truth, starts, seed):
         # it settled in the iteration of its last line search
         assert c in calls[k - 1][1]
         assert not any(c in stepped for _, stepped in calls[k:])
-        short = segment(packet, j, "flow2", SolverConfig(max_iters=int(k)), init=init,
-                        early_stop=False)
+        short = run(packet, j, "flow2", SolverConfig(max_iters=int(k)), init=init,
+                    early_stop=False)
         assert short.clusters.params[c].theta.tobytes() == full.clusters.params[c].theta.tobytes()

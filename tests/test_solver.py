@@ -86,6 +86,13 @@ def test_config_validation():
         SolverConfig(sigma=-0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["step_mu", "sigma", "collapse_frac"])
+def test_config_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{name: value})
+
+
 def test_e_step_single_cluster_all_ones(drift_packet):
     pk, _ = drift_packet([(20.0, 0.0)], n_sources=20, n_times=10)
     clusters = ClusterSet([zero_params("flow2")], np.ones(1, dtype=bool))
@@ -152,7 +159,9 @@ def test_e_step_all_out_of_frame_goes_uniform():
 def test_ascend_zero_step_moves_nothing(drift_packet):
     pk, _ = drift_packet([(30.0, 0.0)], n_sources=25, n_times=20)
     clusters = ClusterSet([WarpParams("flow2", np.array([10.0, 5.0]))], np.ones(1, dtype=bool))
-    out = ascend_motion(pk, clusters, np.ones((pk.n, 1)), SolverConfig(step_mu=0.0))
+    out, _ = ascend_motion(
+        pk, clusters, np.ones((pk.n, 1)), SolverConfig(step_mu=0.0), np.zeros(1, dtype=bool)
+    )
     np.testing.assert_array_equal(out.params[0].theta, [10.0, 5.0])
 
 
@@ -163,11 +172,11 @@ def test_ascend_improves_contrast(drift_packet):
     w = np.ones((pk.n, 1))
     cfg = SolverConfig()
     before = cluster_contrast(pk, start, w[:, 0], cfg)
-    stepped = ascend_motion(pk, clusters, w, cfg)
+    stepped, _ = ascend_motion(pk, clusters, w, cfg, np.zeros(1, dtype=bool))
     after = cluster_contrast(pk, stepped.params[0], w[:, 0], cfg)
     assert after >= before
     for _ in range(20):
-        clusters = ascend_motion(pk, clusters, w, cfg)
+        clusters, _ = ascend_motion(pk, clusters, w, cfg, np.zeros(1, dtype=bool))
     final = clusters.params[0].theta
     assert np.linalg.norm(final - [30.0, 0.0]) < 3.0
 
@@ -181,7 +190,7 @@ def test_ascend_leaves_dead_clusters_alone(drift_packet):
     )
     p = np.zeros((pk.n, 2))
     p[:, 0] = 1.0
-    out = ascend_motion(pk, clusters, p, SolverConfig())
+    out, _ = ascend_motion(pk, clusters, p, SolverConfig(), np.zeros(2, dtype=bool))
     assert out.params[1] is dead
 
 
@@ -194,8 +203,7 @@ def test_ascend_keeps_each_image_and_skips_settled_clusters(drift_packet):
     )
     w = np.full((pk.n, 2), 0.5)
     settled = np.array([False, True])
-    kept = {}
-    out = ascend_motion(pk, clusters, w, cfg, settled=settled, kept=kept)
+    out, kept = ascend_motion(pk, clusters, w, cfg, settled)
     assert out.params[0].theta[0] > 20.0
     assert out.params[1] is clusters.params[1]
     np.testing.assert_array_equal(settled, [False, True])
@@ -389,7 +397,7 @@ def test_layered_step_equals_its_phases_run_apart(mini_recording, dying_run):
     for _ in range(result.iterations):
         assoc = update_associations(pk, clusters, assoc, cfg)
         clusters, assoc = apply_collapse(clusters, assoc, cfg)
-        clusters = ascend_motion(pk, clusters, assoc, cfg, settled=settled)
+        clusters, _ = ascend_motion(pk, clusters, assoc, cfg, settled)
         trace.append(objective(pk, clusters, assoc, cfg))
     np.testing.assert_array_equal(result.objective_trace, trace)
     np.testing.assert_array_equal(result.associations, assoc)

@@ -3,7 +3,14 @@ import pytest
 
 from evseg.events import ImageGeometry, make_packet
 from evseg.metrics import per_event_accuracy
-from evseg.solver import EPSILON_C, ClusterSet, SolverConfig, initialize_greedy, segment
+from evseg.solver import (
+    EPSILON_C,
+    ClusterSet,
+    SolverConfig,
+    build_count,
+    initialize_greedy,
+    segment,
+)
 from evseg.variants import (
     FuzzyState,
     MixtureState,
@@ -59,28 +66,52 @@ def test_mixture_e_step_matches_bayes_by_hand(drift_packet):
     np.testing.assert_allclose(new.membership.sum(axis=1), 1.0, atol=1e-9)
 
 
+def m_step_case(pk, method):
+    """Two clusters near the motions of the two-motion drift packet ``pk``,
+    with the method's column builder and M-step."""
+    state = two_cluster_state(pk, [(26.0, 2.0), (-20.0, 11.0)])
+    if method == "fuzzy":
+        return FuzzyState(state.clusters, state.membership, 2.0), fuzzy_affinity, fuzzy_m_step
+    return state, component_likelihood, mixture_m_step
+
+
 @pytest.mark.parametrize("method", ["mixture", "fuzzy"])
 def test_m_step_table_equals_rebuild_at_new_motions(drift_packet, method):
     # the M-steps keep the columns their line searches built last; those
     # must be the columns at the accepted motions
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
     cfg = SolverConfig()
-    state = two_cluster_state(pk, [(26.0, 2.0), (-20.0, 11.0)])
-    column, m_step = component_likelihood, mixture_m_step
-    if method == "fuzzy":
-        column, m_step = fuzzy_affinity, fuzzy_m_step
-        state = FuzzyState(state.clusters, state.membership, 2.0)
+    state, column, m_step = m_step_case(pk, method)
     table = _column_table(column, pk, state.clusters, cfg)
     before = table.copy()
-    new, refreshed = m_step(state, pk, cfg, table)
+    settled = np.zeros(2, dtype=bool)
+    new, refreshed = m_step(state, pk, cfg, table, settled)
     moved = [
         not np.array_equal(a.theta, b.theta)
         for a, b in zip(new.clusters.params, state.clusters.params)
     ]
     assert all(moved)
+    assert not settled.any()
     expect = _column_table(column, pk, new.clusters, cfg)
     assert refreshed.tobytes() == expect.tobytes()
     np.testing.assert_array_equal(table, before)
+
+
+@pytest.mark.parametrize("method", ["mixture", "fuzzy"])
+def test_m_step_skips_settled_and_marks_failed_clusters(drift_packet, method):
+    pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
+    cfg = SolverConfig(step_mu=0.0)     # every line search fails
+    state, column, m_step = m_step_case(pk, method)
+    table = _column_table(column, pk, state.clusters, cfg)
+    settled = np.array([False, True])
+    start = build_count()
+    new, refreshed = m_step(state, pk, cfg, table, settled)
+    # cluster 0 built its four differences and failed; settled cluster 1
+    # built nothing
+    assert build_count() - start == 4
+    np.testing.assert_array_equal(settled, [True, True])
+    assert all(a is b for a, b in zip(new.clusters.params, state.clusters.params))
+    assert refreshed.tobytes() == table.tobytes()
 
 
 def test_mixture_e_step_separates_true_clusters(drift_packet):
@@ -141,6 +172,13 @@ def test_fuzzy_rejects_bad_fuzziness(drift_packet):
     pk, _ = drift_packet([(30.0, 0.0)], n_sources=10, n_times=5)
     with pytest.raises(ValueError):
         segment_fuzzy(pk, 2, "flow2", b=1.0)
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf])
+def test_fuzzy_rejects_non_finite_fuzziness(drift_packet, b):
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=10, n_times=5)
+    with pytest.raises(ValueError, match="finite"):
+        segment_fuzzy(pk, 2, "flow2", b=b)
 
 
 def test_mixture_run_invariants(balanced_recording):
