@@ -23,6 +23,11 @@ cluster costs one image build per iteration, its sharpness at the new
 associations.  Each iteration's ascent keeps every live cluster's image at
 its final motion; the summed sharpness traced for the iteration and the next
 association refresh both read those images rather than rebuilding them.
+
+Every per-event table, shaped (n_events, n_clusters), is kept column-major
+inside the solvers: a cluster's weights are one contiguous column for its
+image build, and a sum over clusters is a column add rather than numpy's
+slow short-row reduction.  Results hand the associations back C-contiguous.
 """
 from __future__ import annotations
 
@@ -127,7 +132,7 @@ class SegmentationResult:
     """Output of one solver run on one packet."""
 
     clusters: ClusterSet
-    associations: np.ndarray        # (n_events, n_clusters), rows sum to 1
+    associations: np.ndarray        # (n_events, n_clusters), C-contiguous, rows sum to 1
     objective_trace: np.ndarray     # summed sharpness, entry 0 = at init
     iterations: int
     converged: bool
@@ -224,7 +229,7 @@ def update_associations(
     """
     n, n_clusters = associations.shape
     alive_idx = np.flatnonzero(clusters.alive)
-    scores = np.empty((n, alive_idx.size))
+    scores = np.empty((n, alive_idx.size), order="F")
     for col, j in enumerate(alive_idx):
         prm = clusters.params[j]
         if images is not None and j in images:
@@ -341,7 +346,7 @@ def apply_collapse(
     the survivors.  The largest cluster is never killed, so at least one
     stays alive."""
     n, n_clusters = associations.shape
-    mass = associations.sum(axis=0)
+    mass = _column_sums(associations)
     threshold = config.collapse_frac * n / n_clusters
     alive = clusters.alive & (mass >= threshold)
     if not alive.any():
@@ -353,6 +358,18 @@ def apply_collapse(
         return clusters, associations
     out = _normalize_rows(np.where(alive, associations, 0.0), alive)
     return ClusterSet(list(clusters.params), alive), out
+
+
+def _column_sums(table: np.ndarray) -> np.ndarray:
+    """Each column's sum over events, added row after row as numpy sums a
+    C-ordered table over its rows.  Summing a contiguous column would switch
+    to pairwise summation and change the last bits; a running sum down each
+    column keeps them without a C-ordered copy.  A single column is one
+    contiguous run in either order, so numpy sums it pairwise."""
+    n, n_clusters = table.shape
+    if n == 0 or n_clusters == 1:
+        return table.sum(axis=0)
+    return np.cumsum(table, axis=0)[-1]
 
 
 def _normalize_rows(table: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -573,7 +590,7 @@ def initialize_greedy(
     share = INIT_CLAIM_PROB
     low = (1.0 - share) / (n_clusters - 1) if n_clusters > 1 else 0.0
 
-    associations = np.full((n, n_clusters), 1.0 / n_clusters)
+    associations = np.full((n, n_clusters), 1.0 / n_clusters, order="F")
     params_list = []
     residual = np.ones(n)
     claimed = np.zeros(n, dtype=bool)
@@ -665,6 +682,9 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     scale.  ``warp_counts`` holds, per iteration, the image builds made
     since the call began, greedy initialisation included; ``settled`` holds,
     per cluster, the iteration (counted from 1) it settled in, or -1.
+
+    A given init table may have either memory layout: the run works on a
+    column-major copy and returns its associations C-contiguous.
     """
     if config is None:
         config = SolverConfig()
@@ -674,7 +694,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         clusters, associations = initialize_greedy(packet, n_clusters, models, config)
         init_mode = "greedy"
     else:
-        clusters, associations = init[0].copy(), init[1].copy()
+        clusters, associations = init[0].copy(), np.array(init[1], order="F")
         if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
             raise ValueError("init shape does not match packet / cluster count")
         init_mode = "given"
@@ -711,7 +731,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         diagnostics["own_trace"] = np.asarray(own_trace)
     return SegmentationResult(
         clusters=clusters,
-        associations=associations,
+        associations=np.ascontiguousarray(associations),
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
@@ -759,7 +779,7 @@ def segment_stream(
         init = None
         if prev is not None:
             carried = ClusterSet(list(prev.clusters.params), np.ones(n_clusters, dtype=bool))
-            assoc = np.full((window.n, n_clusters), 1.0 / n_clusters)
+            assoc = np.full((window.n, n_clusters), 1.0 / n_clusters, order="F")
             if overlap > 0:
                 # rows sum to 1 already; dead columns stay at zero and may
                 # only be revived by the fresh uniform rows

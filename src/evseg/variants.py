@@ -14,7 +14,8 @@ for head-to-head comparison:
 
 Both follow the layered solver's line search and settle rule; a settled
 cluster keeps its column of the per-event table, so it costs no build in
-the motion step.  Both report the same result type as the layered solver
+the motion step.  Their per-event tables are column-major, as the layered
+solver's are.  Both report the same result type as the layered solver
 and additionally track the summed per-cluster sharpness so the three
 methods can be compared on one scale.
 """
@@ -37,6 +38,7 @@ from .solver import (
     SegmentationResult,
     SolverConfig,
     _alternate,
+    _column_sums,
     _line_search_step,
     _normalize_rows,
     cluster_image,
@@ -67,7 +69,7 @@ class FuzzyState:
 def _column_table(column, packet, clusters, config) -> np.ndarray:
     """(n_events, n_clusters) table of ``column(packet, params, config)``
     for each live cluster; dead clusters' columns stay zero."""
-    table = np.zeros((packet.n, clusters.n_clusters))
+    table = np.zeros((packet.n, clusters.n_clusters), order="F")
     for j in np.flatnonzero(clusters.alive):
         table[:, j] = column(packet, clusters.params[j], config)
     return table
@@ -115,7 +117,7 @@ def mixture_e_step(
     if likelihoods is None:
         likelihoods = _column_table(component_likelihood, packet, clusters, config)
     membership = _normalize_rows(likelihoods * state.mixing, clusters.alive)
-    mixing = membership.mean(axis=0)
+    mixing = _column_sums(membership) / membership.shape[0]
     return MixtureState(clusters.copy(), membership, mixing)
 
 
@@ -137,10 +139,10 @@ def mixture_m_step(
     table at the current motions (the one the E-step used).  Returns the new
     state plus the refreshed likelihood table."""
     clusters = state.clusters.copy()
-    likelihoods = likelihoods.copy()
+    likelihoods = np.copy(likelihoods)     # np.copy keeps the column-major order
     for j in np.flatnonzero(clusters.alive & ~settled):
         kappa = displacement_sensitivity(packet, clusters.params[j])
-        trial = likelihoods.copy()
+        trial = np.copy(likelihoods)
 
         def evaluate(candidate: WarpParams, _j=j, _trial=trial) -> tuple[float, np.ndarray]:
             column = component_likelihood(packet, candidate, config)
@@ -196,7 +198,7 @@ def fuzzy_m_step(
     current motions (the one the E-step used).  Returns the new state plus
     the refreshed affinity table."""
     clusters = state.clusters.copy()
-    affinities = affinities.copy()
+    affinities = np.copy(affinities)
     for j in np.flatnonzero(clusters.alive & ~settled):
         kappa = displacement_sensitivity(packet, clusters.params[j])
         pw = state.membership[:, j] ** state.b
@@ -228,7 +230,7 @@ def segment_mixture(
     def step(packet, clusters, membership, config, settled):
         nonlocal mixing, table
         if table is None:
-            mixing = membership.mean(axis=0)
+            mixing = _column_sums(membership) / membership.shape[0]
             mixing = mixing / mixing.sum()
             table = _column_table(component_likelihood, packet, clusters, config)
         state = MixtureState(clusters, membership, mixing)
@@ -265,7 +267,10 @@ def segment_fuzzy(
             table = _column_table(fuzzy_affinity, packet, clusters, config)
         state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, table)
         state, table = fuzzy_m_step(state, packet, config, table, settled)
-        own = float(((state.membership**b) * table).sum())
+        # numpy sums a whole table in memory order, so the product is made
+        # C-ordered to keep the sum's last bits
+        weighted = np.power(state.membership, b, order="C")
+        own = float(np.multiply(weighted, table, out=weighted).sum())
         sharpness = objective(packet, state.clusters, state.membership, config)
         return state.clusters, state.membership, sharpness, own
 

@@ -1,6 +1,8 @@
 """Invariants checked on generated inputs: association tables keep rows that
 sum to one and dead columns at zero through every row normalisation and
-association refresh, the window count agrees with the windows actually
+association refresh, and give the same bytes in C and in column-major
+order; splatting and sampling are adjoint; every warp is the identity at
+its reference time; the window count agrees with the windows actually
 yielded, and a settled cluster of any back-end never moves or steps again."""
 
 import numpy as np
@@ -10,11 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
+from evseg.iwe import Iwe, accumulate_weighted, sample_local
 import evseg.solver as solver
 import evseg.variants as variants
 from evseg.solver import (
     ClusterSet,
     SolverConfig,
+    _column_sums,
+    _normalize_rows,
     apply_collapse,
     cluster_image,
     segment,
@@ -28,7 +33,7 @@ from evseg.variants import (
     segment_fuzzy,
     segment_mixture,
 )
-from evseg.warps import WarpParams, zero_params
+from evseg.warps import MODEL_PARAM_COUNT, WarpParams, warp_points, zero_params
 
 from conftest import build_drift_packet
 
@@ -138,6 +143,103 @@ def test_update_associations_keeps_rows_normalised_and_reuses_images(drawn, sigm
     }
     reused = update_associations(packet, clusters, assoc, config, images=images)
     assert reused.tobytes() == rebuilt.tobytes()
+
+
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
+
+
+def assert_layout_free(run, table):
+    """``run`` gives the same arrays, compared as C-ordered bytes, on a
+    C-ordered and on a column-major copy of ``table``."""
+    c, f = ([np.ascontiguousarray(a).tobytes() for a in run(layout(table))] for layout in LAYOUTS)
+    assert c == f
+
+
+# at most 5 clusters, so a sum over clusters adds in sequence in either
+# order; up to 12 events, so a column sum over events of 8 or more would
+# switch to numpy's pairwise summation if it read a contiguous column
+@given(tables(), st.floats(0.01, 5.0), st.floats(1.5, 4.0))
+def test_table_steps_give_the_same_bytes_in_either_layout(drawn, collapse_frac, b):
+    table, alive = drawn
+    assoc = valid_associations(table, alive)
+    likelihoods = np.where(alive, table, 0.0)
+    mixing = np.where(alive, 1.0, 0.0) / alive.sum()
+    config = SolverConfig(collapse_frac=collapse_frac)
+
+    def collapse(t):
+        clusters, out = apply_collapse(clusters_of(alive), t, config)
+        return clusters.alive, out
+
+    def mixture(t):
+        out = mixture_e_step(MixtureState(clusters_of(alive), None, mixing), None, config, t)
+        return out.membership, out.mixing
+
+    def fuzzy(t):
+        return (fuzzy_e_step(FuzzyState(clusters_of(alive), None, b), None, config, t).membership,)
+
+    assert_layout_free(lambda t: (_normalize_rows(t, alive),), table)
+    assert_layout_free(collapse, assoc)
+    assert_layout_free(mixture, likelihoods)
+    assert_layout_free(fuzzy, table)
+
+
+@given(tables())
+def test_column_sums_add_rows_in_order_in_either_layout(drawn):
+    # numpy's sum over the rows of a C-ordered table is the reference
+    table, _ = drawn
+    reference = np.ascontiguousarray(table).sum(axis=0).tobytes()
+    for layout in LAYOUTS:
+        assert _column_sums(layout(table)).tobytes() == reference
+
+
+@given(refreshes(), st.sampled_from([0.0, 1.0]))
+def test_update_associations_gives_the_same_bytes_in_either_layout(drawn, sigma):
+    packet, clusters, assoc, _ = drawn
+    config = SolverConfig(sigma=sigma)
+    assert_layout_free(lambda t: (update_associations(packet, clusters, t, config),), assoc)
+
+
+@st.composite
+def deposits(draw):
+    """A small sensor, a signed image on it, and weighted positions that
+    reach past every border and far off the sensor."""
+    width, height = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    n = draw(st.integers(1, 30))
+    near_x = st.floats(-3.0, width + 2.0)
+    near_y = st.floats(-3.0, height + 2.0)
+    far = st.floats(-1e6, 1e6)
+    wx = draw(arrays(np.float64, n, elements=st.one_of(near_x, far)))
+    wy = draw(arrays(np.float64, n, elements=st.one_of(near_y, far)))
+    weights = draw(arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    pixels = draw(arrays(np.float64, (height, width), elements=st.floats(-10.0, 10.0)))
+    return ImageGeometry(width, height), pixels, wx, wy, weights
+
+
+@given(deposits())
+def test_splat_and_sample_are_adjoint_on_generated_positions(drawn):
+    geometry, pixels, wx, wy, weights = drawn
+    image = Iwe(pixels, geometry)
+    read = float((weights * sample_local(image, wx, wy)).sum())
+    deposited = float((pixels * accumulate_weighted(wx, wy, weights, geometry).pixels).sum())
+    # relative to the sum of the terms' magnitudes: signed pixels may cancel
+    scale = float((weights * sample_local(Iwe(np.abs(pixels), geometry), wx, wy)).sum())
+    assert abs(read - deposited) <= 1e-9 * scale
+
+
+@given(st.sampled_from(sorted(MODEL_PARAM_COUNT)), st.data())
+def test_every_warp_is_the_identity_at_the_reference_time(model, data):
+    def floats(size, bound):
+        return data.draw(arrays(np.float64, size, elements=st.floats(-bound, bound)))
+
+    n = data.draw(st.integers(1, 20))
+    x, y = floats(n, 500.0), floats(n, 500.0)
+    t_ref = data.draw(st.floats(-10.0, 10.0))
+    center = tuple(floats(2, 500.0))
+    params = WarpParams(model, floats(MODEL_PARAM_COUNT[model], 500.0))
+    wx, wy = warp_points(x, y, np.full(n, t_ref), params, t_ref, center)
+    # recentring models round-trip through (x - c) + c, costing an ulp
+    np.testing.assert_allclose(wx, x, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(wy, y, rtol=0.0, atol=1e-12)
 
 
 @given(

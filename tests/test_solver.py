@@ -450,6 +450,38 @@ def test_segment_checks_init_shapes(mini_recording, solve):
         solve(mini_recording.packet, 2, "flow2", init=(three, uniform))
 
 
+def result_bytes(result):
+    """Every output array of a result (associations, liveness, traces,
+    params and array diagnostics) as bytes in C order."""
+    parts = [result.associations, result.clusters.alive, result.objective_trace]
+    parts += [p.theta for p in result.clusters.params]
+    parts += [v for v in result.diagnostics.values() if isinstance(v, np.ndarray)]
+    return [np.ascontiguousarray(a).tobytes() for a in parts]
+
+
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
+
+
+@pytest.mark.parametrize(
+    "solve", [segment, segment_mixture, segment_fuzzy], ids=["layered", "mixture", "fuzzy"]
+)
+def test_init_table_layout_changes_no_output_byte(drift_packet, solve):
+    packet, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=12)
+    table = np.random.default_rng(5).random((packet.n, 3))
+    table /= table.sum(axis=1, keepdims=True)
+    starts = ((26.0, 2.0), (-20.0, 11.0), (0.0, 0.0))
+    clusters = ClusterSet([WarpParams("flow2", np.array(v)) for v in starts], np.ones(3, dtype=bool))
+    config = SolverConfig(max_iters=6)
+    runs = [
+        solve(packet, 3, "flow2", config, init=(clusters, layout(table)), early_stop=False)
+        for layout in LAYOUTS
+    ]
+    for r in runs:
+        assert r.associations.shape == (packet.n, 3)
+        assert r.associations.flags.c_contiguous
+    assert result_bytes(runs[0]) == result_bytes(runs[1])
+
+
 def test_segment_model_list_mismatch(mini_recording):
     with pytest.raises(ValueError):
         segment(mini_recording.packet, 3, ["flow2", "rotation"])
@@ -487,6 +519,31 @@ def test_stream_warm_start_halves_iterations(monkeypatch):
     for r in results[1:]:
         assert r.diagnostics["init"] == "given"
         assert r.iterations <= results[0].iterations // 2
+
+
+def test_stream_warm_windows_ignore_init_table_layout():
+    stream, _ = four_span_stream()
+    config = SolverConfig(max_iters=6)
+    inits = []
+
+    def solve(window, n_clusters, models, config, init=None):
+        inits.append(init)
+        return segment(window, n_clusters, models, config, init=init)
+
+    pairs = list(
+        segment_stream(stream, 2, "flow2", config, window_events=4000, stride_events=2000,
+                       solve=solve)
+    )
+    warm = [(w, r, init) for (w, r), init in zip(pairs, inits) if init is not None]
+    assert len(warm) >= 2
+    for window, result, (clusters, table) in warm:
+        # the stream hands each warm window a column-major table
+        assert table.flags.f_contiguous
+        assert result.associations.shape == (window.n, 2)
+        assert result.associations.flags.c_contiguous
+        for layout in LAYOUTS:
+            again = segment(window, 2, "flow2", config, init=(clusters, layout(table)))
+            assert result_bytes(again) == result_bytes(result)
 
 
 def test_stream_shorter_than_window_is_empty():
