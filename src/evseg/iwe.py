@@ -6,18 +6,29 @@ the score every solver in this package climbs.
 
 Mass deposit uses bilinear splatting onto the four neighbouring pixel
 centres; sampling uses the matching bilinear interpolation.  Both take each
-position's footprint from one helper, :func:`_corners`, which makes deposit
-and read-out adjoint to one another.  Events landing outside the sensor
-contribute only the in-bounds fraction of their mass; sampling outside
-returns zero.
+position's footprint from one helper, :func:`_footprint`, which makes
+deposit and read-out adjoint to one another.  The footprint indexes the
+sensor grid padded by a ring of ``RING`` pixels: a position is clamped
+into the ring first, so one that lands off the sensor (NaN and infinite
+ones included) puts all four corners on padding.  Events landing outside
+the sensor contribute only the in-bounds fraction of their mass; sampling
+outside returns zero.
 
-Every footprint is computed in per-thread scratch arrays rather than in
-position-sized temporaries: freeing a dozen such temporaries per call let
-the allocator hand their pages back to the system, and the next image build
-page-faulted them all in again.  The scratch is ``threading.local``, grows
-to the largest footprint seen in its thread and is used through ``[:n]``
-views, so a footprint's arrays are valid only until the next footprint is
-computed in that thread.  Arrays returned to callers never alias it.
+Every image build would otherwise allocate, and free, about eight
+grid-sized or position-sized arrays, and freeing them lets the allocator
+hand their pages back to the system, so the next build page-faults them all
+in again.  So the kernels work in per-thread scratch (``threading.local``):
+footprint rows that grow to the largest footprint seen, and padded grids
+kept per image shape.  What each function hands back:
+
+* fresh arrays: ``accumulate_weighted`` and ``smooth`` by default, and
+  ``sample_local`` unless given ``out``;
+* scratch views, valid until the next call of the same kind in the same
+  thread: ``accumulate_weighted(..., scratch=True)`` (the deposit grid) and
+  ``smooth(..., scratch=True)`` (the blur grid, whose zero ring
+  ``sample_local`` reads in place).
+
+``variance_contrast`` works in scratch and returns a float.
 """
 from __future__ import annotations
 
@@ -29,6 +40,8 @@ import numpy as np
 from scipy import ndimage
 
 from .events import ImageGeometry
+
+RING = 2    # padding pixels around every grid a footprint indexes
 
 
 class NegativeWeightError(ValueError):
@@ -55,97 +68,126 @@ class Iwe:
 
 
 class _Scratch(threading.local):
-    """One thread's work arrays for :func:`_corners`: four float rows, two
-    integer rows and two flag rows, each as long as the largest footprint
-    seen in this thread."""
+    """One thread's work arrays: the footprint rows, as long as the largest
+    footprint seen in this thread, and padded grids kept per image shape,
+    each with its sensor-sized interior view."""
 
     def __init__(self) -> None:
         self.size = -1
+        self.grids: dict = {}
+        self.deviations = np.empty(0)
 
-    def take(self, n: int):
+    def rows(self, n: int):
+        """(4, n) corner indices, (4, n) corner weights and one free row."""
         if n > self.size:
-            self.reals = np.empty((4, n))
-            self.ints = np.empty((2, n), dtype=np.int64)
-            self.flags = np.empty((2, n), dtype=bool)
+            # flat, so the (4, n) views of a shorter footprint stay contiguous
+            self.index = np.empty(4 * n, dtype=np.int64)
+            self.weight = np.empty(4 * n)
+            self.work = np.empty(n)
             self.size = n
-        return self.reals[:, :n], self.ints[:, :n], self.flags[:, :n]
+        return (
+            self.index[: 4 * n].reshape(4, n),
+            self.weight[: 4 * n].reshape(4, n),
+            self.work[:n],
+        )
+
+    def grid(self, geometry: ImageGeometry, kind: str, create: bool = True):
+        """This thread's flat padded grid of one kind for one image shape and
+        its interior view, or None when absent and not ``create``.  A new
+        grid is zero, ring included."""
+        key = (geometry.height, geometry.width, kind)
+        found = self.grids.get(key)
+        if found is None and create:
+            if len(self.grids) >= 12:     # a few shapes in turn, not a leak
+                self.grids.clear()
+            h, w = geometry.height, geometry.width
+            flat = np.zeros((h + 2 * RING) * (w + 2 * RING))
+            found = self.grids[key] = (flat, _interior(flat, geometry))
+        return found
 
 
 _scratch = _Scratch()
 
 
-def _corners(wx, wy, geometry: ImageGeometry):
-    """Bilinear footprint of each position on the sensor grid padded by one
-    pixel on every side, one corner at a time.
+def _interior(flat: np.ndarray, geometry: ImageGeometry) -> np.ndarray:
+    """The sensor-sized view of a flat grid padded by ``RING``."""
+    h, w = geometry.height, geometry.width
+    return flat.reshape(h + 2 * RING, w + 2 * RING)[RING:-RING, RING:-RING]
 
-    ``wx`` and ``wy`` are flat float64 arrays of one length.  Yields, in the
-    fixed order 00, 10, 01, 11, the flat padded index of each position's
-    corner, its corner weight and a free work array of the same length.  A
-    position whose 2x2 footprint misses the sensor, or has a NaN or infinite
-    coordinate, gets a padding cell (index 0 at corner 00) and weight 0.
-    All three arrays are scratch views, overwritten at the next corner.
+
+def _footprint(wx, wy, geometry: ImageGeometry):
+    """Bilinear footprint of each position on the sensor grid padded by
+    ``RING`` pixels on every side.
+
+    ``wx`` and ``wy`` are flat float64 arrays of one length n.  Returns
+    scratch views: the (4, n) flat padded indices and (4, n) weights of each
+    position's corners, in the order 00, 10, 01, 11, and a free (n,) row.
+    Positions are clamped into [-RING, w] x [-RING, h] first (``fmax`` maps
+    NaN to the low edge), which leaves every footprint that reaches the
+    sensor as it is and puts every other one, NaN and infinite positions
+    included, wholly on padding.  All three are overwritten by the next
+    footprint computed in this thread.
     """
     w, h = geometry.width, geometry.height
-    (ax, ay, cw, work), (base, index), (bad, edge) = _scratch.take(wx.size)
-    # NaN and inf positions are cast and subtracted too, then masked out
-    with np.errstate(invalid="ignore"):
-        np.floor(wx, out=ax)
-        np.floor(wy, out=ay)
-        # bad = not (-1 <= floor(x) < w and -1 <= floor(y) < h), tested on
-        # the floats: NaN fails every comparison, whatever its cast gives
-        np.greater_equal(ax, -1.0, out=bad)
-        bad &= np.less(ax, w, out=edge)
-        bad &= np.greater_equal(ay, -1.0, out=edge)
-        bad &= np.less(ay, h, out=edge)
-        np.logical_not(bad, out=bad)
-        np.copyto(base, ay, casting="unsafe")
-        base *= w + 2
-        np.copyto(index, ax, casting="unsafe")
-        base += index
-        base += w + 3
-        np.subtract(wx, ax, out=ax)
-        np.subtract(wy, ay, out=ay)
-    np.copyto(base, 0, where=bad)
-
-    def corner(off):
-        # zeroed by copy, not by multiplying with the mask: NaN * 0 is NaN
-        np.copyto(cw, 0.0, where=bad)
-        return np.add(base, off, out=index), cw, work
-
-    np.subtract(1.0, ax, out=cw)
-    cw *= np.subtract(1.0, ay, out=work)
-    yield corner(0)
-    np.multiply(ax, np.subtract(1.0, ay, out=work), out=cw)
-    yield corner(1)
-    np.subtract(1.0, ax, out=cw)
-    cw *= ay
-    yield corner(w + 2)
-    np.multiply(ax, ay, out=cw)
-    yield corner(w + 3)
+    stride = w + 2 * RING
+    index, weight, fx = _scratch.rows(wx.size)
+    # fy and the floors live in the weight rows until the weights overwrite
+    # them, so the footprint needs one row beyond its output
+    w00, w10, w01, w11 = weight
+    fy = w10
+    np.fmin(np.fmax(wx, -RING, out=fx), w, out=fx)
+    np.fmin(np.fmax(wy, -RING, out=fy), h, out=fy)
+    x0 = np.floor(fx, out=w00)
+    y0 = np.floor(fy, out=w01)
+    base = index[0]
+    np.copyto(base, y0, casting="unsafe")
+    base *= stride
+    np.copyto(index[1], x0, casting="unsafe")
+    base += index[1]
+    base += RING * stride + RING
+    np.add(base, 1, out=index[1])
+    np.add(base, stride, out=index[2])
+    np.add(base, stride + 1, out=index[3])
+    fx -= x0
+    fy -= y0
+    # (1-fx)(1-fy), fx(1-fy), (1-fx)fy and fx fy, in an order that writes
+    # each row after its last read
+    np.multiply(fx, fy, out=w11)
+    np.multiply(np.subtract(1.0, fx, out=w01), fy, out=w01)
+    one_y = np.subtract(1.0, fy, out=w10)
+    np.multiply(np.subtract(1.0, fx, out=w00), one_y, out=w00)
+    np.multiply(fx, one_y, out=w10)
+    return index, weight, fx
 
 
-def _splat(wx, wy, weights, geometry: ImageGeometry) -> np.ndarray:
-    w, h = geometry.width, geometry.height
-    size = (w + 2) * (h + 2)
-    weights = weights.ravel()
-    deposits = (
-        np.bincount(index, weights=np.multiply(weights, cw, out=work), minlength=size)
-        for index, cw, work in _corners(wx.ravel(), wy.ravel(), geometry)
-    )
-    # four corners summed in fixed order keeps the reduction deterministic;
-    # the first deposit is the grid itself (adding it to zeros would change
-    # no bit: bincount never returns -0.0)
-    padded = next(deposits)
-    for deposit in deposits:
-        padded += deposit
-    return padded.reshape(h + 2, w + 2)[1:-1, 1:-1]
+def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool) -> np.ndarray:
+    index, value, _ = _footprint(wx.ravel(), wy.ravel(), geometry)
+    value *= weights.ravel()
+    # one scatter of all corners, corner after corner: each pixel sums its
+    # deposits in a fixed order, into a fresh grid or this thread's own
+    if scratch:
+        padded, pixels = _scratch.grid(geometry, "deposit")
+        padded.fill(0.0)
+        np.add.at(padded, index.ravel(), value.ravel())
+        return pixels
+    size = (geometry.height + 2 * RING) * (geometry.width + 2 * RING)
+    padded = np.bincount(index.ravel(), weights=value.ravel(), minlength=size)
+    return _interior(padded, geometry)
 
 
 def accumulate_weighted(
-    wx: np.ndarray, wy: np.ndarray, weights: np.ndarray, geometry: ImageGeometry
+    wx: np.ndarray,
+    wy: np.ndarray,
+    weights: np.ndarray,
+    geometry: ImageGeometry,
+    *,
+    scratch: bool = False,
 ) -> Iwe:
     """Deposit per-event mass ``weights`` at warped positions by bilinear
-    splatting.  Weights must be finite and non-negative."""
+    splatting.  Weights must be finite and non-negative.
+
+    With ``scratch`` the image is this thread's deposit grid, overwritten by
+    its next scratch deposit; otherwise it is fresh."""
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -156,7 +198,7 @@ def accumulate_weighted(
             raise NegativeWeightError("event weights must be non-negative")
         if not np.isfinite(weights.max()):
             raise ValueError("event weights must be finite")
-    return Iwe(_splat(wx, wy, weights, geometry), geometry)
+    return Iwe(_splat(wx, wy, weights, geometry, scratch), geometry)
 
 
 def accumulate_unweighted(wx: np.ndarray, wy: np.ndarray, geometry: ImageGeometry) -> Iwe:
@@ -179,12 +221,14 @@ def _gaussian_taps(sigma: float) -> np.ndarray:
     return taps
 
 
-def smooth(iwe: Iwe, sigma: float) -> Iwe:
+def smooth(iwe: Iwe, sigma: float, *, scratch: bool = False) -> Iwe:
     """Gaussian blur with a normalised kernel truncated at radius
     ceil(3*sigma); sigma == 0 is the identity.
 
     Zero padding outside the sensor, so mass near borders leaks out rather
     than reflecting back (a warped-out event should not brighten the edge).
+    With ``scratch`` the blurred image is this thread's blur grid,
+    overwritten by its next scratch blur; otherwise it is fresh.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
@@ -195,31 +239,68 @@ def smooth(iwe: Iwe, sigma: float) -> Iwe:
     # call cost up to a fifth of the blur, paid by every image build however
     # few its events
     taps = _gaussian_taps(float(sigma))
-    blurred = np.empty(iwe.pixels.shape)
+    if scratch:
+        _, blurred = _scratch.grid(iwe.geometry, "blur")
+    else:
+        blurred = np.empty(iwe.pixels.shape)
     ndimage.correlate1d(iwe.pixels, taps, 0, blurred, mode="constant", cval=0.0)
     ndimage.correlate1d(blurred, taps, 1, blurred, mode="constant", cval=0.0)
     return Iwe(blurred, iwe.geometry)
 
 
 def variance_contrast(iwe: Iwe) -> float:
-    """Population variance of pixel values: the sharpness score."""
-    return float(np.var(iwe.pixels))
+    """Population variance of pixel values: the sharpness score.
+
+    The same arithmetic as ``np.var``, and so the same bytes, with the
+    deviations kept in this thread's scratch instead of a fresh array."""
+    pixels = iwe.pixels
+    size = pixels.size
+    if _scratch.deviations.size < size:
+        _scratch.deviations = np.empty(size)
+    deviations = _scratch.deviations[:size].reshape(pixels.shape)
+    mean = np.add.reduce(pixels, axis=None, keepdims=True)
+    np.true_divide(mean, size, out=mean)
+    np.subtract(pixels, mean, out=deviations)
+    np.square(deviations, out=deviations)
+    return float(np.add.reduce(deviations, axis=None) / size)
 
 
-def sample_local(iwe: Iwe, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+def _bordered(iwe: Iwe) -> np.ndarray:
+    """The image inside a flat zero ring of ``RING`` pixels: this thread's
+    blur grid itself when ``iwe`` is its last scratch blur, else a copy in
+    this thread's read grid."""
+    blur = _scratch.grid(iwe.geometry, "blur", create=False)
+    if blur is not None and iwe.pixels is blur[1]:
+        return blur[0]
+    padded, pixels = _scratch.grid(iwe.geometry, "read")
+    pixels[...] = iwe.pixels
+    return padded
+
+
+def sample_local(
+    iwe: Iwe, wx: np.ndarray, wy: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Bilinear read-out of the image at fractional positions; zero outside.
 
-    Adjoint of :func:`accumulate_weighted`'s deposit: both use :func:`_corners`.
+    Adjoint of :func:`accumulate_weighted`'s deposit: both use
+    :func:`_footprint`.  ``out``, a one-dimensional float64 array as long as
+    one-dimensional ``wx`` (a table column, say), receives the values and is
+    returned; without it the values come back in a fresh array.
     """
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
     if wx.shape != wy.shape:
         raise ValueError("coordinate arrays must share a shape")
-    padded = np.pad(iwe.pixels, 1).ravel()
-    out = np.zeros(wx.shape)
+    if out is None:
+        out = np.empty(wx.shape)
+    elif out.dtype != np.float64 or out.ndim != 1 or out.shape != wx.shape:
+        raise ValueError("out must be a 1-D float64 array shaped like wx")
+    padded = _bordered(iwe)
+    index, weight, work = _footprint(wx.ravel(), wy.ravel(), iwe.geometry)
     flat = out.reshape(-1)
-    for index, cw, work in _corners(wx.ravel(), wy.ravel(), iwe.geometry):
+    flat.fill(0.0)
+    for k in range(4):
         # every index is in range; "clip" lets take() write into work directly
-        np.take(padded, index, out=work, mode="clip")
-        flat += np.multiply(cw, work, out=work)
+        np.take(padded, index[k], out=work, mode="clip")
+        flat += np.multiply(weight[k], work, out=work)
     return out

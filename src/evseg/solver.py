@@ -22,7 +22,10 @@ finds no gain keeps its motion and takes no further step.  A settled layered
 cluster costs one image build per iteration, its sharpness at the new
 associations.  Each iteration's ascent keeps every live cluster's image at
 its final motion; the summed sharpness traced for the iteration and the next
-association refresh both read those images rather than rebuilding them.
+association refresh both read those images rather than rebuilding them.  The
+initial objective keeps its images the same way for the first refresh.  An
+image build works in per-thread scratch (see :func:`cluster_image`), so the
+kept images are copies, one buffer per cluster for the whole solve.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -151,10 +154,18 @@ def _resolve_models(models, n_clusters: int) -> list:
 
 
 class _Builds(threading.local):
-    """One thread's count of full-sensor image builds."""
+    """One thread's count of full-sensor image builds, and the buffers its
+    builds warp the packet into (as long as the longest packet seen)."""
 
     def __init__(self) -> None:
         self.count = 0
+        self.size = -1
+
+    def positions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n > self.size:
+            self.xy = np.empty((2, n))
+            self.size = n
+        return self.xy[0, :n], self.xy[1, :n]
 
 
 _builds = _Builds()
@@ -176,12 +187,20 @@ def cluster_image(
     """Warp the packet under one hypothesis, deposit the given weights and
     blur.  Returns the smoothed image plus the warped coordinates.
 
+    All three live in this thread's scratch and stay valid only until its
+    next build: a caller that keeps an image copies it.  With ``sigma`` 0
+    the image is a fresh copy of the deposit: the deposit grid is never
+    handed out.
+
     Every full-sensor image of warped events is built here, so this is the
     one place that adds to :func:`build_count`."""
-    wx, wy = warp_packet(packet, params)
-    img = accumulate_weighted(wx, wy, weights, packet.geometry)
+    wx, wy = warp_packet(packet, params, out=_builds.positions(packet.n))
+    img = accumulate_weighted(wx, wy, weights, packet.geometry, scratch=True)
     _builds.count += 1
-    return smooth(img, config.sigma), wx, wy
+    img = smooth(img, config.sigma, scratch=True)
+    if config.sigma == 0:
+        img = Iwe(img.pixels.copy(), img.geometry)
+    return img, wx, wy
 
 
 def cluster_contrast(
@@ -199,14 +218,35 @@ def objective(
     clusters: ClusterSet,
     associations: np.ndarray,
     config: SolverConfig,
+    *,
+    kept: dict | None = None,
 ) -> float:
-    """Summed per-cluster sharpness at the current motions and associations."""
+    """Summed per-cluster sharpness at the current motions and associations.
+
+    ``kept``, if given, receives each live cluster's ``(contrast, image)``
+    as :func:`ascend_motion` keeps them."""
     total = 0.0
     for j, prm in enumerate(clusters.params):
         if not clusters.alive[j]:
             continue
-        total += cluster_contrast(packet, prm, associations[:, j], config)
+        img, _, _ = cluster_image(packet, prm, associations[:, j], config)
+        contrast = variance_contrast(img)
+        if kept is not None:
+            _keep(kept, j, contrast, img)
+        total += contrast
     return total
+
+
+def _keep(kept: dict, j: int, contrast: float, img: Iwe) -> None:
+    """Store ``(contrast, a copy of img)`` as cluster j's kept image, into the
+    buffer j's previous image used if there is one."""
+    old = kept.get(j)
+    if old is None:
+        kept[j] = (contrast, Iwe(img.pixels.copy(), img.geometry))
+    else:
+        if img is not old[1]:
+            np.copyto(old[1].pixels, img.pixels)
+        kept[j] = (contrast, old[1])
 
 
 def update_associations(
@@ -226,6 +266,8 @@ def update_associations(
 
     ``images`` may map a cluster index to that image, already built at the
     cluster's params and incoming column; such a cluster is only re-warped.
+    They must be kept copies, not :func:`cluster_image` scratch views,
+    which the builds of the other clusters overwrite.
     """
     n, n_clusters = associations.shape
     alive_idx = np.flatnonzero(clusters.alive)
@@ -234,13 +276,13 @@ def update_associations(
         prm = clusters.params[j]
         if images is not None and j in images:
             img = images[j]
-            wx, wy = warp_packet(packet, prm)
+            wx, wy = warp_packet(packet, prm, out=_builds.positions(n))
         else:
             img, wx, wy = cluster_image(packet, prm, associations[:, j], config)
-        scores[:, col] = sample_local(img, wx, wy)
-    scores = np.maximum(scores, EPSILON_C)
+        sample_local(img, wx, wy, out=scores[:, col])
+    np.maximum(scores, EPSILON_C, out=scores)
     out = np.zeros_like(associations)
-    out[:, alive_idx] = scores / scores.sum(axis=1, keepdims=True)
+    out[:, alive_idx] = np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores)
     return out
 
 
@@ -304,6 +346,7 @@ def ascend_motion(
     associations: np.ndarray,
     config: SolverConfig,
     settled: np.ndarray,
+    kept: dict | None = None,
 ) -> tuple[ClusterSet, dict]:
     """One line-searched ascent step per live cluster, associations fixed.
 
@@ -315,10 +358,13 @@ def ascend_motion(
     across calls: a marked cluster takes no step, and a cluster whose line
     search fails gets marked.  Returns the new clusters and a dict that maps
     each live cluster to ``(contrast, image)`` at its returned params and
-    the given column.
+    the given column.  Passing the previous call's dict as ``kept`` updates
+    it in place and reuses its image buffers.
     """
     new_params = list(clusters.params)
-    kept = {}
+    kept = {} if kept is None else kept
+    for j in [j for j in kept if not clusters.alive[j]]:
+        del kept[j]
     for j in np.flatnonzero(clusters.alive):
         w = associations[:, j]
 
@@ -328,13 +374,16 @@ def ascend_motion(
 
         prm = clusters.params[j]
         f, img = evaluate(prm)
+        # kept before the differences below build over the scratch image
+        _keep(kept, j, f, img)
         if float(w.sum()) > 0.0 and not settled[j]:
             kappa = displacement_sensitivity(packet, prm)
             new_params[j], f, img, improved = _line_search_step(
-                evaluate, prm, kappa, config, f, img
+                evaluate, prm, kappa, config, f, kept[j][1]
             )
             settled[j] = not improved
-        kept[j] = (f, img)
+            # an accepted candidate was the last build, so it is still intact
+            _keep(kept, j, f, img)
     return ClusterSet(new_params, clusters.alive.copy()), kept
 
 
@@ -558,13 +607,14 @@ def _claim_mask(
     c_star = sample_local(img, wx, wy)
     kappa = displacement_sensitivity(packet, params)
     acc = np.zeros(packet.n)
+    probe = np.empty(packet.n)
     n_probes = 0
     for i in range(params.param_count):
         for sign in (1.0, -1.0):
             th = params.theta.copy()
             th[i] += sign * INIT_PERTURB_PX / kappa[i]
             pimg, pwx, pwy = cluster_image(packet, params.replace_theta(th), weights, config)
-            acc += sample_local(pimg, pwx, pwy)
+            acc += sample_local(pimg, pwx, pwy, out=probe)
             n_probes += 1
     return (c_star - acc / n_probes) > 0.0
 
@@ -646,27 +696,30 @@ def segment(
     greedy initialiser runs.  With ``early_stop`` off the full iteration
     budget is spent, which benchmarking uses for fixed-cost runs.
     """
-    kept: dict = {}     # cluster -> (contrast, image) from the last ascent
+    # cluster -> (contrast, image), from the initial objective and then from
+    # the last ascent, each image in one buffer per cluster for the whole run
+    kept: dict = {}
 
     def step(packet, clusters, associations, config, settled):
         """One layered alternation: association refresh, collapse, motion
-        ascent.  Every image it reads after the first refresh is one the
-        previous ascent built; summed sharpness is its own objective."""
-        nonlocal kept
+        ascent.  Every image its refresh reads is one the initial objective
+        or the previous ascent built; summed sharpness is its own
+        objective."""
         associations = update_associations(
             packet, clusters, associations, config,
             images={j: img for j, (_, img) in kept.items()},
         )
-        kept = {}       # free the old images before the ascent builds new ones
         clusters, associations = apply_collapse(clusters, associations, config)
-        clusters, kept = ascend_motion(packet, clusters, associations, config, settled)
+        clusters, _ = ascend_motion(packet, clusters, associations, config, settled, kept)
         total = sum(contrast for contrast, _ in kept.values())
         return clusters, associations, total, None
 
-    return _alternate(packet, n_clusters, models, config, init, early_stop, "layered", step)
+    return _alternate(
+        packet, n_clusters, models, config, init, early_stop, "layered", step, kept
+    )
 
 
-def _alternate(packet, n_clusters, models, config, init, early_stop, method, step):
+def _alternate(packet, n_clusters, models, config, init, early_stop, method, step, kept=None):
     """The alternation every back-end shares.
 
     Starts from ``init`` or the greedy initialiser, then repeats
@@ -684,7 +737,9 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     per cluster, the iteration (counted from 1) it settled in, or -1.
 
     A given init table may have either memory layout: the run works on a
-    column-major copy and returns its associations C-contiguous.
+    column-major copy and returns its associations C-contiguous.  ``kept``,
+    if given, receives the initial objective's images (see
+    :func:`objective`) for the first step to read.
     """
     if config is None:
         config = SolverConfig()
@@ -698,7 +753,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
             raise ValueError("init shape does not match packet / cluster count")
         init_mode = "given"
-    trace = [objective(packet, clusters, associations, config)]
+    trace = [objective(packet, clusters, associations, config, kept=kept)]
     own_trace: list[float] = []
     warp_counts: list[int] = []
     settled = np.zeros(n_clusters, dtype=bool)

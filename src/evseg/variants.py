@@ -68,10 +68,11 @@ class FuzzyState:
 
 def _column_table(column, packet, clusters, config) -> np.ndarray:
     """(n_events, n_clusters) table of ``column(packet, params, config)``
-    for each live cluster; dead clusters' columns stay zero."""
+    for each live cluster, each computed in its place; dead clusters'
+    columns stay zero."""
     table = np.zeros((packet.n, clusters.n_clusters), order="F")
     for j in np.flatnonzero(clusters.alive):
-        table[:, j] = column(packet, clusters.params[j], config)
+        column(packet, clusters.params[j], config, out=table[:, j])
     return table
 
 
@@ -89,20 +90,23 @@ def component_likelihood(
     packet: EventPacket,
     params: WarpParams,
     config: SolverConfig,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-event likelihood under one mixture component.
 
     The component's smoothed unweighted image, rescaled to integrate to one
     over the sensor, is read out at each event's warped position; values are
     floored at ``EPSILON_C`` so events off the cluster's support keep a tiny
-    but non-zero likelihood.
+    but non-zero likelihood.  Computed in ``out`` (a table column, say) if
+    given, else in a fresh array.
     """
     img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
     total = img.total_mass
-    values = sample_local(img, wx, wy)
+    values = sample_local(img, wx, wy, out=out)
     if total > 0.0:
-        values = values / total
-    return np.maximum(values, EPSILON_C)
+        values /= total
+    return np.maximum(values, EPSILON_C, out=values)
 
 
 def mixture_e_step(
@@ -144,9 +148,10 @@ def mixture_m_step(
         kappa = displacement_sensitivity(packet, clusters.params[j])
         trial = np.copy(likelihoods)
 
+        # each candidate's column is computed in the trial table; an accepted
+        # candidate is the line search's last, so its column is still there
         def evaluate(candidate: WarpParams, _j=j, _trial=trial) -> tuple[float, np.ndarray]:
-            column = component_likelihood(packet, candidate, config)
-            _trial[:, _j] = column
+            column = component_likelihood(packet, candidate, config, out=_trial[:, _j])
             return _log_likelihood(_trial, state.mixing), column
 
         f0 = _log_likelihood(likelihoods, state.mixing)
@@ -161,11 +166,15 @@ def fuzzy_affinity(
     packet: EventPacket,
     params: WarpParams,
     config: SolverConfig,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-event affinity log(1 + image value) under one motion; zero where
-    the warped position lands on empty pixels."""
+    the warped position lands on empty pixels.  Computed in ``out`` (a
+    table column, say) if given, else in a fresh array."""
     img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
-    return np.log1p(np.maximum(sample_local(img, wx, wy), 0.0))
+    values = sample_local(img, wx, wy, out=out)
+    return np.log1p(np.maximum(values, 0.0, out=values), out=values)
 
 
 def fuzzy_e_step(
@@ -199,12 +208,15 @@ def fuzzy_m_step(
     the refreshed affinity table."""
     clusters = state.clusters.copy()
     affinities = np.copy(affinities)
+    # each candidate's column is computed here; an accepted candidate is the
+    # line search's last, so its column is still here when it returns
+    column = np.empty(packet.n)
     for j in np.flatnonzero(clusters.alive & ~settled):
         kappa = displacement_sensitivity(packet, clusters.params[j])
         pw = state.membership[:, j] ** state.b
 
         def evaluate(candidate: WarpParams, _pw=pw) -> tuple[float, np.ndarray]:
-            column = fuzzy_affinity(packet, candidate, config)
+            fuzzy_affinity(packet, candidate, config, out=column)
             return float((_pw * column).sum()), column
 
         f0 = float((pw * affinities[:, j]).sum())

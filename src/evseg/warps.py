@@ -65,29 +65,36 @@ def warp_points(
     params: WarpParams,
     t_ref: float,
     center: tuple[float, float] = (0.0, 0.0),
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised warp of positions sampled at times ``t`` back to ``t_ref``.
 
     ``center`` is only used by the fourdof model (its rotation/scaling
-    pivot, normally the image centre).
+    pivot, normally the image centre).  ``out``, a pair of float64 arrays
+    of the broadcast shape, receives the warped positions and is returned;
+    without it they come back in fresh arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    dt = np.asarray(t, dtype=np.float64) - t_ref
+    t = np.asarray(t, dtype=np.float64)
     th = params.theta
     if params.model == "flow2":
-        # dt * theta goes straight into each output and is subtracted in
-        # place, so the two outputs are the only arrays allocated after dt
-        rx = np.multiply(dt, th[0], out=np.empty(np.broadcast(x, dt).shape))
-        ry = np.multiply(dt, th[1], out=np.empty(np.broadcast(y, dt).shape))
+        if out is None:
+            out = np.empty(np.broadcast(x, t).shape), np.empty(np.broadcast(y, t).shape)
+        rx, ry = out
+        # (t - t_ref) * v goes straight into each output and is subtracted
+        # in place, so nothing is allocated beyond the outputs
+        np.multiply(np.subtract(t, t_ref, out=rx), th[0], out=rx)
+        np.multiply(np.subtract(t, t_ref, out=ry), th[1], out=ry)
         return np.subtract(x, rx, out=rx), np.subtract(y, ry, out=ry)
+    dt = t - t_ref
     if params.model == "rotation":
         cx, cy, omega = th
         ang = -omega * dt
         ca, sa = np.cos(ang), np.sin(ang)
         ux, uy = x - cx, y - cy
-        return cx + ca * ux - sa * uy, cy + sa * ux + ca * uy
-    if params.model == "fourdof":
+        wx, wy = cx + ca * ux - sa * uy, cy + sa * ux + ca * uy
+    elif params.model == "fourdof":
         vx, vy, omega, s = th
         cx, cy = center
         ux = x - dt * vx - cx
@@ -97,8 +104,14 @@ def warp_points(
         rx = ca * ux - sa * uy
         ry = sa * ux + ca * uy
         scale = np.exp(-s * dt)
-        return cx + scale * rx, cy + scale * ry
-    raise ValueError(f"unknown warp model {params.model!r}")
+        wx, wy = cx + scale * rx, cy + scale * ry
+    else:
+        raise ValueError(f"unknown warp model {params.model!r}")
+    if out is None:
+        return wx, wy
+    out[0][...] = wx
+    out[1][...] = wy
+    return out[0], out[1]
 
 
 def warp_point(
@@ -116,10 +129,13 @@ def warp_point(
     return float(wx), float(wy)
 
 
-def warp_packet(packet, params: WarpParams) -> tuple[np.ndarray, np.ndarray]:
-    """Warp all events of a packet to its reference time."""
+def warp_packet(
+    packet, params: WarpParams, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Warp all events of a packet to its reference time, into ``out`` if
+    given (see :func:`warp_points`)."""
     return warp_points(
-        packet.x, packet.y, packet.t, params, packet.t_ref, packet.geometry.center
+        packet.x, packet.y, packet.t, params, packet.t_ref, packet.geometry.center, out
     )
 
 

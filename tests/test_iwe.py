@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evseg.events import ImageGeometry
+from evseg.events import ImageGeometry, make_packet
 from evseg.iwe import (
     Iwe,
     NegativeWeightError,
@@ -17,6 +17,7 @@ from evseg.iwe import (
     smooth,
     variance_contrast,
 )
+from evseg.solver import SolverConfig, cluster_contrast, cluster_image
 from evseg.warps import WarpParams, warp_points
 
 
@@ -221,7 +222,8 @@ def test_splat_and_sample_are_adjoint():
 
 def test_splat_and_sample_match_per_corner_oracle():
     # positions over [-2, w+1] x [-2, h+1] reach all four border strips and
-    # beyond; NaN and infinite positions must deposit and read nothing
+    # beyond; NaN and infinite positions must deposit and read nothing, and
+    # the edges of the clamp into the padding ring must keep their footprint
     rng = np.random.default_rng(4)
     n = 600
     wx = rng.uniform(-2, GEOM.width + 1, n)
@@ -230,6 +232,11 @@ def test_splat_and_sample_match_per_corner_oracle():
     wy[40:80] = np.round(wy[40:80])
     wx[80:84] = [np.nan, np.inf, -np.inf, 1e300]
     wy[84:88] = [np.nan, np.inf, -np.inf, -1e300]
+    width, height = GEOM.width, GEOM.height
+    wx[88:95] = [-1.5, -1.0, width - 1, width, width + 0.5, 1e300, -1e300]
+    wy[95:102] = [-1.5, -1.0, height - 1, height, height + 0.5, 1e300, -1e300]
+    edges = [-1.5, -1.0, -0.25, height - 1, height - 0.75, height, height + 0.5]
+    wy[102:109] = wx[102:109] = edges
     w = rng.uniform(0, 3, n)
     field = rng.normal(size=(GEOM.height, GEOM.width))
     expect_img = np.zeros((GEOM.height, GEOM.width))
@@ -244,6 +251,8 @@ def test_splat_and_sample_match_per_corner_oracle():
     np.testing.assert_allclose(img, expect_img, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(read, expect_read, rtol=1e-12, atol=1e-12)
     assert np.all(read[80:88] == 0.0)
+    # all but w - 1 (h - 1) put their whole weight off the sensor
+    assert np.all(np.delete(read[88:102], [2, 9]) == 0.0)
     # the border strips do receive mass, so the check above covers them
     assert expect_img[:, -1].sum() > 0 and expect_img[-1, :].sum() > 0
     assert expect_img[:, 0].sum() > 0 and expect_img[0, :].sum() > 0
@@ -296,19 +305,27 @@ def test_scratch_reuse_across_sizes_and_geometries():
 
 def test_concurrent_threads_keep_their_own_scratch():
     # more threads than cores, switching often: a scratch shared between
-    # threads would mix their footprints
+    # threads would mix their footprints, deposit grids, blur grids or
+    # warped positions
     geom = ImageGeometry(120, 90)
+    flow = WarpParams("flow2", np.array([40.0, -30.0]))
+    config = SolverConfig()
     inputs = []
     for seed in range(4):
         rng = np.random.default_rng(10 + seed)
         n = 20_000 + 1_000 * seed
         wx = rng.uniform(-2, geom.width + 1, n)
         wy = rng.uniform(-2, geom.height + 1, n)
-        inputs.append((wx, wy, rng.uniform(0, 2, n)))
+        t = rng.uniform(0.0, 0.1, n)
+        packet = make_packet(wx, wy, t, np.ones(n), geom, t_ref=0.05)
+        inputs.append((wx, wy, rng.uniform(0, 2, n), packet))
 
-    def run(wx, wy, w):
+    def run(wx, wy, w, packet):
         img = accumulate_weighted(wx, wy, w, geom)
-        return img.pixels.tobytes() + sample_local(img, wx, wy).tobytes()
+        out = [img.pixels, sample_local(img, wx, wy)]
+        built, bx, by = cluster_image(packet, flow, w, config)
+        out += [built.pixels, bx, by, sample_local(built, bx, by)]
+        return b"".join(a.tobytes() for a in out)
 
     expect = [run(*args) for args in inputs]
     mismatches = []
@@ -330,6 +347,32 @@ def test_concurrent_threads_keep_their_own_scratch():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert mismatches == []
+
+
+def test_steady_state_builds_do_not_page_fault(standard_recording):
+    # a build hands no grid- or position-sized buffer back to the allocator,
+    # so once its scratch has grown it pages nothing in; builds that freed
+    # their buffers made 230-376 minor faults each in a faulting process
+    resource = pytest.importorskip("resource")
+    pk = standard_recording.packet
+    params = WarpParams("flow2", np.array([50.0, 0.0]))
+    config = SolverConfig()
+    for n in (100, pk.n):
+        packet = make_packet(
+            pk.x[:n], pk.y[:n], pk.t[:n], pk.polarity[:n], pk.geometry, t_ref=pk.t_ref
+        )
+        weights = np.ones(n)
+        for _ in range(5):
+            cluster_contrast(packet, params, weights, config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            cluster_contrast(packet, params, weights, config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50, f"{faults} minor faults in 50 builds of {n} events"
+        # whether freed buffers fault depends on the allocator's state, so
+        # check the cause too: nothing grid-sized (345,600 bytes) is allocated
+        peak = _peak_bytes(lambda: cluster_contrast(packet, params, weights, config))
+        assert peak < 200_000
 
 
 def _peak_bytes(fn) -> int:

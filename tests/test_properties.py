@@ -1,9 +1,10 @@
 """Invariants checked on generated inputs: association tables keep rows that
 sum to one and dead columns at zero through every row normalisation and
 association refresh, and give the same bytes in C and in column-major
-order; splatting and sampling are adjoint; every warp is the identity at
-its reference time; the window count agrees with the windows actually
-yielded, and a settled cluster of any back-end never moves or steps again."""
+order; splatting and sampling are adjoint; the variance score gives the
+bytes of ``np.var``; every warp is the identity at its reference time; the
+window count agrees with the windows actually yielded, and a settled
+cluster of any back-end never moves or steps again."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
-from evseg.iwe import Iwe, accumulate_weighted, sample_local
+from evseg.iwe import Iwe, accumulate_weighted, sample_local, variance_contrast
 import evseg.solver as solver
 import evseg.variants as variants
 from evseg.solver import (
@@ -131,14 +132,19 @@ def refreshes(draw):
     return packet, ClusterSet(params, alive), valid_associations(table, alive), reuse
 
 
+def copied(image):
+    return Iwe(image.pixels.copy(), image.geometry)
+
+
 @given(refreshes(), st.sampled_from([0.0, 0.5, 1.0]))
 def test_update_associations_keeps_rows_normalised_and_reuses_images(drawn, sigma):
     packet, clusters, assoc, reuse = drawn
     config = SolverConfig(sigma=sigma)
     rebuilt = update_associations(packet, clusters, assoc, config)
     assert_rows_normalised(rebuilt, clusters.alive)
+    # a build's image lives in scratch until the next build: keep copies
     images = {
-        j: cluster_image(packet, clusters.params[j], assoc[:, j], config)[0]
+        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config)[0])
         for j in np.flatnonzero(clusters.alive & reuse)
     }
     reused = update_associations(packet, clusters, assoc, config, images=images)
@@ -224,6 +230,26 @@ def test_splat_and_sample_are_adjoint_on_generated_positions(drawn):
     # relative to the sum of the terms' magnitudes: signed pixels may cancel
     scale = float((weights * sample_local(Iwe(np.abs(pixels), geometry), wx, wy)).sum())
     assert abs(read - deposited) <= 1e-9 * scale
+
+
+@st.composite
+def images(draw):
+    """An image with exact zeros mixed in, as its own array or as the
+    interior of a zero-padded one (the layout of the kernels' grids)."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    values = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+    pixels = draw(arrays(np.float64, (height, width), elements=values))
+    if draw(st.booleans()):
+        padded = np.zeros((height + 4, width + 4))
+        padded[2:-2, 2:-2] = pixels
+        pixels = padded[2:-2, 2:-2]
+    return Iwe(pixels, ImageGeometry(width, height))
+
+
+@given(images())
+def test_variance_contrast_gives_the_bytes_of_np_var(image):
+    expect = np.var(image.pixels)
+    assert np.float64(variance_contrast(image)).tobytes() == expect.tobytes()
 
 
 @given(st.sampled_from(sorted(MODEL_PARAM_COUNT)), st.data())

@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 
 import evseg.solver as solver
 from evseg.events import ImageGeometry, count_windows, make_packet
-from evseg.iwe import variance_contrast
+from evseg.iwe import accumulate_weighted, variance_contrast
 from evseg.metrics import per_event_accuracy
 from evseg.simulate import Rect, SceneObject, SimConfig, preset_two_pebbles, simulate
 from evseg.solver import (
@@ -215,6 +215,45 @@ def test_ascend_keeps_each_image_and_skips_settled_clusters(drift_packet):
         assert contrast == variance_contrast(fresh)
 
 
+def test_kept_images_keep_their_bytes_across_later_builds(drift_packet):
+    # a build's image is this thread's scratch, overwritten by its next
+    # build; what the ascent keeps is a copy, one buffer per cluster that a
+    # later ascent given the same dict fills again
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=25, n_times=20)
+    cfg = SolverConfig()
+    clusters = ClusterSet(
+        [WarpParams("flow2", np.array([20.0, 0.0])) for _ in range(2)],
+        np.ones(2, dtype=bool),
+    )
+    w = np.full((pk.n, 2), 0.5)
+    settled = np.zeros(2, dtype=bool)
+    out, kept = ascend_motion(pk, clusters, w, cfg, settled)
+    saved = {j: img.pixels.tobytes() for j, (_, img) in kept.items()}
+    first, _, _ = cluster_image(pk, WarpParams("flow2", np.array([-40.0, 5.0])), w[:, 0], cfg)
+    second, _, _ = cluster_image(pk, WarpParams("flow2", np.array([55.0, 0.0])), w[:, 1], cfg)
+    assert np.shares_memory(first.pixels, second.pixels)
+    assert {j: img.pixels.tobytes() for j, (_, img) in kept.items()} == saved
+    buffers = {j: img.pixels for j, (_, img) in kept.items()}
+    _, again = ascend_motion(pk, out, w, cfg, settled, kept)
+    assert again is kept
+    assert all(again[j][1].pixels is buffers[j] for j in range(2))
+
+
+def test_unblurred_build_is_no_scratch_view(drift_packet):
+    # with sigma 0 the blur is the identity; the build must still hand back
+    # an image that no later build overwrites
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=25, n_times=20)
+    weights = np.ones(pk.n)
+    params = WarpParams("flow2", np.array([30.0, 0.0]))
+    img, wx, wy = cluster_image(pk, params, weights, SolverConfig(sigma=0.0))
+    saved = img.pixels.tobytes()
+    np.testing.assert_array_equal(img.pixels, accumulate_weighted(wx, wy, weights, pk.geometry).pixels)
+    for sigma in (0.0, 1.0):
+        later, _, _ = cluster_image(pk, zero_params("flow2"), weights, SolverConfig(sigma=sigma))
+        assert not np.shares_memory(img.pixels, later.pixels)
+    assert img.pixels.tobytes() == saved
+
+
 def test_objective_invariant_under_relabeling(drift_packet):
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=25, n_times=20)
     rng = np.random.default_rng(3)
@@ -405,6 +444,23 @@ def test_layered_step_equals_its_phases_run_apart(mini_recording, dying_run):
     for a, b in zip(result.clusters.params, clusters.params):
         np.testing.assert_array_equal(a.theta, b.theta)
     np.testing.assert_array_equal(result.diagnostics["settled"] > 0, settled)
+
+
+def test_layered_refreshes_build_no_image(monkeypatch, mini_recording):
+    # the initial objective and then each ascent keep every live cluster's
+    # image, so no association refresh of a layered solve builds one
+    builds = []
+    refresh = solver.update_associations
+
+    def counted(*args, **kwargs):
+        start = build_count()
+        out = refresh(*args, **kwargs)
+        builds.append(build_count() - start)
+        return out
+
+    monkeypatch.setattr(solver, "update_associations", counted)
+    result = segment(mini_recording.packet, 3, "flow2", SolverConfig(max_iters=6))
+    assert len(builds) == result.iterations and builds == [0] * result.iterations
 
 
 def test_settled_clusters_cost_one_build_each(mini_result, dying_run):
