@@ -187,10 +187,11 @@ def cluster_image(
     """Warp the packet under one hypothesis, deposit the given weights and
     blur.  Returns the smoothed image plus the warped coordinates.
 
-    All three live in this thread's scratch and stay valid only until its
-    next build: a caller that keeps an image copies it.  With ``sigma`` 0
-    the image is a fresh copy of the deposit: the deposit grid is never
-    handed out.
+    The blur is :func:`smooth`'s scratch one, equal to a fresh blur to
+    rounding.  All three live in this thread's scratch and stay valid only
+    until its next build: a caller that keeps an image copies it.  With
+    ``sigma`` 0 the image is a fresh copy of the deposit: the deposit grid
+    is never handed out.
 
     Every full-sensor image of warped events is built here, so this is the
     one place that adds to :func:`build_count`."""

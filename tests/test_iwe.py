@@ -170,6 +170,40 @@ def test_smooth_equals_scipy_gaussian_filter_bytes(sigma):
     assert smooth(iwe, sigma).pixels.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("height, width", [(1, 1), (5, 3), (21, 21), (45, 60), (181, 239)])
+@pytest.mark.parametrize("sigma", [0.75, 1.0, 2.3, 9.0])
+def test_scratch_smooth_matches_gaussian_filter_to_rounding(height, width, sigma):
+    # the banded products cut their edge bands to the image, which must act
+    # as gaussian_filter's zero padding also on images smaller than a block
+    # or than the kernel, and whatever the layout of the input
+    from scipy import ndimage
+
+    rng = np.random.default_rng(height * width)
+    geom = ImageGeometry(width, height)
+    # one image per layout, blurred in turn by this thread's one blur
+    for layout in (np.asarray, lambda a: np.pad(a, 2)[2:-2, 2:-2], np.asfortranarray):
+        pixels = rng.uniform(0, 3, (height, width))
+        expect = ndimage.gaussian_filter(
+            pixels, sigma=sigma, mode="constant", cval=0.0, radius=int(np.ceil(3 * sigma))
+        )
+        out = smooth(Iwe(layout(pixels), geom), sigma, scratch=True).pixels
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14 * expect.max())
+
+
+def test_scratch_smooth_reads_each_new_deposit():
+    # builds blur the same deposit grid every time, through windows made
+    # once per thread: the windows must see each new deposit
+    geom = ImageGeometry(40, 30)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        wx, wy = rng.uniform(-1, 41, 500), rng.uniform(-1, 31, 500)
+        w = rng.uniform(0, 2, 500)
+        expect = smooth(accumulate_weighted(wx, wy, w, geom), 1.0).pixels
+        deposit = accumulate_weighted(wx, wy, w, geom, scratch=True)
+        out = smooth(deposit, 1.0, scratch=True).pixels
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14 * expect.max())
+
+
 def test_smooth_leaks_mass_at_border():
     iwe = accumulate_weighted([0.0], [0.0], [1.0], GEOM)
     assert smooth(iwe, 1.5).total_mass < 1.0
@@ -305,7 +339,7 @@ def test_scratch_reuse_across_sizes_and_geometries():
 
 def test_concurrent_threads_keep_their_own_scratch():
     # more threads than cores, switching often: a scratch shared between
-    # threads would mix their footprints, deposit grids, blur grids or
+    # threads would mix their footprints, deposit grids, blur buffers or
     # warped positions
     geom = ImageGeometry(120, 90)
     flow = WarpParams("flow2", np.array([40.0, -30.0]))
