@@ -157,11 +157,16 @@ def write_associations_csv(path, result: SegmentationResult) -> None:
 
 
 def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
-    """Returns (associations, alive mask, cluster params list)."""
+    """Returns (associations, alive mask, cluster params list).
+
+    Raises :class:`ParseError` with the line number for a row whose field
+    count differs from the column header's and for a ``# live`` entry that
+    is not a column number (1 to the column count)."""
     rows = []
-    alive_cols: list = []
+    live_line = None
+    live: list = []
     params: list = []
-    header_seen = False
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -170,7 +175,7 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if parts and parts[0] == "live":
-                    alive_cols = [int(v) - 1 for v in parts[1:]]
+                    live_line, live = lineno, parts[1:]
                 elif parts and parts[0] == "cluster":
                     try:
                         model = parts[2]
@@ -179,19 +184,24 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
                     except (IndexError, ValueError) as exc:
                         raise ParseError(f"bad cluster header: {exc}", lineno)
                 continue
-            if not header_seen:
-                header_seen = True  # the p_1,...,p_J column row
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)  # the p_1,...,p_J column row
                 continue
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
             try:
-                rows.append([float(v) for v in line.split(",")])
+                rows.append([float(v) for v in fields])
             except ValueError:
                 raise ParseError(f"non-numeric association row {line!r}", lineno)
     if not rows:
         raise ParseError(f"{path} holds no association rows")
-    associations = np.asarray(rows)
-    alive = np.zeros(associations.shape[1], dtype=bool)
-    alive[alive_cols] = True
-    return associations, alive, params
+    alive = np.zeros(width, dtype=bool)
+    for v in live:
+        if not (v.isdecimal() and 1 <= int(v) <= width):
+            raise ParseError(f"live cluster {v!r} is not a column from 1 to {width}", live_line)
+        alive[int(v) - 1] = True
+    return np.asarray(rows), alive, params
 
 
 def write_params_csv(path, result: SegmentationResult) -> None:

@@ -19,33 +19,31 @@ grid-sized or position-sized arrays, and freeing them lets the allocator
 hand their pages back to the system, so the next build page-faults them all
 in again.  So the kernels work in per-thread scratch (``threading.local``):
 footprint rows that grow to the largest footprint seen, padded grids kept
-per image shape, and blur buffers kept per image shape and sigma.  What
-each function hands back:
+per image shape, and blurs kept per image shape and sigma.
 
-* fresh arrays: ``accumulate_weighted`` and ``smooth`` by default, and
-  ``sample_local`` unless given ``out``;
-* scratch views, valid until the next call of the same kind in the same
-  thread: ``accumulate_weighted(..., scratch=True)`` (the deposit grid) and
-  ``smooth(..., scratch=True)`` (the output of the blur kept for that image
-  shape and sigma).
+There is one deposit and one blur.  The deposit scatters every corner into
+this thread's deposit grid; the blur computes ``gaussian_filter``'s
+weighted sums as banded matrix products (see :class:`_BandedBlur`), a few
+BLAS calls in place of a scalar loop over every pixel, and agrees with
+``gaussian_filter`` to rounding (a few ulp), not to the byte.  What each
+function hands back:
 
-A fresh blur makes ``scipy.ndimage.gaussian_filter``'s two correlation
-passes and gives its bytes.  A scratch blur, the one every image build
-makes, computes the same weighted sums as banded matrix products: a few
-BLAS calls in place of a scalar loop over every pixel, which took most of
-a build's fixed cost.  It agrees with the fresh blur to rounding (a few
-ulp), not to the byte.
+* by default, fresh arrays: ``accumulate_weighted`` and ``smooth`` copy
+  what the kernel left in scratch, and ``sample_local`` fills a new array
+  unless given ``out``;
+* with ``scratch=True``, the scratch itself: ``accumulate_weighted`` the
+  deposit grid and ``smooth`` the output of the blur kept for that image
+  shape and sigma.  A scratch view lasts until the thread's next call of
+  the same function for the same shape (and sigma), fresh or scratch.
 
 ``variance_contrast`` works in scratch and returns a float.
 """
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .events import ImageGeometry
 
@@ -77,8 +75,10 @@ class Iwe:
 
 class _Scratch(threading.local):
     """One thread's work arrays: the footprint rows, as long as the largest
-    footprint seen in this thread, and padded grids kept per image shape,
-    each with its sensor-sized interior view."""
+    footprint seen in this thread; padded grids kept per image shape, each
+    with its sensor-sized interior view; the blurs kept per image shape and
+    sigma; and the deviations of ``variance_contrast``.  Fresh and scratch
+    calls share them."""
 
     def __init__(self) -> None:
         self.size = -1
@@ -181,16 +181,12 @@ def _footprint(wx, wy, geometry: ImageGeometry):
 def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool) -> np.ndarray:
     index, value, _ = _footprint(wx.ravel(), wy.ravel(), geometry)
     value *= weights.ravel()
-    # one scatter of all corners, corner after corner: each pixel sums its
-    # deposits in a fixed order, into a fresh grid or this thread's own
-    if scratch:
-        padded, pixels = _scratch.grid(geometry, "deposit")
-        padded.fill(0.0)
-        np.add.at(padded, index.ravel(), value.ravel())
-        return pixels
-    size = (geometry.height + 2 * RING) * (geometry.width + 2 * RING)
-    padded = np.bincount(index.ravel(), weights=value.ravel(), minlength=size)
-    return _interior(padded, geometry)
+    # one scatter of all corners, corner after corner, into this thread's
+    # deposit grid: each pixel sums its deposits in a fixed order
+    padded, pixels = _scratch.grid(geometry, "deposit")
+    padded.fill(0.0)
+    np.add.at(padded, index.ravel(), value.ravel())
+    return pixels if scratch else pixels.copy()
 
 
 def accumulate_weighted(
@@ -204,8 +200,9 @@ def accumulate_weighted(
     """Deposit per-event mass ``weights`` at warped positions by bilinear
     splatting.  Weights must be finite and non-negative.
 
-    With ``scratch`` the image is this thread's deposit grid, overwritten by
-    its next scratch deposit; otherwise it is fresh."""
+    With ``scratch`` the image is this thread's deposit grid for its shape,
+    overwritten by its next deposit of that shape; otherwise it is a fresh
+    copy of that grid."""
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -223,20 +220,6 @@ def accumulate_unweighted(wx: np.ndarray, wy: np.ndarray, geometry: ImageGeometr
     """Deposit unit mass per event (all weights one)."""
     wx = np.asarray(wx, dtype=np.float64)
     return accumulate_weighted(wx, wy, np.ones(wx.shape), geometry)
-
-
-@functools.lru_cache(maxsize=16)
-def _gaussian_taps(sigma: float) -> np.ndarray:
-    """Normalised 1-D Gaussian truncated at radius ceil(3*sigma), computed
-    as ``scipy.ndimage.gaussian_filter`` computes its kernel.  It is
-    symmetric, so correlating with it is convolving with it.  Read-only,
-    because every caller shares it."""
-    radius = int(np.ceil(3.0 * sigma))
-    x = np.arange(-radius, radius + 1)
-    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-    taps = phi / phi.sum()
-    taps.flags.writeable = False
-    return taps
 
 
 def _windows(a: np.ndarray, count: int, step: int, length: int, axis: int) -> np.ndarray:
@@ -272,8 +255,13 @@ class _BandedBlur:
     BLOCK = 8
 
     def __init__(self, height: int, width: int, sigma: float) -> None:
-        self.taps = taps = _gaussian_taps(sigma)
-        self.radius = r = taps.size // 2
+        # gaussian_filter's kernel: normalised, truncated at radius
+        # ceil(3*sigma), computed as scipy computes it; it is symmetric, so
+        # correlating with it is convolving with it
+        self.radius = r = int(np.ceil(3.0 * sigma))
+        x = np.arange(-r, r + 1)
+        phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+        self.taps = phi / phi.sum()
         b = self.BLOCK
         # row blocks first .. last-1 read only image rows, through one band
         self.first = -(-r // b)
@@ -329,26 +317,17 @@ def smooth(iwe: Iwe, sigma: float, *, scratch: bool = False) -> Iwe:
 
     Zero padding outside the sensor, so mass near borders leaks out rather
     than reflecting back (a warped-out event should not brighten the edge).
-    With ``scratch`` the blurred image is this thread's blur output for its
-    shape and sigma, overwritten by its next scratch blur of that shape and
-    sigma, and is computed as banded products (see :class:`_BandedBlur`):
-    equal to ``gaussian_filter`` to rounding.  Otherwise it is fresh and has
-    ``gaussian_filter``'s bytes.
+    The blur is this thread's :class:`_BandedBlur` for the image's shape and
+    sigma: equal to ``gaussian_filter`` to rounding.  With ``scratch`` the
+    blurred image is that blur's output, overwritten by its next call, fresh
+    or scratch; otherwise it is a fresh copy of that output.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return iwe
-    if scratch:
-        return Iwe(_scratch.blur(iwe.geometry, float(sigma))(iwe.pixels), iwe.geometry)
-    # the two passes ndimage.gaussian_filter makes (along axis 0, then along
-    # axis 1 in place) with the kernel cached: gaussian_filter's set-up per
-    # call costs up to a fifth of the blur
-    taps = _gaussian_taps(float(sigma))
-    blurred = np.empty(iwe.pixels.shape)
-    ndimage.correlate1d(iwe.pixels, taps, 0, blurred, mode="constant", cval=0.0)
-    ndimage.correlate1d(blurred, taps, 1, blurred, mode="constant", cval=0.0)
-    return Iwe(blurred, iwe.geometry)
+    blurred = _scratch.blur(iwe.geometry, float(sigma))(iwe.pixels)
+    return Iwe(blurred if scratch else blurred.copy(), iwe.geometry)
 
 
 def variance_contrast(iwe: Iwe) -> float:

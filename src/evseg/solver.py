@@ -187,11 +187,12 @@ def cluster_image(
     """Warp the packet under one hypothesis, deposit the given weights and
     blur.  Returns the smoothed image plus the warped coordinates.
 
-    The blur is :func:`smooth`'s scratch one, equal to a fresh blur to
-    rounding.  All three live in this thread's scratch and stay valid only
-    until its next build: a caller that keeps an image copies it.  With
-    ``sigma`` 0 the image is a fresh copy of the deposit: the deposit grid
-    is never handed out.
+    The deposit and blur are :mod:`evseg.iwe`'s scratch results, the bytes
+    of a fresh call without its copy.  All three live in this thread's
+    scratch and stay valid only until its next build, or its next deposit
+    or blur of the sensor's shape (fresh ones included): a caller that
+    keeps an image copies it.  With ``sigma`` 0 the image is a fresh copy
+    of the deposit: the deposit grid is never handed out.
 
     Every full-sensor image of warped events is built here, so this is the
     one place that adds to :func:`build_count`."""
@@ -458,9 +459,10 @@ def _coarse_eval_factory(packet: EventPacket, weights: np.ndarray):
     t_ref = packet.t_ref
 
     def evaluate(params: WarpParams) -> float:
+        # the image becomes a float at once, so it may stay in scratch
         wx, wy = warp_points(xs, ys, ts, params, t_ref, center)
-        img = accumulate_weighted(wx / scale, wy / scale, ws, geom)
-        return variance_contrast(smooth(img, 0.75))
+        img = accumulate_weighted(wx / scale, wy / scale, ws, geom, scratch=True)
+        return variance_contrast(smooth(img, 0.75, scratch=True))
 
     return evaluate
 

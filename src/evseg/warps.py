@@ -140,24 +140,26 @@ def warp_packet(
 
 
 def numeric_warp_jacobian(
-    x: float,
-    y: float,
-    t: float,
+    x: float | np.ndarray,
+    y: float | np.ndarray,
+    t: float | np.ndarray,
     params: WarpParams,
     t_ref: float,
     h: float = 1e-2,
     center: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Central-difference sensitivity of the warped position to each
-    parameter, shape (param_count, 2)."""
-    out = np.empty((params.param_count, 2))
+    """Central-difference sensitivity of the warped positions to each
+    parameter, shape (param_count, 2) + the broadcast shape of ``x``, ``y``
+    and ``t``: entry [i, 0] is d(warped x)/d(theta_i), [i, 1] the same for
+    warped y.  Scalars give shape (param_count, 2)."""
+    out = np.empty((params.param_count, 2) + np.broadcast(x, y, t).shape)
     for i in range(params.param_count):
         tp = params.theta.copy()
         tp[i] += h
-        xp, yp = warp_point(x, y, t, params.replace_theta(tp), t_ref, center)
+        xp, yp = warp_points(x, y, t, params.replace_theta(tp), t_ref, center)
         tm = params.theta.copy()
         tm[i] -= h
-        xm, ym = warp_point(x, y, t, params.replace_theta(tm), t_ref, center)
+        xm, ym = warp_points(x, y, t, params.replace_theta(tm), t_ref, center)
         out[i, 0] = (xp - xm) / (2.0 * h)
         out[i, 1] = (yp - ym) / (2.0 * h)
     return out
@@ -165,27 +167,19 @@ def numeric_warp_jacobian(
 
 def displacement_sensitivity(packet, params: WarpParams) -> np.ndarray:
     """Per-parameter bound on how far warped positions move per unit change
-    of that parameter, estimated by central differences of step 1e-2 on a
-    subsample of at least 512 events (every event of a smaller packet).
+    of that parameter: the largest length of :func:`numeric_warp_jacobian`'s
+    (d warped x, d warped y) over a subsample of at least 512 events (every
+    event of a smaller packet), at its default step 1e-2.
 
     Used to express pixel-unit step limits and perturbations in native
     parameter units.
     """
-    h = 1e-2
     idx = subsample_indices(packet.n, 512)
-    xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
-    center = packet.geometry.center
-    kappa = np.empty(params.param_count)
-    for i in range(params.param_count):
-        tp = params.theta.copy()
-        tp[i] += h
-        xp, yp = warp_points(xs, ys, ts, params.replace_theta(tp), packet.t_ref, center)
-        tm = params.theta.copy()
-        tm[i] -= h
-        xm, ym = warp_points(xs, ys, ts, params.replace_theta(tm), packet.t_ref, center)
-        dx = (xp - xm) / (2.0 * h)
-        dy = (yp - ym) / (2.0 * h)
-        kappa[i] = float(np.sqrt(dx * dx + dy * dy).max())
+    dx, dy = numeric_warp_jacobian(
+        packet.x[idx], packet.y[idx], packet.t[idx], params, packet.t_ref,
+        center=packet.geometry.center,
+    ).swapaxes(0, 1)
+    kappa = np.sqrt(dx * dx + dy * dy).max(axis=1)
     # a parameter with no positional effect gets a tiny floor so step
     # clamps expressed as pixels/kappa stay finite
     return np.maximum(kappa, 1e-12)

@@ -100,6 +100,25 @@ class TestDataErrors:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# live 0\np_1,p_2\n1.0,0.0\n",
+            "# live 5\np_1,p_2\n1.0,0.0\n",
+            "# live 1\np_1,p_2\n1.0,0.0\n1.0\n",
+        ],
+        ids=["live-zero", "live-past-columns", "ragged-row"],
+    )
+    def test_eval_rejects_bad_association_file(self, tmp_path, capsys, text):
+        assoc = tmp_path / "assoc.csv"
+        assoc.write_text(text)
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n1\n")
+        assert main(["eval", "--assoc", str(assoc), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "Traceback" not in err
+
+
 class TestPipeline:
     def test_simulate_writes_recording(self, sim_dir, capsys):
         packet, geom = read_events_text(sim_dir / "events.txt")

@@ -176,6 +176,27 @@ class TestCsv:
             read_associations_csv(path)
         assert err.value.line_number == 4
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# live 0\np_1,p_2\n0.5,0.5\n", 1),
+            ("# live 1 5\np_1,p_2\n0.5,0.5\n", 1),
+            ("p_1,p_2\n0.5,0.5\n# live x\n", 3),
+            ("# live 1\np_1,p_2\n0.5,0.5\n1.0\n", 4),
+            ("# live 1\np_1,p_2\n0.5,0.5\n0.2,0.3,0.5\n", 4),
+        ],
+        ids=["live-zero", "live-past-columns", "live-not-a-number", "short-row", "long-row"],
+    )
+    def test_bad_live_index_or_ragged_row_rejected(self, tmp_path, text, line):
+        # a live index outside the columns would mark another cluster live
+        # (0 the last one) or fail with a bare IndexError, and ragged rows
+        # would fail inside numpy without a line number
+        path = tmp_path / "assoc.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_associations_csv(path)
+        assert err.value.line_number == line
+
     def test_params_table(self, tmp_path):
         path = tmp_path / "params.csv"
         result = tiny_result()

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import evseg.iwe as iwe_module
 from evseg.events import ImageGeometry, make_packet
 from evseg.iwe import (
     Iwe,
@@ -154,54 +155,84 @@ def test_smooth_impulse_matches_kernel_oracle():
     assert out.total_mass == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("sigma", [0.75, 1.0, 1.5, 2.3])
-def test_smooth_equals_scipy_gaussian_filter_bytes(sigma):
-    # smooth runs gaussian_filter's two correlation passes itself; on the
-    # strided images splatting returns it must give the same bytes
-    from scipy import ndimage
-
-    rng = np.random.default_rng(7)
-    iwe = accumulate_weighted(
-        rng.uniform(-1, 60, 3000), rng.uniform(-1, 45, 3000), np.ones(3000), ImageGeometry(60, 45)
-    )
-    expect = ndimage.gaussian_filter(
-        iwe.pixels, sigma=sigma, mode="constant", cval=0.0, radius=int(np.ceil(3 * sigma))
-    )
-    assert smooth(iwe, sigma).pixels.tobytes() == expect.tobytes()
-
-
 @pytest.mark.parametrize("height, width", [(1, 1), (5, 3), (21, 21), (45, 60), (181, 239)])
 @pytest.mark.parametrize("sigma", [0.75, 1.0, 2.3, 9.0])
 def test_scratch_smooth_matches_gaussian_filter_to_rounding(height, width, sigma):
     # the banded products cut their edge bands to the image, which must act
     # as gaussian_filter's zero padding also on images smaller than a block
-    # or than the kernel, and whatever the layout of the input
+    # or than the kernel, and whatever the layout of the input; a fresh blur
+    # is a copy of the same output.  scratch is looped here rather than
+    # parametrized so that the test keeps its ids
     from scipy import ndimage
 
     rng = np.random.default_rng(height * width)
     geom = ImageGeometry(width, height)
-    # one image per layout, blurred in turn by this thread's one blur
-    for layout in (np.asarray, lambda a: np.pad(a, 2)[2:-2, 2:-2], np.asfortranarray):
-        pixels = rng.uniform(0, 3, (height, width))
-        expect = ndimage.gaussian_filter(
-            pixels, sigma=sigma, mode="constant", cval=0.0, radius=int(np.ceil(3 * sigma))
-        )
-        out = smooth(Iwe(layout(pixels), geom), sigma, scratch=True).pixels
-        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14 * expect.max())
+    # one image per layout and kind of result, blurred in turn by this
+    # thread's one blur
+    for scratch in (True, False):
+        for layout in (np.asarray, lambda a: np.pad(a, 2)[2:-2, 2:-2], np.asfortranarray):
+            pixels = rng.uniform(0, 3, (height, width))
+            expect = ndimage.gaussian_filter(
+                pixels, sigma=sigma, mode="constant", cval=0.0, radius=int(np.ceil(3 * sigma))
+            )
+            out = smooth(Iwe(layout(pixels), geom), sigma, scratch=scratch).pixels
+            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14 * expect.max())
 
 
 def test_scratch_smooth_reads_each_new_deposit():
     # builds blur the same deposit grid every time, through windows made
-    # once per thread: the windows must see each new deposit
+    # once per thread: the windows must see each new deposit.  The reference
+    # is scipy's, since a fresh smooth would give the blur another source
+    from scipy import ndimage
+
     geom = ImageGeometry(40, 30)
     rng = np.random.default_rng(5)
     for _ in range(3):
         wx, wy = rng.uniform(-1, 41, 500), rng.uniform(-1, 31, 500)
         w = rng.uniform(0, 2, 500)
-        expect = smooth(accumulate_weighted(wx, wy, w, geom), 1.0).pixels
+        expect = ndimage.gaussian_filter(
+            accumulate_weighted(wx, wy, w, geom).pixels, sigma=1.0, mode="constant", radius=3
+        )
         deposit = accumulate_weighted(wx, wy, w, geom, scratch=True)
         out = smooth(deposit, 1.0, scratch=True).pixels
         np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14 * expect.max())
+
+
+def _thread_buffers():
+    """Every array in this thread's kernel scratch."""
+    s = iwe_module._scratch
+    out = [s.index, s.weight, s.work, s.deviations]
+    out += [flat for flat, _ in s.grids.values()]
+    for blur in s.blurs.values():
+        out += [blur.mid, blur.result]
+    return out
+
+
+@pytest.mark.parametrize("kernel", ["deposit", "blur"])
+def test_fresh_result_is_an_unshared_copy_of_the_scratch_result(kernel):
+    # one kernel per job: a fresh deposit or blur has the bytes of the
+    # scratch one, owns its memory, and keeps its bytes through later calls
+    geom = ImageGeometry(40, 30)
+    rng = np.random.default_rng(11)
+
+    def draw():
+        return rng.uniform(-1, 41, 500), rng.uniform(-1, 31, 500), rng.uniform(0, 2, 500)
+
+    def run(wx, wy, w, scratch):
+        if kernel == "deposit":
+            return accumulate_weighted(wx, wy, w, geom, scratch=scratch).pixels
+        deposit = accumulate_weighted(wx, wy, w, geom, scratch=True)
+        return smooth(deposit, 1.0, scratch=scratch).pixels
+
+    args = draw()
+    fresh = run(*args, scratch=False)
+    kept = fresh.tobytes()
+    assert run(*args, scratch=True).tobytes() == kept
+    assert fresh.flags.owndata
+    assert not any(np.shares_memory(fresh, buf) for buf in _thread_buffers())
+    for scratch in (False, True, False, True):
+        run(*draw(), scratch=scratch)
+    assert fresh.tobytes() == kept
 
 
 def test_smooth_leaks_mass_at_border():

@@ -3,8 +3,9 @@ sum to one and dead columns at zero through every row normalisation and
 association refresh, and give the same bytes in C and in column-major
 order; splatting and sampling are adjoint; the variance score gives the
 bytes of ``np.var``; every warp is the identity at its reference time; the
-window count agrees with the windows actually yielded, and a settled
-cluster of any back-end never moves or steps again."""
+window count agrees with the windows actually yielded, a settled cluster
+of any back-end never moves or steps again, and swapping the two initial
+clusters of a layered solve swaps its outputs."""
 
 import numpy as np
 import pytest
@@ -149,6 +150,42 @@ def test_update_associations_keeps_rows_normalised_and_reuses_images(drawn, sigm
     }
     reused = update_associations(packet, clusters, assoc, config, images=images)
     assert reused.tobytes() == rebuilt.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "velocities, alive",
+    [
+        (((30.0, 0.0), (-24.0, 14.0)), (True, True)),
+        (((30.0, 0.0), (-24.0, 14.0), (4.0, -22.0)), (True, True, True)),
+        (((30.0, 0.0), (-24.0, 14.0), (4.0, -22.0)), (True, False, True)),
+    ],
+)
+def test_update_associations_reuses_every_live_image(drift_packet, velocities, alive, sigma):
+    # the generated refreshes above rarely pass two or more live images:
+    # here every live cluster's image is passed, the clusters move apart
+    # and the rows are far from uniform, so a mixed-up image shows
+    packet, labels = drift_packet(velocities, n_sources=20, n_times=12)
+    alive = np.array(alive)
+    clusters = ClusterSet([WarpParams("flow2", np.array(v)) for v in velocities], alive)
+    rng = np.random.default_rng(3)
+    table = rng.uniform(0.05, 0.3, (packet.n, alive.size))
+    table[np.arange(packet.n), labels - 1] += 1.0
+    assoc = valid_associations(table, alive)
+    config = SolverConfig(sigma=sigma)
+    rebuilt = update_associations(packet, clusters, assoc, config)
+    live = np.flatnonzero(alive)
+    assert np.ptp(rebuilt[:, live], axis=1).mean() > 0.2
+    images = {
+        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config)[0])
+        for j in live
+    }
+    reused = update_associations(packet, clusters, assoc, config, images=images)
+    assert reused.tobytes() == rebuilt.tobytes()
+    mixed = dict(images)
+    mixed[live[1]] = images[live[0]]
+    wrong = update_associations(packet, clusters, assoc, config, images=mixed)
+    assert np.abs(wrong - rebuilt).max() > 0.1
 
 
 LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
@@ -339,3 +376,32 @@ def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed)
         short = run(packet, j, "flow2", SolverConfig(max_iters=int(k)), init=init,
                     early_stop=False)
         assert short.clusters.params[c].theta.tobytes() == full.clusters.params[c].theta.tobytes()
+
+
+# J=2 and the layered back-end only: a sum of two floats is the same in
+# either order, but a sum over three or more clusters depends on their order,
+# the mixture's M-step updates clusters in index order, and the fuzzy
+# back-end's own objective sums its table in memory order
+@given(
+    st.lists(velocities, min_size=1, max_size=2),
+    st.lists(velocities, min_size=2, max_size=2, unique=True),
+    st.integers(0, 1000),
+)
+def test_swapping_the_two_initial_clusters_swaps_every_layered_output(truth, starts, seed):
+    packet, _ = build_drift_packet(truth, n_sources=12, n_times=10, seed=seed)
+    share = np.random.default_rng(seed).uniform(0.1, 0.9, packet.n)
+    assoc = np.column_stack([share, 1.0 - share])
+    params = [WarpParams("flow2", np.array(v)) for v in starts]
+    config = SolverConfig(max_iters=8)
+    alive = np.ones(2, dtype=bool)
+    ab = segment(packet, 2, "flow2", config, init=(ClusterSet(params, alive), assoc))
+    ba = segment(
+        packet, 2, "flow2", config,
+        init=(ClusterSet(params[::-1], alive), np.ascontiguousarray(assoc[:, ::-1])),
+    )
+    assert [p.theta.tobytes() for p in ba.clusters.params] == [
+        p.theta.tobytes() for p in ab.clusters.params[::-1]
+    ]
+    assert ba.clusters.alive.tobytes() == ab.clusters.alive[::-1].tobytes()
+    assert ba.associations.tobytes() == np.ascontiguousarray(ab.associations[:, ::-1]).tobytes()
+    assert ba.objective_trace.tobytes() == ab.objective_trace.tobytes()

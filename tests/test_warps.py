@@ -175,6 +175,27 @@ def test_vectorised_warp_matches_scalar_loop_exactly():
             assert wx[i] == sx and wy[i] == sy
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_vectorised_jacobian_matches_scalar_calls_exactly(model):
+    # one difference loop serves points and arrays: the array Jacobian, shape
+    # (p, 2) + the input shape, is the per-point Jacobians stacked
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 200, (3, 7))
+    y = rng.uniform(0, 150, (3, 7))
+    t = rng.uniform(0, 0.5, (3, 7))
+    p = WarpParams(model, rng.uniform(-3, 3, MODEL_PARAM_COUNT[model]))
+    jac = numeric_warp_jacobian(x, y, t, p, 0.2, center=(99.5, 74.5))
+    assert jac.shape == (p.param_count, 2, 3, 7)
+    stacked = np.stack(
+        [
+            numeric_warp_jacobian(xi, yi, ti, p, 0.2, center=(99.5, 74.5))
+            for xi, yi, ti in zip(x.ravel(), y.ravel(), t.ravel())
+        ],
+        axis=-1,
+    ).reshape(jac.shape)
+    assert jac.tobytes() == stacked.tobytes()
+
+
 def test_displacement_sensitivity_flow_equals_max_dt():
     geom = ImageGeometry(64, 48)
     t = np.array([0.0, 0.05, 0.2])
