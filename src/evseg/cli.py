@@ -236,16 +236,14 @@ def _cmd_segment(args) -> int:
         "fuzzy": partial(segment_fuzzy, b=run.fuzziness),
     }[run.method]
 
-    if run.window_events and run.window_events < packet.n:
-        stride = run.stride_events or None
-        multi = count_windows(packet.n, run.window_events, stride) > 1
-        pairs = segment_stream(
-            packet, run.n_clusters, run.model_list(), solver_cfg,
-            run.window_events, stride, run.t_ref_mode, solve,
-        )
-    else:
-        multi = False
-        pairs = [(packet, solve(packet, run.n_clusters, run.model_list(), solver_cfg))]
+    # a whole file, or a window longer than the file, is one window
+    size = min(run.window_events or packet.n, packet.n)
+    stride = run.stride_events or None
+    multi = count_windows(packet.n, size, stride) > 1
+    pairs = segment_stream(
+        packet, run.n_clusters, run.model_list(), solver_cfg,
+        size, stride, run.t_ref_mode, solve,
+    )
     solved = 0
     for idx, (window, result) in enumerate(pairs):
         if result is None:

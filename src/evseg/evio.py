@@ -160,13 +160,18 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
     """Returns (associations, alive mask, cluster params list).
 
     Raises :class:`ParseError` with the line number for a row whose field
-    count differs from the column header's and for a ``# live`` entry that
-    is not a column number (1 to the column count)."""
+    count differs from the column header's, for a ``# live`` entry that is
+    not a column number (1 to the column count), and for ``# cluster``
+    headers that disagree with the table: numbered out of sequence, more or
+    fewer of them than columns, or an ``alive``/``dead`` state that
+    contradicts ``# live``.  A file without ``# cluster`` headers carries no
+    params."""
     rows = []
     live_line = None
     live: list = []
     params: list = []
-    width = None
+    states: list = []  # (line number, state) of each cluster header
+    width = width_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -178,15 +183,25 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
                     live_line, live = lineno, parts[1:]
                 elif parts and parts[0] == "cluster":
                     try:
-                        model = parts[2]
+                        index, model, state = parts[1], parts[2], parts[3]
                         theta = np.array([float(v) for v in parts[4:]])
                         params.append(WarpParams(model, theta))
                     except (IndexError, ValueError) as exc:
                         raise ParseError(f"bad cluster header: {exc}", lineno)
+                    if index != str(len(params)):
+                        raise ParseError(
+                            f"cluster header {index!r} out of sequence, expected {len(params)}",
+                            lineno,
+                        )
+                    if state not in ("alive", "dead"):
+                        raise ParseError(
+                            f"cluster state must be alive or dead, got {state!r}", lineno
+                        )
+                    states.append((lineno, state))
                 continue
             fields = line.split(",")
             if width is None:
-                width = len(fields)  # the p_1,...,p_J column row
+                width, width_line = len(fields), lineno  # the p_1,...,p_J column row
                 continue
             if len(fields) != width:
                 raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
@@ -201,6 +216,11 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
         if not (v.isdecimal() and 1 <= int(v) <= width):
             raise ParseError(f"live cluster {v!r} is not a column from 1 to {width}", live_line)
         alive[int(v) - 1] = True
+    if params and len(params) != width:
+        raise ParseError(f"{len(params)} cluster headers for {width} columns", width_line)
+    for j, (lineno, state) in enumerate(states):
+        if (state == "alive") != alive[j]:
+            raise ParseError(f"cluster {j + 1} is {state} but '# live' says otherwise", lineno)
     return np.asarray(rows), alive, params
 
 

@@ -60,8 +60,8 @@ from .warps import (
 
 class DegenerateInitError(RuntimeError):
     """Raised when no motion hypothesis scores better than standing still,
-    even after random restarts: the packet carries no usable motion
-    contrast."""
+    even after random restarts, or when no warp can move the events at all:
+    the packet carries no usable motion contrast."""
 
 
 # Fixed parts of the method, not user settings.  Tests that need a coarser
@@ -90,7 +90,9 @@ class SolverConfig:
     tunables are the upper-case constants above.
 
     ``max_iters`` and ``collapse_frac`` positive, ``rel_tol`` in (0, 1),
-    ``step_mu`` and ``sigma`` non-negative; all of them finite.
+    ``step_mu`` and ``sigma`` non-negative; all of them finite.  ``seed``
+    seeds only the greedy initialiser's random restarts, which run when no
+    ascent from the coarse scan beats standing still.
     """
 
     step_mu: float = 1.0            # scale on the curvature-normalised ascent step
@@ -557,8 +559,16 @@ def maximize_single_cluster(
     A coarse parameter scan on a downscaled grid seeds a full-resolution
     ascent.  If nothing beats standing still, random restarts within the
     configured bounds are tried; if those fail too the packet is motion-free
-    for this model and :class:`DegenerateInitError` is raised.
+    for this model and :class:`DegenerateInitError` is raised.  A packet
+    with no scan grid raises at once, before any build: every event sits at
+    the reference time, or (rotation) none carries weight, so every
+    hypothesis builds the zero-motion image and no restart can beat it.
     """
+    grids = _scan_grids(packet, model, weights)
+    if not grids:
+        raise DegenerateInitError(
+            f"no {model} hypothesis beats zero motion: no warp moves these events"
+        )
     if rng is None:
         rng = np.random.default_rng(config.seed)
     base = zero_params(model)
@@ -567,7 +577,7 @@ def maximize_single_cluster(
     coarse = _coarse_eval_factory(packet, weights)
     best, best_val = base, coarse(base)
     moving, moving_val = None, -np.inf
-    for cand in _scan_grids(packet, model, weights):
+    for cand in grids:
         v = coarse(cand)
         if v > best_val:
             best, best_val = cand, v

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from evseg.cli import main
-from evseg.events import make_packet, validate_packet
+from evseg.events import make_packet, validate_packet, with_t_ref
 from evseg.evio import (
     read_associations_csv,
     read_events_text,
     write_associations_csv,
     write_events_text,
 )
-from evseg.solver import SolverConfig, segment_stream
+from evseg.solver import SolverConfig, segment, segment_stream
 from evseg.variants import segment_mixture
 
 from conftest import motionless_prefix
@@ -106,8 +106,12 @@ class TestDataErrors:
             "# live 0\np_1,p_2\n1.0,0.0\n",
             "# live 5\np_1,p_2\n1.0,0.0\n",
             "# live 1\np_1,p_2\n1.0,0.0\n1.0\n",
+            "# live 1 2\n# cluster 1 flow2 alive 1 2\n# cluster 2 flow2 dead 1 2\n"
+            "# cluster 3 flow2 alive 1 2\np_1,p_2\n1.0,0.0\n1.0,0.0\n",
+            "# live 1\n# cluster 1 flow2 alive 1 2\n# cluster 2 flow2 alive 1 2\n"
+            "p_1,p_2\n1.0,0.0\n1.0,0.0\n",
         ],
-        ids=["live-zero", "live-past-columns", "ragged-row"],
+        ids=["live-zero", "live-past-columns", "ragged-row", "cluster-count", "cluster-state"],
     )
     def test_eval_rejects_bad_association_file(self, tmp_path, capsys, text):
         assoc = tmp_path / "assoc.csv"
@@ -175,6 +179,43 @@ class TestPipeline:
             outs.append(out)
         for name in ("assoc.csv", "params.csv", "segmentation.ppm"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_whole_file_honours_t_ref_mode(self, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_ref_mode = midpoint\nmax_iters = 4\n")
+        out = tmp_path / "mid"
+        argv = ["segment", "--events", str(sim_dir / "events.txt"), "--out", str(out)]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        packet = validate_packet(read_events_text(sim_dir / "events.txt")[0], strict=False)
+        result = segment(with_t_ref(packet, "midpoint"), 2, "flow2", SolverConfig(max_iters=4))
+        expected = tmp_path / "expected.csv"
+        write_associations_csv(expected, result)
+        assert (out / "assoc.csv").read_bytes() == expected.read_bytes()
+
+    def test_whole_file_rejects_unknown_t_ref_mode(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_ref_mode = middle\n")
+        argv = [
+            "segment", "--events", str(sim_dir / "events.txt"), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), "--max-iters", "2",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown t_ref mode 'middle'\n"
+
+    def test_motionless_whole_file_is_one_skipped_window(self, sim_dir, tmp_path, capsys):
+        packet = validate_packet(read_events_text(sim_dir / "events.txt")[0])
+        events = tmp_path / "still.txt"
+        n = 2000
+        write_events_text(
+            events,
+            make_packet(packet.x[:n], packet.y[:n], np.full(n, packet.t[0]),
+                        packet.polarity[:n], packet.geometry),
+        )
+        assert main(["segment", "--events", str(events), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "window 0: 2000 events, skipped (no motion beats standing still)\n"
+            "error: every window was skipped\n"
+        )
 
     def test_windowed_segmentation_writes_per_window(self, sim_dir, tmp_path):
         out = tmp_path / "win"

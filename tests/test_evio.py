@@ -184,13 +184,42 @@ class TestCsv:
             ("p_1,p_2\n0.5,0.5\n# live x\n", 3),
             ("# live 1\np_1,p_2\n0.5,0.5\n1.0\n", 4),
             ("# live 1\np_1,p_2\n0.5,0.5\n0.2,0.3,0.5\n", 4),
+            (
+                "# live 1 2\n# cluster 1 flow2 alive 1 2\n# cluster 2 flow2 dead 1 2\n"
+                "# cluster 3 flow2 alive 1 2\np_1,p_2\n0.5,0.5\n",
+                5,
+            ),
+            ("# live 1 2\n# cluster 1 flow2 alive 1 2\np_1,p_2\n0.5,0.5\n", 3),
+            (
+                "# live 1 2\n# cluster 1 flow2 alive 1 2\n# cluster 3 flow2 alive 1 2\n"
+                "p_1,p_2\n0.5,0.5\n",
+                3,
+            ),
+            (
+                "# live 1\n# cluster 1 flow2 alive 1 2\n# cluster 2 flow2 alive 1 2\n"
+                "p_1,p_2\n0.5,0.5\n",
+                3,
+            ),
+            (
+                "# live 1 2\n# cluster 1 flow2 dead 1 2\n# cluster 2 flow2 alive 1 2\n"
+                "p_1,p_2\n0.5,0.5\n",
+                2,
+            ),
+            ("# live 1\n# cluster 1 flow2 asleep 1 2\np_1\n1.0\n", 2),
         ],
-        ids=["live-zero", "live-past-columns", "live-not-a-number", "short-row", "long-row"],
+        ids=[
+            "live-zero", "live-past-columns", "live-not-a-number", "short-row", "long-row",
+            "more-cluster-headers-than-columns", "fewer-cluster-headers-than-columns",
+            "cluster-out-of-sequence", "alive-cluster-not-live", "dead-cluster-live",
+            "unknown-cluster-state",
+        ],
     )
     def test_bad_live_index_or_ragged_row_rejected(self, tmp_path, text, line):
         # a live index outside the columns would mark another cluster live
-        # (0 the last one) or fail with a bare IndexError, and ragged rows
-        # would fail inside numpy without a line number
+        # (0 the last one) or fail with a bare IndexError, ragged rows
+        # would fail inside numpy without a line number, and cluster headers
+        # that disagree with the table would hand eval params and states
+        # for clusters the table does not hold
         path = tmp_path / "assoc.csv"
         path.write_text(text)
         with pytest.raises(ParseError) as err:

@@ -4,8 +4,10 @@ association refresh, and give the same bytes in C and in column-major
 order; splatting and sampling are adjoint; the variance score gives the
 bytes of ``np.var``; every warp is the identity at its reference time; the
 window count agrees with the windows actually yielded, a settled cluster
-of any back-end never moves or steps again, and swapping the two initial
-clusters of a layered solve swaps its outputs."""
+of any back-end never moves or steps again, swapping the two initial
+clusters of a layered solve swaps its outputs, and every finite packet
+either segments into a finite, normalised result or raises
+``DegenerateInitError``."""
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import evseg.solver as solver
 import evseg.variants as variants
 from evseg.solver import (
     ClusterSet,
+    DegenerateInitError,
     SolverConfig,
     _column_sums,
     _normalize_rows,
@@ -405,3 +408,35 @@ def test_swapping_the_two_initial_clusters_swaps_every_layered_output(truth, sta
     assert ba.clusters.alive.tobytes() == ab.clusters.alive[::-1].tobytes()
     assert ba.associations.tobytes() == np.ascontiguousarray(ab.associations[:, ::-1]).tobytes()
     assert ba.objective_trace.tobytes() == ab.objective_trace.tobytes()
+
+
+@st.composite
+def small_packets(draw):
+    """A small drift packet of one or two motions (either may stand still),
+    as drawn, on integer coordinates, or with every event at one time."""
+    truth = draw(st.lists(st.one_of(st.just((0.0, 0.0)), velocities), min_size=1, max_size=2))
+    packet, _ = build_drift_packet(
+        truth, n_sources=12, n_times=10, seed=draw(st.integers(0, 1000))
+    )
+    x, y, t, t_ref = packet.x, packet.y, packet.t, packet.t_ref
+    kind = draw(st.sampled_from(["drift", "integral", "one_time"]))
+    if kind == "integral":
+        x, y = np.round(x), np.round(y)
+    elif kind == "one_time":
+        t = np.full_like(t, t[0])
+        t_ref = None  # the packet's own time
+    return make_packet(x, y, t, packet.polarity, packet.geometry, t_ref=t_ref)
+
+
+@pytest.mark.parametrize("model", list(MODEL_PARAM_COUNT))
+@given(small_packets(), st.integers(1, 3), st.integers(1, 3))
+def test_every_packet_segments_or_raises_degenerate(model, packet, j, max_iters):
+    try:
+        result = segment(packet, j, model, SolverConfig(max_iters=max_iters))
+    except DegenerateInitError:
+        return
+    assoc = result.associations
+    assert np.isfinite(assoc).all() and np.isfinite(result.objective_trace).all()
+    assert all(np.isfinite(p.theta).all() for p in result.clusters.params)
+    assert np.all(np.abs(assoc.sum(axis=1) - 1.0) <= 1e-9)
+    assert not assoc[:, ~result.clusters.alive].any()

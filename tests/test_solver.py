@@ -339,6 +339,19 @@ def test_greedy_raises_on_motionless_packet():
         initialize_greedy(pk, 1, "flow2")
 
 
+@pytest.mark.parametrize("model", ["flow2", "rotation", "fourdof"])
+def test_single_timestamp_packet_is_skipped_cheaply(mini_recording, model):
+    # no warp moves events that all sit at the reference time, so greedy
+    # init gives up before building an image: such a window costs only itself
+    pk = mini_recording.packet
+    n = 2000
+    still = make_packet(pk.x[:n], pk.y[:n], np.full(n, pk.t[0]), pk.polarity[:n], pk.geometry)
+    before = build_count()
+    with pytest.raises(DegenerateInitError):
+        segment(still, 2, model, SolverConfig(max_iters=3))
+    assert build_count() - before == 0
+
+
 def test_segment_single_cluster_velocity_within_5_percent():
     rec = single_strip_recording(vx=60.0)
     res = segment(rec.packet, 1, "flow2")
