@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     seg.add_argument("--sigma", type=float)
     seg.add_argument("--mu", type=float, help="ascent step scale")
     seg.add_argument("--max-iters", type=int)
-    seg.add_argument("--seed", type=int)
     seg.add_argument("--width", type=int, help="sensor width if the file has no header")
     seg.add_argument("--height", type=int, help="sensor height if the file has no header")
     seg.add_argument("--cluster-images", action="store_true",
@@ -219,22 +218,24 @@ def _merge_run_config(args) -> RunConfig:
         "sigma": args.sigma,
         "step_mu": args.mu,
         "max_iters": args.max_iters,
-        "seed": args.seed,
     }
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_segment(args) -> int:
     run = _merge_run_config(args)
+    solvers = {
+        "layered": segment,
+        "mixture": segment_mixture,
+        "fuzzy": partial(segment_fuzzy, b=run.fuzziness),
+    }
+    if run.method not in solvers:
+        raise ValueError(f"unknown method {run.method!r}: use layered, mixture or fuzzy")
+    solve = solvers[run.method]
     packet = _load_packet(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     solver_cfg = run.solver_config()
-    solve = {
-        "layered": segment,
-        "mixture": segment_mixture,
-        "fuzzy": partial(segment_fuzzy, b=run.fuzziness),
-    }[run.method]
 
     # a whole file, or a window longer than the file, is one window
     size = min(run.window_events or packet.n, packet.n)

@@ -331,7 +331,6 @@ class RunConfig:
     rel_tol: float = 1e-4
     collapse_frac: float = 0.02
     fuzziness: float = 2.0
-    seed: int = 0
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -340,7 +339,6 @@ class RunConfig:
             max_iters=self.max_iters,
             rel_tol=self.rel_tol,
             collapse_frac=self.collapse_frac,
-            seed=self.seed,
         )
 
     def model_list(self) -> list:

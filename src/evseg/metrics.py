@@ -311,6 +311,9 @@ def throughput_benchmark(
     draw (not the greedy search) and cluster death is disabled, so every run
     performs the same amount of work per iteration.
     """
+    j_values = list(j_values)
+    if min(j_values, default=1) < 1:
+        raise ValueError(f"need at least one cluster, got {min(j_values)}")
     if config is None:
         config = SolverConfig()
     cfg = dc_replace(config, max_iters=iterations, collapse_frac=1e-12)

@@ -59,9 +59,9 @@ from .warps import (
 
 
 class DegenerateInitError(RuntimeError):
-    """Raised when no motion hypothesis scores better than standing still,
-    even after random restarts, or when no warp can move the events at all:
-    the packet carries no usable motion contrast."""
+    """Raised when no ascent from greedy init's coarse scan scores better
+    than standing still, or when no warp can move the events at all: the
+    packet carries no usable motion contrast."""
 
 
 # Fixed parts of the method, not user settings.  Tests that need a coarser
@@ -79,8 +79,6 @@ INIT_SCAN_EVENTS = 3000
 INIT_SCAN_DOWNSCALE = 4
 INIT_V_BOUND = 300.0        # px/s
 INIT_OMEGA_BOUND = 40.0     # rad/s
-INIT_S_BOUND = 2.0          # 1/s
-INIT_RANDOM_DRAWS = 16
 INIT_ASCEND_ITERS = 12
 
 
@@ -90,9 +88,9 @@ class SolverConfig:
     tunables are the upper-case constants above.
 
     ``max_iters`` and ``collapse_frac`` positive, ``rel_tol`` in (0, 1),
-    ``step_mu`` and ``sigma`` non-negative; all of them finite.  ``seed``
-    seeds only the greedy initialiser's random restarts, which run when no
-    ascent from the coarse scan beats standing still.
+    ``step_mu`` and ``sigma`` non-negative; all of them finite.  The solve
+    draws no random numbers: the same packet and settings give the same
+    bytes.
     """
 
     step_mu: float = 1.0            # scale on the curvature-normalised ascent step
@@ -100,7 +98,6 @@ class SolverConfig:
     rel_tol: float = 1e-4           # relative gain regarded as stagnation
     sigma: float = 1.0              # blur applied before scoring / sampling, px
     collapse_frac: float = 0.02     # death threshold as a fraction of N/J
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
@@ -145,6 +142,8 @@ class SegmentationResult:
 
 
 def _resolve_models(models, n_clusters: int) -> list:
+    if n_clusters < 1:
+        raise ValueError(f"need at least one cluster, got {n_clusters}")
     if isinstance(models, str):
         return [models] * n_clusters
     models = list(models)
@@ -503,41 +502,17 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray):
     return grids
 
 
-def _random_params(model: str, geometry: ImageGeometry, rng) -> WarpParams:
-    if model == "flow2":
-        th = rng.uniform(-INIT_V_BOUND, INIT_V_BOUND, 2)
-    elif model == "rotation":
-        th = np.array(
-            [
-                rng.uniform(0, geometry.width - 1),
-                rng.uniform(0, geometry.height - 1),
-                rng.uniform(-INIT_OMEGA_BOUND, INIT_OMEGA_BOUND),
-            ]
-        )
-    else:
-        th = np.array(
-            [
-                rng.uniform(-INIT_V_BOUND, INIT_V_BOUND),
-                rng.uniform(-INIT_V_BOUND, INIT_V_BOUND),
-                rng.uniform(-INIT_OMEGA_BOUND, INIT_OMEGA_BOUND),
-                rng.uniform(-INIT_S_BOUND, INIT_S_BOUND),
-            ]
-        )
-    return WarpParams(model, th)
-
-
 def _ascend_single(
     packet: EventPacket,
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
-    iters: int,
 ) -> tuple[WarpParams, float]:
     def evaluate(candidate: WarpParams) -> tuple[float, None]:
         return cluster_contrast(packet, candidate, weights, config), None
 
     f, _ = evaluate(params)
-    for _ in range(iters):
+    for _ in range(INIT_ASCEND_ITERS):
         kappa = displacement_sensitivity(packet, params)
         params, f_new, _, improved = _line_search_step(evaluate, params, kappa, config, f, None)
         if not improved or f_new <= f * (1.0 + config.rel_tol):
@@ -552,25 +527,23 @@ def maximize_single_cluster(
     model: str,
     weights: np.ndarray,
     config: SolverConfig,
-    rng=None,
 ) -> WarpParams:
     """Best single-motion hypothesis for the given residual weights.
 
-    A coarse parameter scan on a downscaled grid seeds a full-resolution
-    ascent.  If nothing beats standing still, random restarts within the
-    configured bounds are tried; if those fail too the packet is motion-free
-    for this model and :class:`DegenerateInitError` is raised.  A packet
-    with no scan grid raises at once, before any build: every event sits at
-    the reference time, or (rotation) none carries weight, so every
-    hypothesis builds the zero-motion image and no restart can beat it.
+    A coarse parameter scan on a downscaled grid picks the starts of a
+    full-resolution ascent: its best candidate, and its best moving one when
+    zero motion wins the scan.  If no ascent beats standing still by
+    ``rel_tol``, the residual is motion-free for this model and
+    :class:`DegenerateInitError` is raised.  A packet with no scan grid
+    raises at once, before any build: every event sits at the reference
+    time, or (rotation) none carries weight, so every hypothesis builds the
+    zero-motion image.
     """
     grids = _scan_grids(packet, model, weights)
     if not grids:
         raise DegenerateInitError(
             f"no {model} hypothesis beats zero motion: no warp moves these events"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     base = zero_params(model)
     f_zero = cluster_contrast(packet, base, weights, config)
 
@@ -585,20 +558,12 @@ def maximize_single_cluster(
             moving, moving_val = cand, v
     # zero motion is a lattice artefact maximum when event coordinates are
     # integral, so always ascend from the best moving candidate as well
-    seeds = [best]
+    starts = [best]
     if moving is not None and not np.any(best.theta):
-        seeds.append(moving)
+        starts.append(moving)
     params, f = base, -np.inf
-    for seed_params in seeds:
-        cand, fc = _ascend_single(packet, seed_params, weights, config, INIT_ASCEND_ITERS)
-        if fc > f:
-            params, f = cand, fc
-    if f > f_zero * (1.0 + config.rel_tol):
-        return params
-    # scan found nothing: try random restarts before declaring degeneracy
-    for _ in range(INIT_RANDOM_DRAWS):
-        cand = _random_params(model, packet.geometry, rng)
-        cand, fc = _ascend_single(packet, cand, weights, config, 4)
+    for start in starts:
+        cand, fc = _ascend_single(packet, start, weights, config)
         if fc > f:
             params, f = cand, fc
     if f > f_zero * (1.0 + config.rel_tol):
@@ -646,7 +611,6 @@ def initialize_greedy(
     if config is None:
         config = SolverConfig()
     models = _resolve_models(models, n_clusters)
-    rng = np.random.default_rng(config.seed)
     n = packet.n
     if n == 0:
         raise ValueError("cannot initialise on an empty packet")
@@ -663,7 +627,7 @@ def initialize_greedy(
             params_list.append(zero_params(models[j]))
             continue
         try:
-            prm = maximize_single_cluster(packet, models[j], residual, config, rng)
+            prm = maximize_single_cluster(packet, models[j], residual, config)
         except DegenerateInitError:
             if j == 0:
                 raise  # nothing in the packet moves: give up

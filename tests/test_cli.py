@@ -89,6 +89,39 @@ class TestDataErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("j", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("segment", ["--max-iters", "2"]),
+            ("compare", ["--iters", "2"]),
+            ("bench", ["--iters", "1", "--repeats", "1"]),
+        ],
+    )
+    def test_fewer_than_one_cluster_is_data_error(
+        self, sim_dir, tmp_path, capsys, command, extra, j
+    ):
+        argv = [command, "--events", str(sim_dir / "events.txt"), "--j", j, *extra]
+        if command == "segment":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: need at least one cluster, got {j}")
+        assert "Traceback" not in err
+
+    def test_unknown_method_in_config_is_data_error(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = bogus\n")
+        argv = [
+            "segment", "--events", str(sim_dir / "events.txt"), "--out", str(tmp_path / "o"),
+            "--config", str(cfg),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown method 'bogus'")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_eval_shape_mismatch(self, tmp_path):
         assoc = tmp_path / "assoc.csv"
         assoc.write_text("# live 1\np_1\n1.0\n1.0\n")
@@ -172,7 +205,7 @@ class TestPipeline:
                     "segment",
                     "--events", str(sim_dir / "events.txt"),
                     "--out", str(out),
-                    "--j", "2", "--max-iters", "12", "--seed", "0",
+                    "--j", "2", "--max-iters", "12",
                 ]
             )
             assert code == 0

@@ -314,14 +314,13 @@ class TestImages:
 class TestRunConfig:
     def test_solver_config_mapping(self):
         run = RunConfig(sigma=2.0, step_mu=0.5, max_iters=17, rel_tol=1e-3,
-                        collapse_frac=0.05, seed=9)
+                        collapse_frac=0.05)
         cfg = run.solver_config()
         assert cfg.sigma == 2.0
         assert cfg.step_mu == 0.5
         assert cfg.max_iters == 17
         assert cfg.rel_tol == 1e-3
         assert cfg.collapse_frac == 0.05
-        assert cfg.seed == 9
 
     def test_model_list_splits_on_commas(self):
         assert RunConfig(models="flow2, rotation ,fourdof").model_list() == [

@@ -267,6 +267,11 @@ class TestBenchmarks:
                 packet.n * 2 / p.seconds / 1000.0
             )
 
+    @pytest.mark.parametrize("j_values", [[0], [2, -1]])
+    def test_throughput_rejects_fewer_than_one_cluster(self, mini_recording, j_values):
+        with pytest.raises(ValueError, match="at least one cluster"):
+            throughput_benchmark(mini_recording.packet, j_values, iterations=1, repeats=1)
+
     def test_compare_methods_structure(self, mini_recording):
         packet = mini_recording.packet
         out = compare_methods(

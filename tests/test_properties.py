@@ -5,9 +5,10 @@ order; splatting and sampling are adjoint; the variance score gives the
 bytes of ``np.var``; every warp is the identity at its reference time; the
 window count agrees with the windows actually yielded, a settled cluster
 of any back-end never moves or steps again, swapping the two initial
-clusters of a layered solve swaps its outputs, and every finite packet
+clusters of a layered solve swaps its outputs, every finite packet
 either segments into a finite, normalised result or raises
-``DegenerateInitError``."""
+``DegenerateInitError``, and a layered solve's objective never falls by
+more than 1% in one iteration."""
 
 import numpy as np
 import pytest
@@ -440,3 +441,40 @@ def test_every_packet_segments_or_raises_degenerate(model, packet, j, max_iters)
     assert all(np.isfinite(p.theta).all() for p in result.clusters.params)
     assert np.all(np.abs(assoc.sum(axis=1) - 1.0) <= 1e-9)
     assert not assoc[:, ~result.clusters.alive].any()
+
+
+@st.composite
+def moving_packets(draw):
+    """A small drift packet of one to three motions, as drawn or on integer
+    coordinates."""
+    truth = draw(st.lists(velocities, min_size=1, max_size=3))
+    packet, _ = build_drift_packet(
+        truth, n_sources=12, n_times=10, seed=draw(st.integers(0, 1000))
+    )
+    if draw(st.booleans()):
+        packet = make_packet(np.round(packet.x), np.round(packet.y), packet.t,
+                             packet.polarity, packet.geometry, t_ref=packet.t_ref)
+    return packet
+
+
+@given(
+    moving_packets(),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.lists(velocities, min_size=3, max_size=3)),
+    st.integers(0, 1000),
+)
+def test_objective_falls_at_most_one_percent_per_iteration(packet, j, starts, seed):
+    # greedy init when no starts are drawn, else the drawn motions and a
+    # random association table
+    init = None
+    if starts is not None:
+        params = [WarpParams("flow2", np.array(v)) for v in starts[:j]]
+        table = np.random.default_rng(seed).dirichlet(np.ones(j), packet.n)
+        init = (ClusterSet(params, np.ones(j, dtype=bool)), table)
+    try:
+        result = segment(packet, j, "flow2", SolverConfig(max_iters=8), init=init,
+                         early_stop=False)
+    except DegenerateInitError:
+        return
+    trace = result.objective_trace
+    assert np.all(trace[1:] >= trace[:-1] - 0.01 * np.abs(trace[:-1]))

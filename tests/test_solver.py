@@ -352,6 +352,34 @@ def test_single_timestamp_packet_is_skipped_cheaply(mini_recording, model):
     assert build_count() - before == 0
 
 
+def test_static_packet_raises_within_a_few_builds():
+    # 20k events that never move: the coarse scan's ascents are the whole
+    # search, so giving up costs a few dozen builds, not hundreds
+    pk, _ = build_drift_packet([(0.0, 0.0)], n_sources=400, n_times=50, seed=3,
+                               geometry=ImageGeometry(240, 180))
+    assert pk.n == 20000
+    before = build_count()
+    with pytest.raises(DegenerateInitError):
+        initialize_greedy(pk, 2, "rotation")
+    assert build_count() - before <= 64
+
+
+def test_mini_two_strip_1005_second_cluster_not_misled():
+    # the perfbench mini two_strip recording of seed 1005: the second
+    # cluster's residual scores best near zero motion, and a spurious
+    # contrast maximum away from it must not seed that cluster
+    geometry = ImageGeometry(120, 90)
+    config = SimConfig(duration=0.07, seed=1005)
+    rec = simulate(preset_two_pebbles(60.0, 50.0, geometry, config), geometry, config)
+    n = 4000
+    assert rec.packet.n >= n
+    pk = make_packet(rec.packet.x[:n], rec.packet.y[:n], rec.packet.t[:n],
+                     rec.packet.polarity[:n], geometry, t_ref=rec.packet.t_ref)
+    res = segment(pk, 2, "flow2")
+    report = per_event_accuracy(res.associations, rec.labels[:n], res.clusters.alive)
+    assert report.accuracy >= 0.99
+
+
 def test_segment_single_cluster_velocity_within_5_percent():
     rec = single_strip_recording(vx=60.0)
     res = segment(rec.packet, 1, "flow2")
@@ -517,6 +545,18 @@ def test_segment_checks_init_shapes(mini_recording, solve):
     uniform = np.full((mini_recording.packet.n, 3), 1.0 / 3.0)
     with pytest.raises(ValueError):
         solve(mini_recording.packet, 2, "flow2", init=(three, uniform))
+
+
+@pytest.mark.parametrize("n_clusters", [0, -1])
+@pytest.mark.parametrize(
+    "solve", [segment, segment_mixture, segment_fuzzy, initialize_greedy],
+    ids=["layered", "mixture", "fuzzy", "greedy"],
+)
+def test_fewer_than_one_cluster_rejected(mini_recording, solve, n_clusters):
+    before = build_count()
+    with pytest.raises(ValueError, match=f"at least one cluster, got {n_clusters}"):
+        solve(mini_recording.packet, n_clusters, "flow2")
+    assert build_count() == before
 
 
 def result_bytes(result):
