@@ -266,7 +266,7 @@ def _cmd_segment(args) -> int:
         print(
             f"window {idx}: {window.n} events, {live}/{run.n_clusters} live clusters, "
             f"objective {result.objective_trace[-1]:.4g}, "
-            f"{result.iterations} iterations"
+            f"{result.iterations} iterations, stopped {result.diagnostics['stop']}"
         )
     if not solved:
         print("error: every window was skipped", file=sys.stderr)

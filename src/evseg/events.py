@@ -111,12 +111,18 @@ def make_packet(x, y, t, polarity, geometry: ImageGeometry, t_ref: float | None 
     return EventPacket(x=x, y=y, t=t, polarity=polarity, geometry=geometry, t_ref=float(t_ref))
 
 
+def subsample_stride(n: int, max_points: int) -> int:
+    """Stride ``max(1, n // max_points)`` of :func:`subsample_indices`; a
+    slice ``[::stride]`` takes the same rows as a view."""
+    return max(1, n // max_points)
+
+
 def subsample_indices(n: int, max_points: int) -> np.ndarray:
     """Rows ``0, s, 2s, ...`` of ``n`` events at stride
-    ``s = max(1, n // max_points)``: every row when ``n < 2 * max_points``,
-    otherwise at least ``max_points`` and fewer than twice as many."""
-    step = max(1, n // max_points)
-    return np.arange(0, n, step)
+    ``s = subsample_stride(n, max_points)``: every row when
+    ``n < 2 * max_points``, otherwise at least ``max_points`` and fewer than
+    twice as many."""
+    return np.arange(0, n, subsample_stride(n, max_points))
 
 
 def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:

@@ -66,7 +66,7 @@ class DegenerateInitError(RuntimeError):
 
 # Fixed parts of the method, not user settings.  Tests that need a coarser
 # solver patch them on the module, so every use reads them at call time.
-CONVERGENCE_WINDOW = 3      # stagnant iterations before stopping
+CONVERGENCE_WINDOW = 3      # stagnant, or settled and unchanged, iterations before stopping
 EPSILON_C = 1e-6            # association sampling floor
 FD_STEP = 1e-2              # finite-difference h, native parameter units
 STEP_CLAMP_PX = 2.0         # max warped-position change per ascent step
@@ -424,6 +424,24 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.cumsum(table, axis=0)[-1]
 
 
+def _hard_labels(table: np.ndarray) -> np.ndarray:
+    """Each row's argmax column, ties to the lowest index, as
+    :func:`evseg.metrics.hard_assignments` gives it.  A running compare down
+    the columns: ``np.argmax`` along the short rows of a (20000, 2) table
+    takes about six times as long.  Each column's winners are selected by
+    arithmetic, not by a masked store, which costs twice as much where the
+    winner alternates from row to row."""
+    labels = np.zeros(table.shape[0], dtype=np.intp)
+    best = table[:, 0].copy()
+    for j in range(1, table.shape[1]):
+        column = table[:, j]
+        above = column > best
+        labels *= ~above
+        labels += j * above
+        np.maximum(best, column, out=best)
+    return labels
+
+
 def _normalize_rows(table: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """Non-negative ``table`` with each row divided by its sum; rows summing
     to zero come out uniform over the live columns."""
@@ -696,6 +714,18 @@ def segment(
     )
 
 
+def _settled_and_held(settled, alive, labels, previous, config) -> bool:
+    """The settled stop rule's test for one iteration: every live cluster is
+    settled, so no motion changes again; the hard labels equal the previous
+    iteration's; and every live cluster holds at least the collapse floor of
+    those labels, so associations that keep hardening toward them would not
+    kill it later (see :func:`apply_collapse`)."""
+    if not (settled | ~alive).all() or not np.array_equal(labels, previous):
+        return False
+    rows = np.bincount(labels, minlength=alive.size)
+    return bool((rows[alive] >= config.collapse_frac * labels.size / alive.size).all())
+
+
 def _alternate(packet, n_clusters, models, config, init, early_stop, method, step, kept=None):
     """The alternation every back-end shares.
 
@@ -706,12 +736,23 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     and the back-end's own objective (None when summed sharpness is that
     objective).  ``settled`` is the run's boolean settle mask: the step skips
     the ascent of a marked cluster and marks each cluster whose line search
-    fails.  The run stops once the own objective gained less than
-    ``rel_tol`` in ``CONVERGENCE_WINDOW`` iterations in a row.  Summed
-    sharpness is traced for every back-end, so all of them compare on one
-    scale.  ``warp_counts`` holds, per iteration, the image builds made
+    fails.
+
+    With ``early_stop`` the run stops, converged, on the first of two rules
+    to hold for ``CONVERGENCE_WINDOW`` iterations in a row: the own
+    objective gained less than ``rel_tol`` (``"stagnant"``), or every live
+    cluster is settled and the hard labels (see :func:`_hard_labels`) hold
+    (``"settled"``, see :func:`_settled_and_held`; named first when both
+    hold at once).  Once every live cluster is settled no motion changes
+    again, so the iterations the second rule cuts only sharpen the soft
+    associations.  Otherwise, or with no rule met, it spends ``max_iters``
+    (``"budget"``).
+
+    Summed sharpness is traced for every back-end, so all of them compare on
+    one scale.  ``warp_counts`` holds, per iteration, the image builds made
     since the call began, greedy initialisation included; ``settled`` holds,
-    per cluster, the iteration (counted from 1) it settled in, or -1.
+    per cluster, the iteration (counted from 1) it settled in, or -1;
+    ``stop`` names the rule that ended the run.
 
     A given init table may have either memory layout: the run works on a
     column-major copy and returns its associations C-contiguous.  ``kept``,
@@ -735,8 +776,9 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     warp_counts: list[int] = []
     settled = np.zeros(n_clusters, dtype=bool)
     settled_at = np.full(n_clusters, -1, dtype=np.int64)
-    stagnant = 0
-    converged = False
+    stagnant = held = 0
+    labels = _hard_labels(associations) if early_stop else None
+    stop = "budget"
     for iteration in range(1, config.max_iters + 1):
         clusters, associations, sharpness, own = step(
             packet, clusters, associations, config, settled
@@ -746,18 +788,29 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         warp_counts.append(build_count() - start)
         if own is not None:
             own_trace.append(own)
+        if not early_stop:
+            continue
         series = trace if own is None else own_trace
-        if early_stop and len(series) >= 2:
+        if len(series) >= 2:
             gain = (series[-1] - series[-2]) / max(abs(series[-2]), 1e-12)
             stagnant = stagnant + 1 if gain < config.rel_tol else 0
-            if stagnant >= CONVERGENCE_WINDOW:
-                converged = True
-                break
+        previous, labels = labels, _hard_labels(associations)
+        if _settled_and_held(settled, clusters.alive, labels, previous, config):
+            held += 1
+        else:
+            held = 0
+        if held >= CONVERGENCE_WINDOW:
+            stop = "settled"
+            break
+        if stagnant >= CONVERGENCE_WINDOW:
+            stop = "stagnant"
+            break
     diagnostics = {
         "method": method,
         "init": init_mode,
         "warp_counts": np.asarray(warp_counts, dtype=np.int64),
         "settled": settled_at,
+        "stop": stop,
     }
     if own_trace:
         diagnostics["own_trace"] = np.asarray(own_trace)
@@ -766,7 +819,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         associations=np.ascontiguousarray(associations),
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
-        converged=converged,
+        converged=stop != "budget",
         diagnostics=diagnostics,
     )
 

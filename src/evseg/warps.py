@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import subsample_indices
+from .events import subsample_stride
 
 MODEL_PARAM_COUNT = {"flow2": 2, "rotation": 3, "fourdof": 4}
 
@@ -174,9 +174,10 @@ def displacement_sensitivity(packet, params: WarpParams) -> np.ndarray:
     Used to express pixel-unit step limits and perturbations in native
     parameter units.
     """
-    idx = subsample_indices(packet.n, 512)
+    # strided views of the subsample's rows, not fancy-indexed copies
+    step = subsample_stride(packet.n, 512)
     dx, dy = numeric_warp_jacobian(
-        packet.x[idx], packet.y[idx], packet.t[idx], params, packet.t_ref,
+        packet.x[::step], packet.y[::step], packet.t[::step], params, packet.t_ref,
         center=packet.geometry.center,
     ).swapaxes(0, 1)
     kappa = np.sqrt(dx * dx + dy * dy).max(axis=1)

@@ -4,7 +4,10 @@ association refresh, and give the same bytes in C and in column-major
 order; splatting and sampling are adjoint; the variance score gives the
 bytes of ``np.var``; every warp is the identity at its reference time; the
 window count agrees with the windows actually yielded, a settled cluster
-of any back-end never moves or steps again, swapping the two initial
+of any back-end never moves or steps again, a layered solve that stops
+because everything settled holds the motions and liveness of the same
+solve run to its full budget, the solver's hard labels equal
+``hard_assignments``, swapping the two initial
 clusters of a layered solve swaps its outputs, every finite packet
 either segments into a finite, normalised result or raises
 ``DegenerateInitError``, and a layered solve's objective never falls by
@@ -12,12 +15,13 @@ more than 1% in one iteration."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
 from evseg.iwe import Iwe, accumulate_weighted, sample_local, variance_contrast
+from evseg.metrics import hard_assignments
 import evseg.solver as solver
 import evseg.variants as variants
 from evseg.solver import (
@@ -380,6 +384,43 @@ def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed)
         short = run(packet, j, "flow2", SolverConfig(max_iters=int(k)), init=init,
                     early_stop=False)
         assert short.clusters.params[c].theta.tobytes() == full.clusters.params[c].theta.tobytes()
+
+
+@given(
+    st.lists(velocities, min_size=1, max_size=2),
+    st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=2, max_size=2),
+    st.lists(velocities, max_size=1),
+    st.integers(0, 1000),
+)
+def test_settled_stop_changes_no_motion(truth, offsets, extra, seed):
+    # starts near the truth (plus perhaps one stray cluster) settle within a
+    # few iterations, so the settled rule ends about a quarter of these runs
+    packet, _ = build_drift_packet(truth, n_sources=12, n_times=10, seed=seed)
+    starts = [np.add(v, d) for v, d in zip(truth, offsets)] + [np.array(v) for v in extra]
+    j = len(starts)
+    init = (
+        ClusterSet([WarpParams("flow2", v) for v in starts], np.ones(j, dtype=bool)),
+        np.full((packet.n, j), 1.0 / j),
+    )
+    config = SolverConfig(max_iters=20)
+    early = segment(packet, j, "flow2", config, init=init)
+    assume(early.diagnostics["stop"] == "settled")
+    assert early.converged
+    full = segment(packet, j, "flow2", config, init=init, early_stop=False)
+    assert full.diagnostics["stop"] == "budget" and full.iterations == config.max_iters
+    assert [p.theta.tobytes() for p in early.clusters.params] == [
+        p.theta.tobytes() for p in full.clusters.params
+    ]
+    assert early.clusters.alive.tobytes() == full.clusters.alive.tobytes()
+
+
+@given(tables(), st.booleans())
+def test_hard_labels_match_hard_assignments(drawn, fortran):
+    # exact zeros among the drawn values give ties, which go to the lowest index
+    table, _ = drawn
+    if fortran:
+        table = np.asfortranarray(table)
+    np.testing.assert_array_equal(solver._hard_labels(table), hard_assignments(table))
 
 
 # J=2 and the layered back-end only: a sum of two floats is the same in

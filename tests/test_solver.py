@@ -517,6 +517,36 @@ def test_settled_clusters_cost_one_build_each(mini_result, dying_run):
         assert (steps[last - 1 :] == r.clusters.n_alive).all()
 
 
+def test_fixed_budget_spends_every_iteration_after_settling(mini_recording, mini_result):
+    # restarted at a converged solve's motions and associations, every
+    # cluster settles in iteration 1 and the hard labels hold from there;
+    # only early_stop may end the run before its budget
+    init = (mini_result.clusters, mini_result.associations)
+    config = SolverConfig(max_iters=8)
+    fixed = segment(mini_recording.packet, 2, "flow2", config, init=init, early_stop=False)
+    assert (fixed.diagnostics["settled"] == 1).all()
+    assert fixed.iterations == 8 and len(fixed.diagnostics["warp_counts"]) == 8
+    assert fixed.diagnostics["stop"] == "budget" and not fixed.converged
+    early = segment(mini_recording.packet, 2, "flow2", config, init=init)
+    assert early.diagnostics["stop"] == "settled" and early.converged
+    assert early.iterations == solver.CONVERGENCE_WINDOW
+    for a, b in zip(early.clusters.params, fixed.clusters.params):
+        assert a.theta.tobytes() == b.theta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "solve", [segment, segment_mixture, segment_fuzzy], ids=["layered", "mixture", "fuzzy"]
+)
+def test_every_back_end_records_why_it_stopped(mini_recording, solve):
+    init = initialize_greedy(mini_recording.packet, 2, "flow2")
+    config = SolverConfig(max_iters=3)
+    fixed = solve(mini_recording.packet, 2, "flow2", config, init=init, early_stop=False)
+    assert fixed.diagnostics["stop"] == "budget" and not fixed.converged
+    early = solve(mini_recording.packet, 2, "flow2", SolverConfig(), init=init)
+    assert early.diagnostics["stop"] in ("settled", "stagnant")
+    assert early.converged and early.iterations < SolverConfig().max_iters
+
+
 def test_segment_is_deterministic(mini_recording, mini_result):
     again = segment(mini_recording.packet, 2, "flow2")
     np.testing.assert_array_equal(again.associations, mini_result.associations)
