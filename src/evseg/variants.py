@@ -39,7 +39,7 @@ from .solver import (
     SolverConfig,
     _alternate,
     _column_sums,
-    _line_search_step,
+    _m_step_search,
     _normalize_rows,
     cluster_image,
     initialize_greedy,
@@ -155,7 +155,7 @@ def mixture_m_step(
             return _log_likelihood(_trial, state.mixing), column
 
         f0 = _log_likelihood(likelihoods, state.mixing)
-        clusters.params[j], _, likelihoods[:, j], improved = _line_search_step(
+        clusters.params[j], _, likelihoods[:, j], improved = _m_step_search(
             evaluate, clusters.params[j], kappa, config, f0, likelihoods[:, j]
         )
         settled[j] = not improved
@@ -220,7 +220,7 @@ def fuzzy_m_step(
             return float((_pw * column).sum()), column
 
         f0 = float((pw * affinities[:, j]).sum())
-        clusters.params[j], _, affinities[:, j], improved = _line_search_step(
+        clusters.params[j], _, affinities[:, j], improved = _m_step_search(
             evaluate, clusters.params[j], kappa, config, f0, affinities[:, j]
         )
         settled[j] = not improved

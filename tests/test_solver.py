@@ -27,7 +27,7 @@ from evseg.solver import (
     update_associations,
 )
 from evseg.variants import segment_fuzzy, segment_mixture
-from evseg.warps import WarpParams, zero_params
+from evseg.warps import WarpParams, warp_packet, zero_params
 
 from conftest import build_drift_packet, motionless_prefix
 
@@ -192,6 +192,88 @@ def test_ascend_leaves_dead_clusters_alone(drift_packet):
     p[:, 0] = 1.0
     out, _ = ascend_motion(pk, clusters, p, SolverConfig(), np.zeros(2, dtype=bool))
     assert out.params[1] is dead
+
+
+def record_line_searches(monkeypatch):
+    """Patch the line search so each call appends ``(params, candidates)``:
+    the params it starts from and every candidate it builds, the 2p
+    differences first.  Every M-step reaches it through solver's name."""
+    searches = []
+    line_search = solver._line_search_step
+
+    def recording(evaluate, params, *args):
+        built = []
+
+        def evaluate_and_record(candidate):
+            built.append(candidate)
+            return evaluate(candidate)
+
+        searches.append((params, built))
+        return line_search(evaluate_and_record, params, *args)
+
+    monkeypatch.setattr(solver, "_line_search_step", recording)
+    return searches
+
+
+def largest_move(packet, params, candidate):
+    """The farthest any event's warped position moves from params to
+    candidate, in pixels."""
+    x0, y0 = warp_packet(packet, params)
+    x1, y1 = warp_packet(packet, candidate)
+    return float(np.hypot(x1 - x0, y1 - y0).max())
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        WarpParams("flow2", np.array([24.0, -6.0])),
+        WarpParams("rotation", np.array([50.0, 34.0, 1.5])),
+        WarpParams("fourdof", np.array([24.0, -6.0, 0.5, 0.3])),
+    ],
+    ids=lambda p: p.model,
+)
+@pytest.mark.parametrize(
+    "solve", [segment, segment_mixture, segment_fuzzy], ids=["layered", "mixture", "fuzzy"]
+)
+def test_m_step_differences_move_events_a_quarter_pixel(monkeypatch, drift_packet, params, solve):
+    # under 512 events, so displacement_sensitivity sees every event.  The
+    # warp is not linear in fourdof's zoom rate s: a difference h moves an
+    # event by its linear estimate times (e^x - 1) / x or (1 - e^-x) / x,
+    # x = h dt, so about x / 2 off it (0.6% here); the other parameters
+    # move events within 1e-6 of their linear estimate
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=20, n_times=20)
+    assert pk.n <= 512
+    searches = record_line_searches(monkeypatch)
+    init = (ClusterSet([params], np.ones(1, dtype=bool)), np.ones((pk.n, 1)))
+    solve(pk, 1, params.model, SolverConfig(max_iters=1), init=init, early_stop=False)
+    assert len(searches) == 1
+    start, built = searches[0]
+    assert start is params and len(built) >= 2 * params.param_count
+    for candidate in built[: 2 * params.param_count]:
+        moved = largest_move(pk, params, candidate)
+        assert moved == pytest.approx(solver.FD_STEP_PX, rel=1e-2)
+
+
+def test_cluster_at_its_optimum_settles_without_candidates_below_the_floor(
+    monkeypatch, drift_packet
+):
+    # a run settles its cluster where a line search fails; restarted there,
+    # one cluster (whose associations cannot change) fails the same search
+    # in iteration 1, halving its step down to the floor and no further
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=20, n_times=20)
+    start = ClusterSet([WarpParams("flow2", np.array([26.0, 3.0]))], np.ones(1, dtype=bool))
+    first = segment(pk, 1, "flow2", init=(start, np.ones((pk.n, 1))))
+    assert first.diagnostics["settled"][0] > 1
+    searches = record_line_searches(monkeypatch)
+    again = segment(pk, 1, "flow2", init=(first.clusters, first.associations))
+    assert again.diagnostics["settled"].tolist() == [1]
+    assert again.clusters.params[0].theta.tobytes() == first.clusters.params[0].theta.tobytes()
+    params, built = searches[0]
+    steps = [largest_move(pk, params, c) for c in built[2 * params.param_count :]]
+    assert 0 < len(steps) <= solver.BACKTRACK_MAX
+    assert min(steps) > solver.STEP_FLOOR_PX
+    # the next halving would have moved no event by more than the floor
+    assert min(steps) / 2 <= solver.STEP_FLOOR_PX
 
 
 def test_ascend_keeps_each_image_and_skips_settled_clusters(drift_packet):
@@ -467,18 +549,30 @@ def test_trace_ends_at_the_objective_of_the_result(mini_recording, mini_result, 
         assert r.objective_trace[-1] == final
 
 
+def replay_layered(packet, clusters, assoc, iterations):
+    """A layered solve's phases run apart for ``iterations`` iterations,
+    every image rebuilt.  Returns the final clusters, associations and
+    settle mask, the summed-sharpness trace, and per iteration the number
+    of clusters live in its ascent."""
+    cfg = SolverConfig()
+    settled = np.zeros(clusters.n_clusters, dtype=bool)
+    trace = [objective(packet, clusters, assoc, cfg)]
+    live = []
+    for _ in range(iterations):
+        assoc = update_associations(packet, clusters, assoc, cfg)
+        clusters, assoc = apply_collapse(clusters, assoc, cfg)
+        live.append(clusters.n_alive)
+        clusters, _ = ascend_motion(packet, clusters, assoc, cfg, settled)
+        trace.append(objective(packet, clusters, assoc, cfg))
+    return clusters, assoc, settled, trace, live
+
+
 def test_layered_step_equals_its_phases_run_apart(mini_recording, dying_run):
     # the same phases with every image rebuilt: reusing images changes no bit
-    pk = mini_recording.packet
-    cfg = SolverConfig()
     (clusters, assoc), result = dying_run
-    settled = np.zeros(clusters.n_clusters, dtype=bool)
-    trace = [objective(pk, clusters, assoc, cfg)]
-    for _ in range(result.iterations):
-        assoc = update_associations(pk, clusters, assoc, cfg)
-        clusters, assoc = apply_collapse(clusters, assoc, cfg)
-        clusters, _ = ascend_motion(pk, clusters, assoc, cfg, settled)
-        trace.append(objective(pk, clusters, assoc, cfg))
+    clusters, assoc, settled, trace, _ = replay_layered(
+        mini_recording.packet, clusters, assoc, result.iterations
+    )
     np.testing.assert_array_equal(result.objective_trace, trace)
     np.testing.assert_array_equal(result.associations, assoc)
     np.testing.assert_array_equal(result.clusters.alive, clusters.alive)
@@ -504,17 +598,25 @@ def test_layered_refreshes_build_no_image(monkeypatch, mini_recording):
     assert len(builds) == result.iterations and builds == [0] * result.iterations
 
 
-def test_settled_clusters_cost_one_build_each(mini_result, dying_run):
-    for r in (mini_result, dying_run[1]):
+def test_settled_clusters_cost_one_build_each(mini_recording, mini_result, dying_run):
+    # from the iteration the last live cluster settles in, each iteration
+    # builds one image per cluster live in it, its sharpness at the new
+    # associations; clusters may still die after that (dying_run's two
+    # zero-motion clusters do), so the live count comes from a replay
+    pk = mini_recording.packet
+    for init, r in ((initialize_greedy(pk, 2, "flow2"), mini_result), dying_run):
         settled = r.diagnostics["settled"]
         assert settled.dtype == np.int64 and settled.shape == (r.clusters.n_clusters,)
         live = settled[r.clusters.alive]
         assert (live > 0).all()
         last = int(live.max())
         assert last < r.iterations
+        clusters, _, _, trace, alive = replay_layered(pk, *init, r.iterations)
+        np.testing.assert_array_equal(r.objective_trace, trace)
+        np.testing.assert_array_equal(r.clusters.alive, clusters.alive)
         # steps[i] is the builds of iteration i + 2 (iterations count from 1)
         steps = np.diff(r.diagnostics["warp_counts"])
-        assert (steps[last - 1 :] == r.clusters.n_alive).all()
+        np.testing.assert_array_equal(steps[last - 1 :], alive[last:])
 
 
 def test_fixed_budget_spends_every_iteration_after_settling(mini_recording, mini_result):
