@@ -18,20 +18,20 @@ falls below a floor are marked dead and take no further part.
 Every back-end climbs its objective with :func:`_line_search_step`, which
 hands back what it built at the params it returns, and follows one settle
 rule that :func:`_alternate` keeps for the run: a cluster whose line search
-finds no gain keeps its motion and takes no further step.  Every M-step
-searches in pixel units (:func:`_m_step_search`): its differences move the
-warped events by up to ``FD_STEP_PX``, a quarter pixel that sees the
-sharpness basin of the default 1-px blur rather than the bilinear lattice,
-and its backtracking gives up, which settles the cluster, before a
-candidate that would move no event by more than ``STEP_FLOOR_PX``.  Greedy
-init's ascent keeps native-unit differences (``FD_STEP``) and no floor.  A
-settled layered cluster costs one image build per iteration, its sharpness
-at the new associations.  Each iteration's ascent keeps every live
-cluster's image at its final motion; the summed sharpness traced for the
-iteration and the next association refresh both read those images rather
-than rebuilding them.  The initial objective keeps its images the same way
-for the first refresh.  An image build works in per-thread scratch (see
-:func:`cluster_image`), so the kept images are copies, one buffer per
+finds no gain keeps its motion and takes no further step.  The layered and
+mixture M-steps search in pixel units: their differences move the warped
+events by up to ``FD_STEP_PX``, a quarter pixel that sees the sharpness
+basin of the default 1-px blur rather than the bilinear lattice, and their
+backtracking gives up, which settles the cluster, before a candidate that
+would move no event by more than ``STEP_FLOOR_PX``.  The fuzzy M-step and
+greedy init's ascent keep native-unit differences (``FD_STEP``) and no
+floor.  A settled layered cluster costs one image build per iteration, its
+sharpness at the new associations.  Each iteration's ascent keeps every
+live cluster's image at its final motion; the summed sharpness traced for
+the iteration and the next association refresh both read those images
+rather than rebuilding them.  The initial objective keeps its images the
+same way for the first refresh.  An image build works in per-thread scratch
+(see :func:`cluster_image`), so the kept images are copies, one buffer per
 cluster for the whole solve.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
@@ -75,7 +75,7 @@ class DegenerateInitError(RuntimeError):
 # solver patch them on the module, so every use reads them at call time.
 CONVERGENCE_WINDOW = 3      # stagnant, or settled and unchanged, iterations before stopping
 EPSILON_C = 1e-6            # association sampling floor
-FD_STEP = 1e-2              # greedy init's finite-difference h, native parameter units
+FD_STEP = 1e-2              # greedy init and fuzzy finite-difference h, native units
 FD_STEP_PX = 0.25           # M-step finite-difference h, as max warped-position change
 STEP_CLAMP_PX = 2.0         # max warped-position change per ascent step
 STEP_FLOOR_PX = 0.025       # M-step candidates moving no event further are not tried
@@ -305,25 +305,30 @@ def _line_search_step(
     config: SolverConfig,
     f0: float,
     built0: object,
-    h: float | np.ndarray,
-    floor_px: float,
+    h: float | None = None,
+    floor_px: float | None = None,
 ) -> tuple[WarpParams, float, object, bool]:
     """One ascent step of ``evaluate`` from ``params``.
 
     ``evaluate`` returns a candidate's value and what it built to get it;
     ``f0`` and ``built0`` are those at ``params``; ``kappa`` is
     :func:`displacement_sensitivity` at ``params``.  Central differences at
-    ``h`` (native units, one for all parameters or one per parameter) give
-    gradient and diagonal curvature; the step is the gradient over
+    ``h`` give gradient and diagonal curvature; the step is the gradient over
     |curvature| (a one-dimensional Newton guess per parameter), clamped so no
     warped position moves more than ``STEP_CLAMP_PX``, then halved until the
     value does not decrease.  The search fails without building a candidate
     that would move no warped position by more than ``floor_px``.  Returns
     (new params, their value, what was built at them, whether the value
     strictly improved).
+
+    By default ``h`` is ``FD_STEP_PX / kappa``, per parameter, so each
+    difference moves the warped positions by up to ``FD_STEP_PX``, and
+    ``floor_px`` is ``STEP_FLOOR_PX``.  Greedy init and the fuzzy M-step pass
+    ``FD_STEP`` (native units, every parameter) and no floor.
     """
     p = params.param_count
-    h = np.broadcast_to(h, (p,))
+    h = np.broadcast_to(FD_STEP_PX / kappa if h is None else h, (p,))
+    floor_px = STEP_FLOOR_PX if floor_px is None else floor_px
     grad = np.empty(p)
     curv = np.empty(p)
     for i in range(p):
@@ -363,23 +368,6 @@ def _line_search_step(
     return params, f0, built0, False
 
 
-def _m_step_search(
-    evaluate: Callable[[WarpParams], tuple[float, object]],
-    params: WarpParams,
-    kappa: np.ndarray,
-    config: SolverConfig,
-    f0: float,
-    built0: object,
-) -> tuple[WarpParams, float, object, bool]:
-    """:func:`_line_search_step` as every M-step of the alternation takes
-    it: each difference moves the warped positions by up to ``FD_STEP_PX``,
-    which measures the blurred sharpness basin rather than the bilinear
-    lattice's kinks, and no candidate below ``STEP_FLOOR_PX`` is tried."""
-    return _line_search_step(
-        evaluate, params, kappa, config, f0, built0, FD_STEP_PX / kappa, STEP_FLOOR_PX
-    )
-
-
 def ascend_motion(
     packet: EventPacket,
     clusters: ClusterSet,
@@ -393,9 +381,9 @@ def ascend_motion(
     With associations frozen the summed objective splits per cluster, so
     backtracking each cluster against its own sharpness keeps the total
     non-decreasing.  Dead clusters keep their parameters untouched.  Each
-    step is :func:`_m_step_search`'s: differences that move the warped
-    events by up to ``FD_STEP_PX``, and no candidate that would move none of
-    them by more than ``STEP_FLOOR_PX``.
+    step takes :func:`_line_search_step`'s defaults: differences that move
+    the warped events by up to ``FD_STEP_PX``, and no candidate that would
+    move none of them by more than ``STEP_FLOOR_PX``.
 
     ``settled``, a boolean mask over clusters, carries the settle rule
     across calls: a marked cluster takes no step, and a cluster whose line
@@ -421,7 +409,7 @@ def ascend_motion(
         _keep(kept, j, f, img)
         if float(w.sum()) > 0.0 and not settled[j]:
             kappa = displacement_sensitivity(packet, prm)
-            new_params[j], f, img, improved = _m_step_search(
+            new_params[j], f, img, improved = _line_search_step(
                 evaluate, prm, kappa, config, f, kept[j][1]
             )
             settled[j] = not improved
@@ -572,9 +560,9 @@ def _ascend_single(
     f, _ = evaluate(params)
     for _ in range(INIT_ASCEND_ITERS):
         kappa = displacement_sensitivity(packet, params)
-        # native-unit differences and no step floor, unlike the M-steps:
-        # with theirs greedy init lands elsewhere, and on the mini two-strip
-        # scene the solve that follows loses accuracy
+        # native-unit differences and no step floor, unlike the layered and
+        # mixture M-steps: with theirs greedy init lands elsewhere, and on the
+        # mini two-strip scene the solve that follows loses accuracy
         params, f_new, _, improved = _line_search_step(
             evaluate, params, kappa, config, f, None, FD_STEP, 0.0
         )

@@ -14,10 +14,12 @@ for head-to-head comparison:
 
 Both follow the layered solver's line search and settle rule; a settled
 cluster keeps its column of the per-event table, so it costs no build in
-the motion step.  Their per-event tables are column-major, as the layered
-solver's are.  Both report the same result type as the layered solver
-and additionally track the summed per-cluster sharpness so the three
-methods can be compared on one scale.
+the motion step.  The mixture searches in pixel units as the layered solver
+does; the fuzzy M-step keeps greedy init's native-unit differences.  Their
+per-event tables are column-major, as the layered solver's are.  Both
+report the same result type as the layered solver and additionally track
+the summed per-cluster sharpness so the three methods can be compared on
+one scale.
 """
 from __future__ import annotations
 
@@ -34,12 +36,13 @@ from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
 # because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     EPSILON_C,
+    FD_STEP,
     ClusterSet,
     SegmentationResult,
     SolverConfig,
     _alternate,
     _column_sums,
-    _m_step_search,
+    _line_search_step,
     _normalize_rows,
     cluster_image,
     initialize_greedy,
@@ -155,7 +158,7 @@ def mixture_m_step(
             return _log_likelihood(_trial, state.mixing), column
 
         f0 = _log_likelihood(likelihoods, state.mixing)
-        clusters.params[j], _, likelihoods[:, j], improved = _m_step_search(
+        clusters.params[j], _, likelihoods[:, j], improved = _line_search_step(
             evaluate, clusters.params[j], kappa, config, f0, likelihoods[:, j]
         )
         settled[j] = not improved
@@ -220,8 +223,10 @@ def fuzzy_m_step(
             return float((_pw * column).sum()), column
 
         f0 = float((pw * affinities[:, j]).sum())
-        clusters.params[j], _, affinities[:, j], improved = _m_step_search(
-            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j]
+        # native-unit differences, not the pixel-unit default: with those
+        # the slow cluster climbs onto the fast motion on the two-strip scene
+        clusters.params[j], _, affinities[:, j], improved = _line_search_step(
+            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j], FD_STEP, 0.0
         )
         settled[j] = not improved
     return FuzzyState(clusters, state.membership, state.b), affinities

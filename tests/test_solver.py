@@ -6,6 +6,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import evseg.solver as solver
+import evseg.variants as variants
 from evseg.events import ImageGeometry, count_windows, make_packet
 from evseg.iwe import accumulate_weighted, variance_contrast
 from evseg.metrics import per_event_accuracy
@@ -197,11 +198,11 @@ def test_ascend_leaves_dead_clusters_alone(drift_packet):
 def record_line_searches(monkeypatch):
     """Patch the line search so each call appends ``(params, candidates)``:
     the params it starts from and every candidate it builds, the 2p
-    differences first.  Every M-step reaches it through solver's name."""
+    differences first.  variants binds the line search by name."""
     searches = []
     line_search = solver._line_search_step
 
-    def recording(evaluate, params, *args):
+    def recording(evaluate, params, *args, **kwargs):
         built = []
 
         def evaluate_and_record(candidate):
@@ -209,9 +210,10 @@ def record_line_searches(monkeypatch):
             return evaluate(candidate)
 
         searches.append((params, built))
-        return line_search(evaluate_and_record, params, *args)
+        return line_search(evaluate_and_record, params, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_line_search_step", recording)
+    monkeypatch.setattr(variants, "_line_search_step", recording)
     return searches
 
 
@@ -232,9 +234,7 @@ def largest_move(packet, params, candidate):
     ],
     ids=lambda p: p.model,
 )
-@pytest.mark.parametrize(
-    "solve", [segment, segment_mixture, segment_fuzzy], ids=["layered", "mixture", "fuzzy"]
-)
+@pytest.mark.parametrize("solve", [segment, segment_mixture], ids=["layered", "mixture"])
 def test_m_step_differences_move_events_a_quarter_pixel(monkeypatch, drift_packet, params, solve):
     # under 512 events, so displacement_sensitivity sees every event.  The
     # warp is not linear in fourdof's zoom rate s: a difference h moves an
@@ -252,6 +252,23 @@ def test_m_step_differences_move_events_a_quarter_pixel(monkeypatch, drift_packe
     for candidate in built[: 2 * params.param_count]:
         moved = largest_move(pk, params, candidate)
         assert moved == pytest.approx(solver.FD_STEP_PX, rel=1e-2)
+
+
+def test_fuzzy_m_step_keeps_native_unit_differences(monkeypatch, drift_packet):
+    # with pixel-unit differences both fuzzy clusters climb onto one motion
+    # on the two-strip scene, so the fuzzy M-step differences every
+    # parameter by FD_STEP in its own units, as greedy init does
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=20, n_times=20)
+    params = WarpParams("fourdof", np.array([24.0, -6.0, 0.5, 0.3]))
+    searches = record_line_searches(monkeypatch)
+    init = (ClusterSet([params], np.ones(1, dtype=bool)), np.ones((pk.n, 1)))
+    segment_fuzzy(pk, 1, "fourdof", SolverConfig(max_iters=1), init=init, early_stop=False)
+    start, built = searches[0]
+    assert start is params
+    for i, candidate in enumerate(built[: 2 * params.param_count]):
+        delta = np.zeros(params.param_count)
+        delta[i // 2] = solver.FD_STEP if i % 2 == 0 else -solver.FD_STEP
+        assert candidate.theta.tobytes() == (params.theta + delta).tobytes()
 
 
 def test_cluster_at_its_optimum_settles_without_candidates_below_the_floor(
