@@ -7,12 +7,14 @@ the score every solver in this package climbs.
 Mass deposit uses bilinear splatting onto the four neighbouring pixel
 centres; sampling uses the matching bilinear interpolation.  Both take each
 position's footprint from one helper, :func:`_footprint`, which makes
-deposit and read-out adjoint to one another.  The footprint indexes the
-sensor grid padded by a ring of ``RING`` pixels: a position is clamped
-into the ring first, so one that lands off the sensor (NaN and infinite
-ones included) puts all four corners on padding.  Events landing outside
-the sensor contribute only the in-bounds fraction of their mass; sampling
-outside returns zero.
+deposit and read-out adjoint to one another.  A deposit of unit weights
+leaves its footprint intact in scratch, and :func:`sample_deposited` reads
+an image out at that deposit's positions from it, without computing the
+footprint a second time.  The footprint indexes the sensor grid padded by
+a ring of ``RING`` pixels: a position is clamped into the ring first, so
+one that lands off the sensor (NaN and infinite ones included) puts all
+four corners on padding.  Events landing outside the sensor contribute
+only the in-bounds fraction of their mass; sampling outside returns zero.
 
 Every image build would otherwise allocate, and free, about eight
 grid-sized or position-sized arrays, and freeing them lets the allocator
@@ -82,6 +84,9 @@ class _Scratch(threading.local):
 
     def __init__(self) -> None:
         self.size = -1
+        # (geometry, n) of the unit-weight deposit whose footprint the rows
+        # still hold, or None
+        self.deposited = None
         self.grids: dict = {}
         self.blurs: dict = {}
         self.deviations = np.empty(0)
@@ -148,6 +153,7 @@ def _footprint(wx, wy, geometry: ImageGeometry):
     """
     w, h = geometry.width, geometry.height
     stride = w + 2 * RING
+    _scratch.deposited = None
     index, weight, fx = _scratch.rows(wx.size)
     # fy and the floors live in the weight rows until the weights overwrite
     # them, so the footprint needs one row beyond its output
@@ -178,14 +184,19 @@ def _footprint(wx, wy, geometry: ImageGeometry):
     return index, weight, fx
 
 
-def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool) -> np.ndarray:
+def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool, unit: bool) -> np.ndarray:
     index, value, _ = _footprint(wx.ravel(), wy.ravel(), geometry)
-    value *= weights.ravel()
+    # w * 1.0 is w to the byte, so unit weights leave the footprint's
+    # weights as they are, for sample_deposited to read with
+    if not unit:
+        value *= weights.ravel()
     # one scatter of all corners, corner after corner, into this thread's
     # deposit grid: each pixel sums its deposits in a fixed order
     padded, pixels = _scratch.grid(geometry, "deposit")
     padded.fill(0.0)
     np.add.at(padded, index.ravel(), value.ravel())
+    if unit:
+        _scratch.deposited = (geometry, wx.size)
     return pixels if scratch else pixels.copy()
 
 
@@ -208,12 +219,15 @@ def accumulate_weighted(
     weights = np.asarray(weights, dtype=np.float64)
     if not (wx.shape == wy.shape == weights.shape):
         raise ValueError("coordinate and weight arrays must share a shape")
+    unit = False
     if weights.size:
-        if float(weights.min()) < 0.0:
+        low, high = float(weights.min()), float(weights.max())
+        if low < 0.0:
             raise NegativeWeightError("event weights must be non-negative")
-        if not np.isfinite(weights.max()):
+        if not np.isfinite(high):
             raise ValueError("event weights must be finite")
-    return Iwe(_splat(wx, wy, weights, geometry, scratch), geometry)
+        unit = low == high == 1.0
+    return Iwe(_splat(wx, wy, weights, geometry, scratch, unit), geometry)
 
 
 def accumulate_unweighted(wx: np.ndarray, wy: np.ndarray, geometry: ImageGeometry) -> Iwe:
@@ -375,6 +389,35 @@ def sample_local(
         raise ValueError("out must be a 1-D float64 array shaped like wx")
     padded = _bordered(iwe)
     index, weight, work = _footprint(wx.ravel(), wy.ravel(), iwe.geometry)
+    return _read(padded, index, weight, work, out)
+
+
+def sample_deposited(iwe: Iwe, *, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`sample_local` at the positions of this thread's last deposit,
+    read with the footprint that deposit computed: the same bytes, without
+    computing the footprint again.
+
+    That deposit must have had unit weights (every weight 1.0) and
+    ``iwe``'s geometry, and no other deposit nor :func:`sample_local` may
+    have run in this thread since; otherwise ``ValueError`` is raised.
+    ``out`` is as for :func:`sample_local`.
+    """
+    deposited = _scratch.deposited
+    if deposited is None or deposited[0] != iwe.geometry:
+        raise ValueError("no unit-weight deposit of this geometry to read at")
+    n = deposited[1]
+    if out is None:
+        out = np.empty(n)
+    elif out.dtype != np.float64 or out.shape != (n,):
+        raise ValueError("out must be a 1-D float64 array as long as the deposit")
+    padded = _bordered(iwe)
+    index, weight, work = _scratch.rows(n)
+    return _read(padded, index, weight, work, out)
+
+
+def _read(padded, index, weight, work, out: np.ndarray) -> np.ndarray:
+    """Sum each position's four corners of the padded image, weighted by its
+    footprint, into ``out``."""
     flat = out.reshape(-1)
     flat.fill(0.0)
     for k in range(4):

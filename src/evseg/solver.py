@@ -21,18 +21,20 @@ rule that :func:`_alternate` keeps for the run: a cluster whose line search
 finds no gain keeps its motion and takes no further step.  The layered and
 mixture M-steps search in pixel units: their differences move the warped
 events by up to ``FD_STEP_PX``, a quarter pixel that sees the sharpness
-basin of the default 1-px blur rather than the bilinear lattice, and their
-backtracking gives up, which settles the cluster, before a candidate that
-would move no event by more than ``STEP_FLOOR_PX``.  The fuzzy M-step and
-greedy init's ascent keep native-unit differences (``FD_STEP``) and no
-floor.  A settled layered cluster costs one image build per iteration, its
-sharpness at the new associations.  Each iteration's ascent keeps every
-live cluster's image at its final motion; the summed sharpness traced for
-the iteration and the next association refresh both read those images
-rather than rebuilding them.  The initial objective keeps its images the
-same way for the first refresh.  An image build works in per-thread scratch
-(see :func:`cluster_image`), so the kept images are copies, one buffer per
-cluster for the whole solve.
+basin of the default 1-px blur rather than the bilinear lattice.  Every
+M-step's backtracking gives up, which settles the cluster, before a
+candidate that would move no event by more than ``STEP_FLOOR_PX``.  The
+fuzzy M-step keeps native-unit differences (``FD_STEP``) under that floor;
+greedy init's ascent keeps ``FD_STEP`` and halves with no floor.  Greedy
+init's builds deposit only the events its residual still weights (see
+:func:`maximize_single_cluster`).  A settled layered cluster costs one
+image build per iteration, its sharpness at the new associations.  Each
+iteration's ascent keeps every live cluster's image at its final motion;
+the summed sharpness traced for the iteration and the next association
+refresh both read those images rather than rebuilding them.  The initial
+objective keeps its images the same way for the first refresh.  An image
+build works in per-thread scratch (see :func:`cluster_image`), so the kept
+images are copies, one buffer per cluster for the whole solve.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -54,7 +56,14 @@ from .events import (
     subsample_indices,
     window_stride,
 )
-from .iwe import Iwe, accumulate_weighted, sample_local, smooth, variance_contrast
+from .iwe import (
+    Iwe,
+    accumulate_weighted,
+    sample_deposited,
+    sample_local,
+    smooth,
+    variance_contrast,
+)
 from .warps import (
     MODEL_PARAM_COUNT,
     WarpParams,
@@ -323,8 +332,9 @@ def _line_search_step(
 
     By default ``h`` is ``FD_STEP_PX / kappa``, per parameter, so each
     difference moves the warped positions by up to ``FD_STEP_PX``, and
-    ``floor_px`` is ``STEP_FLOOR_PX``.  Greedy init and the fuzzy M-step pass
-    ``FD_STEP`` (native units, every parameter) and no floor.
+    ``floor_px`` is ``STEP_FLOOR_PX``.  The fuzzy M-step passes ``FD_STEP``
+    (native units, every parameter) and keeps the floor; greedy init passes
+    ``FD_STEP`` and no floor.
     """
     p = params.param_count
     h = np.broadcast_to(FD_STEP_PX / kappa if h is None else h, (p,))
@@ -470,12 +480,20 @@ def _hard_labels(table: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _normalize_rows(table: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def _normalize_rows(
+    table: np.ndarray, alive: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Non-negative ``table`` with each row divided by its sum; rows summing
-    to zero come out uniform over the live columns."""
+    to zero come out uniform over the live columns, and rows whose sum is
+    not a number come out zero.  Written into ``out`` if given, which may be
+    ``table`` itself, else into a fresh array."""
     rowsum = table.sum(axis=1, keepdims=True)
-    out = np.zeros_like(table)
-    np.divide(table, rowsum, out=out, where=rowsum > 0.0)
+    positive = rowsum > 0.0
+    if out is None:
+        out = np.zeros_like(table)
+    elif not positive.all():
+        out[~positive[:, 0]] = 0.0
+    np.divide(table, rowsum, out=out, where=positive)
     zero_rows = rowsum[:, 0] <= 0.0
     if zero_rows.any():
         alive_idx = np.flatnonzero(alive)
@@ -487,16 +505,44 @@ def _normalize_rows(table: np.ndarray, alive: np.ndarray) -> np.ndarray:
 # greedy initialisation
 
 
+def _weighted_events(packet: EventPacket, weights: np.ndarray):
+    """The events ``weights`` gives non-zero mass, as a packet on the same
+    sensor and reference time, and their weights: the packet and weights
+    themselves when no weight is zero.
+
+    A build of them has the bytes of a build of the whole packet: a
+    zero-weight event adds +0.0 to pixels that are never negative, and the
+    deposit scatters the other events in their order."""
+    keep = weights != 0.0
+    if keep.all():
+        return packet, weights
+    sub = EventPacket(
+        x=packet.x[keep],
+        y=packet.y[keep],
+        t=packet.t[keep],
+        polarity=packet.polarity[keep],
+        geometry=packet.geometry,
+        t_ref=packet.t_ref,
+    )
+    return sub, weights[keep]
+
+
 def _coarse_eval_factory(packet: EventPacket, weights: np.ndarray):
     """Sharpness evaluator on a subsampled packet and a downscaled grid.
 
     Cheap enough to call hundreds of times during the initial scan; the
     downscale widens the basin so a coarse parameter grid cannot step over
-    the optimum.
+    the optimum.  The subsample is drawn from the whole packet, then keeps
+    only the events ``weights`` gives non-zero mass (see
+    :func:`_weighted_events`).
     """
     idx = subsample_indices(packet.n, INIT_SCAN_EVENTS)
-    xs, ys, ts = packet.x[idx], packet.y[idx], packet.t[idx]
-    ws = weights[idx]
+    sample = EventPacket(
+        packet.x[idx], packet.y[idx], packet.t[idx], packet.polarity[idx],
+        packet.geometry, packet.t_ref,
+    )
+    sample, ws = _weighted_events(sample, weights[idx])
+    xs, ys, ts = sample.x, sample.y, sample.t
     scale = float(INIT_SCAN_DOWNSCALE)
     geom = ImageGeometry(
         max(2, int(np.ceil(packet.geometry.width / scale))),
@@ -550,12 +596,17 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray):
 
 def _ascend_single(
     packet: EventPacket,
+    deposit: EventPacket,
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
 ) -> tuple[WarpParams, float]:
+    """Greedy init's full-resolution ascent of one motion: builds deposit
+    ``weights`` on the events of ``deposit``, and the step sizes come from
+    the whole ``packet``."""
+
     def evaluate(candidate: WarpParams) -> tuple[float, None]:
-        return cluster_contrast(packet, candidate, weights, config), None
+        return cluster_contrast(deposit, candidate, weights, config), None
 
     f, _ = evaluate(params)
     for _ in range(INIT_ASCEND_ITERS):
@@ -589,14 +640,26 @@ def maximize_single_cluster(
     raises at once, before any build: every event sits at the reference
     time, or (rotation) none carries weight, so every hypothesis builds the
     zero-motion image.
+
+    Every build, coarse or full, deposits only the events with non-zero
+    weight (see :func:`_weighted_events`), which gives the bytes of
+    depositing them all.  Three inputs still read the whole packet, because
+    their values depend on every event, weighted or not:
+    :func:`displacement_sensitivity`, which sizes each ascent step from a
+    stride of the packet's rows; :func:`_scan_grids`, whose velocity step
+    reads the largest time offset of any event and whose rotation centre
+    sums over every row (dropping the zero terms would regroup the pairwise
+    sums); and the coarse scan's subsample, drawn from the whole packet and
+    then filtered, so it keeps the rows it always had.
     """
     grids = _scan_grids(packet, model, weights)
     if not grids:
         raise DegenerateInitError(
             f"no {model} hypothesis beats zero motion: no warp moves these events"
         )
+    deposit, deposit_weights = _weighted_events(packet, weights)
     base = zero_params(model)
-    f_zero = cluster_contrast(packet, base, weights, config)
+    f_zero = cluster_contrast(deposit, base, deposit_weights, config)
 
     coarse = _coarse_eval_factory(packet, weights)
     best, best_val = base, coarse(base)
@@ -614,7 +677,7 @@ def maximize_single_cluster(
         starts.append(moving)
     params, f = base, -np.inf
     for start in starts:
-        cand, fc = _ascend_single(packet, start, weights, config)
+        cand, fc = _ascend_single(packet, deposit, start, deposit_weights, config)
         if fc > f:
             params, f = cand, fc
     if f > f_zero * (1.0 + config.rel_tol):
@@ -631,9 +694,24 @@ def _claim_mask(
     config: SolverConfig,
 ) -> np.ndarray:
     """Events whose local sharpness strictly drops when the optimised motion
-    is perturbed: these are the events the motion explains."""
-    img, wx, wy = cluster_image(packet, params, weights, config)
-    c_star = sample_local(img, wx, wy)
+    is perturbed: these are the events the motion explains.
+
+    Every event is sampled, weighted or not.  When every weight is one, each
+    image is read out at the positions it deposited, from its deposit's
+    footprint; otherwise each build deposits only the weighted events (see
+    :func:`_weighted_events`) and every event's position is warped apart."""
+    deposit, deposit_weights = _weighted_events(packet, weights)
+    unit = bool((weights == 1.0).all())
+
+    def local_sharpness(prm: WarpParams, out: np.ndarray | None = None) -> np.ndarray:
+        img, wx, wy = cluster_image(deposit, prm, deposit_weights, config)
+        if unit:
+            return sample_deposited(img, out=out)
+        if deposit is not packet:
+            wx, wy = warp_packet(packet, prm, out=_builds.positions(packet.n))
+        return sample_local(img, wx, wy, out=out)
+
+    c_star = local_sharpness(params)
     kappa = displacement_sensitivity(packet, params)
     acc = np.zeros(packet.n)
     probe = np.empty(packet.n)
@@ -642,8 +720,7 @@ def _claim_mask(
         for sign in (1.0, -1.0):
             th = params.theta.copy()
             th[i] += sign * INIT_PERTURB_PX / kappa[i]
-            pimg, pwx, pwy = cluster_image(packet, params.replace_theta(th), weights, config)
-            acc += sample_local(pimg, pwx, pwy, out=probe)
+            acc += local_sharpness(params.replace_theta(th), out=probe)
             n_probes += 1
     return (c_star - acc / n_probes) > 0.0
 

@@ -15,7 +15,8 @@ for head-to-head comparison:
 Both follow the layered solver's line search and settle rule; a settled
 cluster keeps its column of the per-event table, so it costs no build in
 the motion step.  The mixture searches in pixel units as the layered solver
-does; the fuzzy M-step keeps greedy init's native-unit differences.  Their
+does; the fuzzy M-step keeps greedy init's native-unit differences.  Both
+stop backtracking at the layered solver's step floor.  Their
 per-event tables are column-major, as the layered solver's are.  Both
 report the same result type as the layered solver and additionally track
 the summed per-cluster sharpness so the three methods can be compared on
@@ -29,11 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventPacket
-from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
-# initialize_greedy runs inside _alternate and every image is built by
-# cluster_image, so this module no longer calls accumulate_unweighted, smooth,
-# variance_contrast or warp_packet; those names stay bound here
-# because perfbench/tracing.py wraps each name in every module that binds it
+from .iwe import (
+    accumulate_unweighted,
+    sample_deposited,
+    sample_local,
+    smooth,
+    variance_contrast,
+)
+# initialize_greedy runs inside _alternate, every image is built by
+# cluster_image and read out by sample_deposited, so this module no longer
+# calls accumulate_unweighted, sample_local, smooth, variance_contrast or
+# warp_packet; those names stay bound here because perfbench/tracing.py
+# wraps each name in every module that binds it
 from .solver import (
     EPSILON_C,
     FD_STEP,
@@ -104,9 +112,9 @@ def component_likelihood(
     but non-zero likelihood.  Computed in ``out`` (a table column, say) if
     given, else in a fresh array.
     """
-    img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
+    img, _, _ = cluster_image(packet, params, _unit_weights(packet.n), config)
     total = img.total_mass
-    values = sample_local(img, wx, wy, out=out)
+    values = sample_deposited(img, out=out)
     if total > 0.0:
         values /= total
     return np.maximum(values, EPSILON_C, out=values)
@@ -129,8 +137,16 @@ def mixture_e_step(
 
 
 def _log_likelihood(likelihoods: np.ndarray, mixing: np.ndarray) -> float:
-    mix = np.maximum((likelihoods * mixing).sum(axis=1), 1e-300)
-    return float(np.log(mix).sum())
+    """Total log of each event's mixture density.  Its weighted columns are
+    added one after another into one event-sized array, the order in which
+    numpy sums the rows of the column-major product, so no (n, J) product
+    is made."""
+    mix = np.multiply(likelihoods[:, 0], mixing[0])
+    term = np.empty_like(mix)
+    for j in range(1, likelihoods.shape[1]):
+        mix += np.multiply(likelihoods[:, j], mixing[j], out=term)
+    np.maximum(mix, 1e-300, out=mix)
+    return float(np.log(mix, out=mix).sum())
 
 
 def mixture_m_step(
@@ -175,8 +191,8 @@ def fuzzy_affinity(
     """Per-event affinity log(1 + image value) under one motion; zero where
     the warped position lands on empty pixels.  Computed in ``out`` (a
     table column, say) if given, else in a fresh array."""
-    img, wx, wy = cluster_image(packet, params, _unit_weights(packet.n), config)
-    values = sample_local(img, wx, wy, out=out)
+    img, _, _ = cluster_image(packet, params, _unit_weights(packet.n), config)
+    values = sample_deposited(img, out=out)
     return np.log1p(np.maximum(values, 0.0, out=values), out=values)
 
 
@@ -192,9 +208,16 @@ def fuzzy_e_step(
     if affinities is None:
         affinities = _column_table(fuzzy_affinity, packet, clusters, config)
     powed = np.zeros_like(affinities)
-    alive_idx = np.flatnonzero(clusters.alive)
-    powed[:, alive_idx] = affinities[:, alive_idx] ** (1.0 / (state.b - 1.0))
-    return FuzzyState(clusters.copy(), _normalize_rows(powed, clusters.alive), state.b)
+    exponent = 1.0 / (state.b - 1.0)
+    for j in np.flatnonzero(clusters.alive):
+        # each live column is copied and raised in place, so no fancy-indexed
+        # temporaries; ** rather than np.power keeps numpy's shortcuts for
+        # exponents such as 1.0 and 2.0, and so the bytes
+        column = powed[:, j]
+        column[...] = affinities[:, j]
+        column **= exponent
+    membership = _normalize_rows(powed, clusters.alive, out=powed)
+    return FuzzyState(clusters.copy(), membership, state.b)
 
 
 def fuzzy_m_step(
@@ -224,9 +247,10 @@ def fuzzy_m_step(
 
         f0 = float((pw * affinities[:, j]).sum())
         # native-unit differences, not the pixel-unit default: with those
-        # the slow cluster climbs onto the fast motion on the two-strip scene
+        # the slow cluster climbs onto the fast motion on the two-strip
+        # scene.  The step floor is the default, as in the other M-steps
         clusters.params[j], _, affinities[:, j], improved = _line_search_step(
-            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j], FD_STEP, 0.0
+            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j], FD_STEP
         )
         settled[j] = not improved
     return FuzzyState(clusters, state.membership, state.b), affinities

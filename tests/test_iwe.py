@@ -14,6 +14,7 @@ from evseg.iwe import (
     NegativeWeightError,
     accumulate_unweighted,
     accumulate_weighted,
+    sample_deposited,
     sample_local,
     smooth,
     variance_contrast,
@@ -331,6 +332,34 @@ def _in_fresh_thread(fn):
     worker.join(timeout=120)
     assert not worker.is_alive() and len(out) == 1
     return out[0]
+
+
+def test_sample_deposited_reads_as_sample_local_at_the_deposit():
+    rng = np.random.default_rng(8)
+    n = 5_000
+    geom = ImageGeometry(60, 45)
+    wx = rng.uniform(-3, geom.width + 2, n)
+    wy = rng.uniform(-3, geom.height + 2, n)
+    wx[:3] = [np.nan, np.inf, -np.inf]
+    field = Iwe(rng.normal(size=(geom.height, geom.width)), geom)
+    expect = sample_local(field, wx, wy).tobytes()
+    accumulate_weighted(wx, wy, np.ones(n), geom, scratch=True)
+    assert sample_deposited(field).tobytes() == expect
+    # the footprint stays until the next deposit or sample_local
+    out = np.empty(n)
+    assert sample_deposited(field, out=out) is out
+    assert out.tobytes() == expect
+    with pytest.raises(ValueError):
+        sample_deposited(field, out=np.empty(n - 1))
+    with pytest.raises(ValueError):
+        sample_deposited(Iwe(np.zeros((45, 61)), ImageGeometry(61, 45)))
+    sample_local(field, wx[:10], wy[:10])
+    with pytest.raises(ValueError):
+        sample_deposited(field)
+    # any other weight multiplies the footprint's weights in place
+    accumulate_weighted(wx, wy, np.full(n, 2.0), geom)
+    with pytest.raises(ValueError):
+        sample_deposited(field)
 
 
 def test_scratch_reuse_across_sizes_and_geometries():

@@ -10,8 +10,9 @@ solve run to its full budget, the solver's hard labels equal
 ``hard_assignments``, swapping the two initial
 clusters of a layered solve swaps its outputs, every finite packet
 either segments into a finite, normalised result or raises
-``DegenerateInitError``, and a layered solve's objective never falls by
-more than 1% in one iteration."""
+``DegenerateInitError``, a layered solve's objective never falls by
+more than 1% in one iteration, and zero-weight events change no byte of an
+image build or of greedy init's coarse score."""
 
 import numpy as np
 import pytest
@@ -519,3 +520,72 @@ def test_objective_falls_at_most_one_percent_per_iteration(packet, j, starts, se
         return
     trace = result.objective_trace
     assert np.all(trace[1:] >= trace[:-1] - 0.01 * np.abs(trace[:-1]))
+
+
+def params_for(model, velocity, spin):
+    """A motion of the given model from a drawn velocity and spin (rad/s):
+    rotation turns about a point near the drift packet's sources, fourdof
+    also zooms at a quarter of its spin."""
+    vx, vy = velocity
+    if model == "flow2":
+        return WarpParams(model, np.array([vx, vy]))
+    if model == "rotation":
+        return WarpParams(model, np.array([42.0 + vx / 4, 35.0 + vy / 4, spin]))
+    return WarpParams(model, np.array([vx, vy, spin, spin / 4]))
+
+
+@st.composite
+def zero_weight_events(draw):
+    """A weighted drift packet, and the same packet with zero-weight events
+    put among its rows: on the sensor, far off it and at NaN."""
+    truth = draw(st.lists(velocities, min_size=1, max_size=2))
+    packet, _ = build_drift_packet(
+        truth, n_sources=10, n_times=8, seed=draw(st.integers(0, 1000))
+    )
+    weights = draw(
+        arrays(np.float64, packet.n, elements=st.one_of(st.just(1.0), st.floats(1e-3, 2.0)))
+    )
+    kinds = draw(st.lists(st.sampled_from(["on", "off", "nan"]), min_size=1, max_size=12))
+    x, y = [], []
+    for kind in kinds:
+        if kind == "on":
+            x.append(draw(st.floats(0.0, 95.0)))
+            y.append(draw(st.floats(0.0, 71.0)))
+        elif kind == "off":
+            x.append(draw(st.floats(-1e4, -5.0)))
+            y.append(draw(st.floats(80.0, 1e4)))
+        else:
+            x.append(np.nan)
+            y.append(draw(st.one_of(st.just(np.nan), st.floats(0.0, 71.0))))
+    k = len(kinds)
+    rows = draw(arrays(np.int64, k, elements=st.integers(0, packet.n)))
+    t = draw(arrays(np.float64, k, elements=st.floats(0.0, 0.5)))
+
+    def put(a, extra):
+        return np.insert(a, rows, extra)
+
+    padded = make_packet(
+        put(packet.x, x), put(packet.y, y), put(packet.t, t),
+        put(packet.polarity, np.ones(k)), packet.geometry, t_ref=packet.t_ref,
+    )
+    return packet, weights, padded, put(weights, np.zeros(k))
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_PARAM_COUNT))
+@given(zero_weight_events(), velocities, st.floats(-2.0, 2.0))
+def test_zero_weight_events_change_no_build_byte(model, drawn, velocity, spin):
+    # what lets greedy init deposit only the events its residual weights: a
+    # zero-weight event adds +0.0 to pixels that are never negative, and the
+    # deposit adds the other events in their order.  Under 6,000 events, so
+    # the coarse scan's subsample takes every row
+    packet, weights, padded, padded_weights = drawn
+    assert padded.n < 2 * solver.INIT_SCAN_EVENTS
+    params = params_for(model, velocity, spin)
+    config = SolverConfig()
+    img, _, _ = cluster_image(packet, params, weights, config)
+    expect = img.pixels.tobytes()
+    img, _, _ = cluster_image(padded, params, padded_weights, config)
+    assert img.pixels.tobytes() == expect
+    coarse = solver._coarse_eval_factory(packet, weights)(params)
+    padded_coarse = solver._coarse_eval_factory(padded, padded_weights)(params)
+    assert np.float64(padded_coarse).tobytes() == np.float64(coarse).tobytes()

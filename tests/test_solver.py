@@ -271,26 +271,30 @@ def test_fuzzy_m_step_keeps_native_unit_differences(monkeypatch, drift_packet):
         assert candidate.theta.tobytes() == (params.theta + delta).tobytes()
 
 
+@pytest.mark.parametrize("solve", [segment, segment_fuzzy], ids=["layered", "fuzzy"])
 def test_cluster_at_its_optimum_settles_without_candidates_below_the_floor(
-    monkeypatch, drift_packet
+    monkeypatch, drift_packet, solve
 ):
     # a run settles its cluster where a line search fails; restarted there,
     # one cluster (whose associations cannot change) fails the same search
     # in iteration 1, halving its step down to the floor and no further
     pk, _ = drift_packet([(30.0, 0.0)], n_sources=20, n_times=20)
     start = ClusterSet([WarpParams("flow2", np.array([26.0, 3.0]))], np.ones(1, dtype=bool))
-    first = segment(pk, 1, "flow2", init=(start, np.ones((pk.n, 1))))
+    first = solve(pk, 1, "flow2", init=(start, np.ones((pk.n, 1))))
     assert first.diagnostics["settled"][0] > 1
     searches = record_line_searches(monkeypatch)
-    again = segment(pk, 1, "flow2", init=(first.clusters, first.associations))
+    again = solve(pk, 1, "flow2", init=(first.clusters, first.associations))
     assert again.diagnostics["settled"].tolist() == [1]
     assert again.clusters.params[0].theta.tobytes() == first.clusters.params[0].theta.tobytes()
     params, built = searches[0]
     steps = [largest_move(pk, params, c) for c in built[2 * params.param_count :]]
-    assert 0 < len(steps) <= solver.BACKTRACK_MAX
-    assert min(steps) > solver.STEP_FLOOR_PX
-    # the next halving would have moved no event by more than the floor
-    assert min(steps) / 2 <= solver.STEP_FLOOR_PX
+    assert len(steps) <= solver.BACKTRACK_MAX
+    assert all(step > solver.STEP_FLOOR_PX for step in steps)
+    # the next halving would have moved no event by more than the floor.
+    # The fuzzy search's first step there is already below it, so it builds
+    # only its differences; without the floor the fuzzy run never settles
+    assert min(steps, default=0.0) / 2 <= solver.STEP_FLOOR_PX
+    assert (len(steps) > 0) == (solve is segment)
 
 
 def test_ascend_keeps_each_image_and_skips_settled_clusters(drift_packet):
@@ -415,6 +419,38 @@ def test_greedy_two_motions_within_30_percent(mini_recording):
     for got, want in zip(speeds, expect):
         assert abs(got - want) / want < 0.30
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("scan_events", [solver.INIT_SCAN_EVENTS, 500])
+def test_greedy_init_keeps_its_output_when_builds_skip_zero_weights(
+    monkeypatch, mini_recording, scan_events
+):
+    # at J = 3 the second cluster's search and claim mask face a residual
+    # with zeros, the events the first cluster claimed; builds that deposit
+    # only the weighted events must give the bytes of builds of every event.
+    # The mini scene's 4,238 events all enter the coarse scan by default; at
+    # 500 its subsample takes every 8th row, and dropping the zero-weight
+    # rows must not draw other rows
+    monkeypatch.setattr(solver, "INIT_SCAN_EVENTS", scan_events)
+    pk = mini_recording.packet
+    deposited = []
+    accumulate = solver.accumulate_weighted
+
+    def counting(wx, *args, **kwargs):
+        deposited.append(np.size(wx))
+        return accumulate(wx, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "accumulate_weighted", counting)
+    clusters, assoc = initialize_greedy(pk, 3, "flow2")
+    compact, deposited[:] = list(deposited), []
+    monkeypatch.setattr(solver, "_weighted_events", lambda packet, weights: (packet, weights))
+    every, every_assoc = initialize_greedy(pk, 3, "flow2")
+    assert assoc.tobytes() == every_assoc.tobytes()
+    assert [p.theta.tobytes() for p in clusters.params] == [
+        p.theta.tobytes() for p in every.params
+    ]
+    assert len(compact) == len(deposited)
+    assert sum(compact) < sum(deposited)
 
 
 def test_greedy_single_object_starves_second_cluster():

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from evseg.events import ImageGeometry, make_packet
+from evseg.iwe import sample_local
 from evseg.metrics import per_event_accuracy
 from evseg.solver import (
     EPSILON_C,
     ClusterSet,
     SolverConfig,
     build_count,
+    cluster_image,
     initialize_greedy,
     segment,
 )
@@ -45,6 +47,35 @@ def test_component_likelihood_floor_and_contrast(drift_packet):
     assert (aligned >= EPSILON_C).all()
     # events under their own motion sit on dense pixels of the density
     assert np.median(aligned) > np.median(off)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        WarpParams("flow2", np.array([30.0, 0.0])),
+        # these two carry some events off the sensor
+        WarpParams("rotation", np.array([20.0, 20.0, 2.5])),
+        WarpParams("fourdof", np.array([-80.0, 14.0, 0.5, 0.3])),
+    ],
+    ids=lambda p: p.model,
+)
+@pytest.mark.parametrize("column", [component_likelihood, fuzzy_affinity])
+def test_columns_equal_a_build_read_out_by_sample_local(drift_packet, params, column):
+    # both columns read their build out where it deposited each event, from
+    # the deposit's footprint: the bytes of sample_local at those positions
+    pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
+    cfg = SolverConfig()
+    img, wx, wy = cluster_image(pk, params, np.ones(pk.n), cfg)
+    values = sample_local(img, wx, wy)
+    if column is component_likelihood:
+        values /= img.total_mass
+        np.maximum(values, EPSILON_C, out=values)
+    else:
+        np.log1p(np.maximum(values, 0.0, out=values), out=values)
+    assert column(pk, params, cfg).tobytes() == values.tobytes()
+    out = np.empty(pk.n)
+    assert column(pk, params, cfg, out=out) is out
+    assert out.tobytes() == values.tobytes()
 
 
 def test_mixture_e_step_matches_bayes_by_hand(drift_packet):
