@@ -184,9 +184,8 @@ def _write_table(lines: list, out: str | None) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     geometry = ImageGeometry(args.width, args.height)
+    # settings are checked before anything is written
     cfg = SimConfig(
         contrast_threshold=args.threshold,
         duration=args.duration,
@@ -194,6 +193,8 @@ def _cmd_simulate(args) -> int:
         noise_rate=args.noise_rate,
         seed=args.seed,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.preset == "two_pebbles":
         scene = preset_two_pebbles(args.delta_v, args.base_v, geometry, cfg)
     else:

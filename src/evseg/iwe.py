@@ -42,6 +42,7 @@ function hands back:
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -142,46 +143,61 @@ def _footprint(wx, wy, geometry: ImageGeometry):
     """Bilinear footprint of each position on the sensor grid padded by
     ``RING`` pixels on every side.
 
-    ``wx`` and ``wy`` are flat float64 arrays of one length n.  Returns
-    scratch views: the (4, n) flat padded indices and (4, n) weights of each
-    position's corners, in the order 00, 10, 01, 11, and a free (n,) row.
-    Positions are clamped into [-RING, w] x [-RING, h] first (``fmax`` maps
-    NaN to the low edge), which leaves every footprint that reaches the
+    ``wx`` and ``wy`` are float64 arrays whose shapes broadcast together, to
+    n positions in all: two flat arrays of one length, say, or a row of x
+    and a column of y.  Returns scratch views: the (4, n) flat padded
+    indices and (4, n) weights of each position's corners, in the order 00,
+    10, 01, 11, each row in the broadcast shape's C order, and a free (n,)
+    row.  Positions are clamped into [-RING, w] x [-RING, h] first (``fmax``
+    maps NaN to the low edge), which leaves every footprint that reaches the
     sensor as it is and puts every other one, NaN and infinite positions
-    included, wholly on padding.  All three are overwritten by the next
-    footprint computed in this thread.
+    included, wholly on padding.  Each axis is clamped, floored and split at
+    its own shape, and only the corner indices and weights are formed at
+    the broadcast shape, so a row and a column give the bytes the flat
+    positions they broadcast to would.  All three are overwritten by the
+    next footprint computed in this thread.
     """
     w, h = geometry.width, geometry.height
     stride = w + 2 * RING
     _scratch.deposited = None
-    index, weight, fx = _scratch.rows(wx.size)
-    # fy and the floors live in the weight rows until the weights overwrite
-    # them, so the footprint needs one row beyond its output
-    w00, w10, w01, w11 = weight
-    fy = w10
+    same = wx.shape == wy.shape
+    shape = wx.shape if same else np.broadcast_shapes(wx.shape, wy.shape)
+    index, weight, work = _scratch.rows(math.prod(shape))
+    grid_index = index.reshape((4,) + shape)
+    w00, w10, w01, w11 = weight.reshape((4,) + shape)
+    if same:
+        # each axis's fraction, floor and index offset live in rows that
+        # the corners overwrite after their last read, so the footprint
+        # needs one row beyond its output
+        fx, x0, fy, y0 = work.reshape(shape), w00, w10, w01
+        ix, iy = grid_index[1], grid_index[0]
+    else:
+        # an axis is as long as one side of the positions, not all of them
+        fx, x0, fy, y0 = (np.empty(a.shape) for a in (wx, wx, wy, wy))
+        ix, iy = np.empty(wx.shape, dtype=np.int64), np.empty(wy.shape, dtype=np.int64)
     np.fmin(np.fmax(wx, -RING, out=fx), w, out=fx)
     np.fmin(np.fmax(wy, -RING, out=fy), h, out=fy)
-    x0 = np.floor(fx, out=w00)
-    y0 = np.floor(fy, out=w01)
-    base = index[0]
-    np.copyto(base, y0, casting="unsafe")
-    base *= stride
-    np.copyto(index[1], x0, casting="unsafe")
-    base += index[1]
-    base += RING * stride + RING
-    np.add(base, 1, out=index[1])
-    np.add(base, stride, out=index[2])
-    np.add(base, stride + 1, out=index[3])
+    np.floor(fx, out=x0)
+    np.floor(fy, out=y0)
+    np.copyto(iy, y0, casting="unsafe")
+    iy *= stride
+    iy += RING * stride + RING
+    np.copyto(ix, x0, casting="unsafe")
+    base = np.add(iy, ix, out=grid_index[0])
+    np.add(base, 1, out=grid_index[1])
+    np.add(base, stride, out=grid_index[2])
+    np.add(base, stride + 1, out=grid_index[3])
     fx -= x0
     fy -= y0
-    # (1-fx)(1-fy), fx(1-fy), (1-fx)fy and fx fy, in an order that writes
-    # each row after its last read
+    # fx fy, (1-fx)fy, (1-fx)(1-fy) and fx(1-fy), with 1-fx in x0 and 1-fy
+    # in fy, in an order that writes each row after its last read
     np.multiply(fx, fy, out=w11)
-    np.multiply(np.subtract(1.0, fx, out=w01), fy, out=w01)
-    one_y = np.subtract(1.0, fy, out=w10)
-    np.multiply(np.subtract(1.0, fx, out=w00), one_y, out=w00)
+    one_x = np.subtract(1.0, fx, out=x0)
+    np.multiply(one_x, fy, out=w01)
+    one_y = np.subtract(1.0, fy, out=fy)
+    np.multiply(one_x, one_y, out=w00)
     np.multiply(fx, one_y, out=w10)
-    return index, weight, fx
+    return index, weight, work
 
 
 def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool, unit: bool) -> np.ndarray:
@@ -375,20 +391,21 @@ def sample_local(
     """Bilinear read-out of the image at fractional positions; zero outside.
 
     Adjoint of :func:`accumulate_weighted`'s deposit: both use
-    :func:`_footprint`.  ``out``, a one-dimensional float64 array as long as
-    one-dimensional ``wx`` (a table column, say), receives the values and is
+    :func:`_footprint`.  ``wx`` and ``wy`` need only broadcast together: a
+    row of x and a column of y read the grid they span, with the bytes of
+    reading it at the broadcast positions.  ``out``, a float64 array of the
+    broadcast shape (a table column, say), receives the values and is
     returned; without it the values come back in a fresh array.
     """
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
-    if wx.shape != wy.shape:
-        raise ValueError("coordinate arrays must share a shape")
+    shape = np.broadcast_shapes(wx.shape, wy.shape)
     if out is None:
-        out = np.empty(wx.shape)
-    elif out.dtype != np.float64 or out.ndim != 1 or out.shape != wx.shape:
-        raise ValueError("out must be a 1-D float64 array shaped like wx")
+        out = np.empty(shape)
+    elif out.dtype != np.float64 or out.shape != shape:
+        raise ValueError("out must be a float64 array of the positions' broadcast shape")
     padded = _bordered(iwe)
-    index, weight, work = _footprint(wx.ravel(), wy.ravel(), iwe.geometry)
+    index, weight, work = _footprint(wx, wy, iwe.geometry)
     return _read(padded, index, weight, work, out)
 
 
@@ -417,11 +434,12 @@ def sample_deposited(iwe: Iwe, *, out: np.ndarray | None = None) -> np.ndarray:
 
 def _read(padded, index, weight, work, out: np.ndarray) -> np.ndarray:
     """Sum each position's four corners of the padded image, weighted by its
-    footprint, into ``out``."""
-    flat = out.reshape(-1)
-    flat.fill(0.0)
+    footprint, into ``out``, whose C order is the footprint's."""
+    out.fill(0.0)
+    term = work.reshape(out.shape)
     for k in range(4):
         # every index is in range; "clip" lets take() write into work directly
         np.take(padded, index[k], out=work, mode="clip")
-        flat += np.multiply(weight[k], work, out=work)
+        np.multiply(weight[k], work, out=work)
+        out += term
     return out

@@ -48,24 +48,37 @@ class SceneObject:
     """A textured opaque rectangle moving under one parametric motion.
 
     ``pattern`` holds log-intensity offsets relative to the background and
-    must match the region size.  Higher ``depth_order`` draws in front.
+    must match the region size; the object keeps a read-only float64 copy
+    of it, taken at construction.  Higher ``depth_order`` draws in front.
     The whole rectangle occludes what is behind it, even where the pattern
     value is zero.
+
+    What every frame would otherwise derive again is computed here once:
+    ``texture``, the pattern as an image to sample, and ``extent``, the
+    region's corner box at time 0 with the centre its motion turns about
+    (see :func:`_corner_extent`).
     """
 
     pattern: np.ndarray
     motion: WarpParams
     region: Rect
     depth_order: int = 0
+    texture: Iwe = field(init=False, repr=False, compare=False)
+    extent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.pattern.shape != (self.region.height, self.region.width):
+        pattern = np.array(self.pattern, dtype=np.float64)
+        r = self.region
+        if pattern.shape != (r.height, r.width):
             raise SceneConfigError(
-                f"pattern {self.pattern.shape} does not fill region "
-                f"{self.region.height}x{self.region.width}"
+                f"pattern {pattern.shape} does not fill region {r.height}x{r.width}"
             )
-        if self.region.width <= 0 or self.region.height <= 0:
+        if r.width <= 0 or r.height <= 0:
             raise SceneConfigError("object region must have positive area")
+        pattern.flags.writeable = False
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "texture", Iwe(pattern, ImageGeometry(r.width, r.height)))
+        object.__setattr__(self, "extent", _corner_extent(r, self.motion))
 
 
 @dataclass
@@ -79,6 +92,11 @@ class SimConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        values = (self.contrast_threshold, self.duration, self.timestamp_jitter, self.noise_rate)
+        if not np.isfinite(values).all():
+            raise SceneConfigError(
+                "contrast threshold, duration, jitter and noise rate must be finite"
+            )
         if self.contrast_threshold <= 0:
             raise SceneConfigError("contrast threshold must be positive")
         if self.duration <= 0:
@@ -100,11 +118,11 @@ class LabeledEvents:
         return self.packet.n
 
 
-def _corner_extent(obj: SceneObject):
-    """The object's four region corners at time 0, the centre its motion
-    turns or scales about (a rotation's own centre, otherwise the region's
-    centre) and the largest corner distance from that centre."""
-    r = obj.region
+def _corner_extent(r: Rect, motion: WarpParams):
+    """The bounds of a region's four corners at time 0 (lowest and highest
+    x, then y), the centre its motion turns or scales about (a rotation's
+    own centre, otherwise the region's centre) and the largest corner
+    distance from that centre."""
     corners = np.array(
         [
             [r.x0, r.y0],
@@ -113,23 +131,24 @@ def _corner_extent(obj: SceneObject):
             [r.x0 + r.width - 1, r.y0 + r.height - 1],
         ]
     )
-    if obj.motion.model == "rotation":
-        cx, cy = obj.motion.theta[:2]
+    if motion.model == "rotation":
+        cx, cy = motion.theta[:2]
     else:
         cx, cy = corners.mean(axis=0)
     rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
-    return corners, cx, cy, rad
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    return (lo[0], hi[0], lo[1], hi[1]), cx, cy, rad
 
 
 def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
     """Integer pixel box sure to contain the object at time t (clipped)."""
-    corners, cx, cy, rad = _corner_extent(obj)
+    (lo_x, hi_x, lo_y, hi_y), cx, cy, rad = obj.extent
     th = obj.motion.theta
     if obj.motion.model == "flow2":
-        fx = corners[:, 0] + t * th[0]
-        fy = corners[:, 1] + t * th[1]
-        lo_x, hi_x = fx.min(), fx.max()
-        lo_y, hi_y = fy.min(), fy.max()
+        # a rounded sum keeps the order of its terms, so shifting the
+        # corners' bounds is shifting the corners and taking their bounds
+        lo_x, hi_x = lo_x + t * th[0], hi_x + t * th[0]
+        lo_y, hi_y = lo_y + t * th[1], hi_y + t * th[1]
     elif obj.motion.model == "rotation":
         lo_x, hi_x = cx - rad, cx + rad
         lo_y, hi_y = cy - rad, cy + rad
@@ -149,7 +168,7 @@ def _speed_bound(obj: SceneObject, duration: float) -> float:
     th = obj.motion.theta
     if obj.motion.model == "flow2":
         return float(np.hypot(th[0], th[1]))
-    _, _, _, rad = _corner_extent(obj)
+    rad = obj.extent[3]
     if obj.motion.model == "rotation":
         return abs(th[2]) * rad
     vx, vy, omega, s = th
@@ -158,44 +177,52 @@ def _speed_bound(obj: SceneObject, duration: float) -> float:
 
 
 def render_scene(
-    scene: list, geometry: ImageGeometry, t: float
+    scene: list,
+    geometry: ImageGeometry,
+    t: float,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite log-intensity and per-pixel owner label (0 = background)
-    at time t.  Objects are painted back to front by depth order."""
-    level = np.zeros((geometry.height, geometry.width))
-    owner = np.zeros((geometry.height, geometry.width), dtype=np.int32)
+    at time t.  Objects are painted back to front by depth order.
+
+    ``out``, a (level, owner) pair of float64 and int32 arrays of the
+    sensor's shape, receives the frame and is returned; without it the
+    frame comes back in fresh arrays."""
+    shape = (geometry.height, geometry.width)
+    if out is None:
+        level, owner = np.zeros(shape), np.zeros(shape, dtype=np.int32)
+    else:
+        level, owner = out
+        if (level.shape, level.dtype, owner.shape, owner.dtype) != (
+            shape, np.float64, shape, np.int32
+        ):
+            raise ValueError("out must be a float64 and an int32 array of the sensor's shape")
+        level.fill(0.0)
+        owner.fill(0)
     order = sorted(range(len(scene)), key=lambda i: (scene[i].depth_order, i))
     for i in order:
         obj = scene[i]
+        r = obj.region
         x0, x1, y0, y1 = _forward_bound_box(obj, t, geometry)
         if x1 <= x0 or y1 <= y0:
             continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
+        # the box as a row of x and a column of y: a flow2 warp keeps them
+        # apart, and every other model broadcasts them to the whole box
         wx, wy = warp_points(
-            xs.ravel().astype(np.float64),
-            ys.ravel().astype(np.float64),
+            np.arange(x0, x1, dtype=np.float64)[None, :],
+            np.arange(y0, y1, dtype=np.float64)[:, None],
             np.float64(t),
             obj.motion,
             0.0,
         )
-        lx = wx - obj.region.x0
-        ly = wy - obj.region.y0
-        footprint = (
-            (lx >= -0.5)
-            & (lx < obj.region.width - 0.5)
-            & (ly >= -0.5)
-            & (ly < obj.region.height - 0.5)
-        )
-        if not footprint.any():
+        lx = wx - r.x0
+        ly = wy - r.y0
+        inside = ((lx >= -0.5) & (lx < r.width - 0.5)) & ((ly >= -0.5) & (ly < r.height - 0.5))
+        if not inside.any():
             continue
-        pat = Iwe(obj.pattern.astype(np.float64), ImageGeometry(obj.region.width, obj.region.height))
-        vals = sample_local(pat, lx, ly)
-        sub_l = level[y0:y1, x0:x1].ravel()
-        sub_o = owner[y0:y1, x0:x1].ravel()
-        sub_l[footprint] = vals[footprint]
-        sub_o[footprint] = i + 1
-        level[y0:y1, x0:x1] = sub_l.reshape(y1 - y0, x1 - x0)
-        owner[y0:y1, x0:x1] = sub_o.reshape(y1 - y0, x1 - x0)
+        vals = sample_local(obj.texture, lx, ly)
+        np.copyto(level[y0:y1, x0:x1], vals, where=inside)
+        np.copyto(owner[y0:y1, x0:x1], i + 1, where=inside)
     return level, owner
 
 
@@ -228,18 +255,28 @@ def simulate(
     n_steps = int(np.ceil(config.duration * rate))
     times = np.minimum((np.arange(1, n_steps + 1) / rate), config.duration)
 
-    level_prev, owner_prev = render_scene(scene, geometry, 0.0)
+    # two frames in turn, the previous and the current one, and the diff and
+    # threshold-count buffers, all reused for every frame
+    shape = (geometry.height, geometry.width)
+    frames = [(np.empty(shape), np.empty(shape, dtype=np.int32)) for _ in range(2)]
+    diff = np.empty(shape)
+    steps = np.empty(shape)     # whole thresholds crossed, as floats
+    firing = np.empty(shape, dtype=bool)
+    level_prev, owner_prev = render_scene(scene, geometry, 0.0, out=frames[0])
     ref = level_prev.copy()
     t_prev = 0.0
     w = geometry.width
     ex, ey, et, ep, el = [], [], [], [], []
-    for t_cur in times:
-        level_cur, owner_cur = render_scene(scene, geometry, float(t_cur))
-        diff = level_cur - ref
-        n_ev = np.floor(np.abs(diff) / c_thr).astype(np.int64)
-        act = np.flatnonzero(n_ev.ravel())
+    for k, t_cur in enumerate(times):
+        level_cur, owner_cur = render_scene(
+            scene, geometry, float(t_cur), out=frames[(k + 1) % 2]
+        )
+        np.subtract(level_cur, ref, out=diff)
+        np.floor(np.divide(np.abs(diff, out=steps), c_thr, out=steps), out=steps)
+        # nonzero() scans a bool array several times faster than a float one
+        act = np.flatnonzero(np.not_equal(steps, 0.0, out=firing))
         if act.size:
-            counts = n_ev.ravel()[act]
+            counts = steps.ravel()[act].astype(np.int64)
             pol = np.sign(diff.ravel()[act])
             rows = np.repeat(act, counts)
             pols = np.repeat(pol, counts)

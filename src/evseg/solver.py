@@ -23,10 +23,12 @@ mixture M-steps search in pixel units: their differences move the warped
 events by up to ``FD_STEP_PX``, a quarter pixel that sees the sharpness
 basin of the default 1-px blur rather than the bilinear lattice.  Every
 M-step's backtracking gives up, which settles the cluster, before a
-candidate that would move no event by more than ``STEP_FLOOR_PX``.  The
-fuzzy M-step keeps native-unit differences (``FD_STEP``) under that floor;
-greedy init's ascent keeps ``FD_STEP`` and halves with no floor.  Greedy
-init's builds deposit only the events its residual still weights (see
+candidate whose reach is at most ``STEP_FLOOR_PX``: the largest over
+parameters of how far that parameter's change alone can move an event
+(see :func:`_line_search_step`).  The fuzzy M-step keeps native-unit
+differences (``FD_STEP``) under that floor; greedy init's ascent keeps
+``FD_STEP`` and halves with no floor.  Greedy init's builds deposit only
+the events its residual still weights (see
 :func:`maximize_single_cluster`).  A settled layered cluster costs one
 image build per iteration, its sharpness at the new associations.  Each
 iteration's ascent keeps every live cluster's image at its final motion;
@@ -86,8 +88,8 @@ CONVERGENCE_WINDOW = 3      # stagnant, or settled and unchanged, iterations bef
 EPSILON_C = 1e-6            # association sampling floor
 FD_STEP = 1e-2              # greedy init and fuzzy finite-difference h, native units
 FD_STEP_PX = 0.25           # M-step finite-difference h, as max warped-position change
-STEP_CLAMP_PX = 2.0         # max warped-position change per ascent step
-STEP_FLOOR_PX = 0.025       # M-step candidates moving no event further are not tried
+STEP_CLAMP_PX = 2.0         # largest reach of an ascent step
+STEP_FLOOR_PX = 0.025       # M-step candidates that reach no further are not tried
 BACKTRACK_MAX = 8
 # greedy initialisation
 INIT_CLAIM_PROB = 0.9
@@ -323,10 +325,13 @@ def _line_search_step(
     ``f0`` and ``built0`` are those at ``params``; ``kappa`` is
     :func:`displacement_sensitivity` at ``params``.  Central differences at
     ``h`` give gradient and diagonal curvature; the step is the gradient over
-    |curvature| (a one-dimensional Newton guess per parameter), clamped so no
-    warped position moves more than ``STEP_CLAMP_PX``, then halved until the
-    value does not decrease.  The search fails without building a candidate
-    that would move no warped position by more than ``floor_px``.  Returns
+    |curvature| (a one-dimensional Newton guess per parameter), then halved
+    until the value does not decrease.  A candidate's reach is the largest
+    over parameters of |alpha * direction_i| * kappa_i, how far that
+    parameter's change alone can move a warped position; several parameters
+    changed together can move some positions further.  The first candidate
+    is clamped to a reach of ``STEP_CLAMP_PX``, and the search fails without
+    building a candidate whose reach is at most ``floor_px``.  Returns
     (new params, their value, what was built at them, whether the value
     strictly improved).
 
@@ -392,8 +397,8 @@ def ascend_motion(
     backtracking each cluster against its own sharpness keeps the total
     non-decreasing.  Dead clusters keep their parameters untouched.  Each
     step takes :func:`_line_search_step`'s defaults: differences that move
-    the warped events by up to ``FD_STEP_PX``, and no candidate that would
-    move none of them by more than ``STEP_FLOOR_PX``.
+    the warped events by up to ``FD_STEP_PX``, and no candidate whose reach
+    is at most ``STEP_FLOOR_PX``.
 
     ``settled``, a boolean mask over clusters, carries the settle rule
     across calls: a marked cluster takes no step, and a cluster whose line

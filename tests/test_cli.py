@@ -89,6 +89,20 @@ class TestDataErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--threshold", "nan"), ("--duration", "inf"), ("--jitter", "nan"), ("--noise-rate", "nan")],
+    )
+    def test_non_finite_simulator_setting_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        argv = [
+            "simulate", "--out", str(out), "--preset", "two_pebbles",
+            "--width", "120", "--height", "90", "--duration", "0.02", flag, value,
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("j", ["0", "-1"])
     @pytest.mark.parametrize(
         "command, extra",

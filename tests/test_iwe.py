@@ -324,6 +324,35 @@ def test_splat_and_sample_match_per_corner_oracle():
     assert expect_img[:, 0].sum() > 0 and expect_img[0, :].sum() > 0
 
 
+def test_sample_at_a_row_and_a_column_reads_their_broadcast_positions():
+    # a row of x and a column of y give the bytes of the flat positions they
+    # broadcast to, off-grid, NaN and infinite entries included
+    rng = np.random.default_rng(12)
+    field = Iwe(rng.normal(size=(GEOM.height, GEOM.width)), GEOM)
+    xs = np.concatenate([rng.uniform(-3, GEOM.width + 2, 15), [np.nan, np.inf, -np.inf, -1.0, 15.0, 3.0]])
+    ys = np.concatenate([rng.uniform(-3, GEOM.height + 2, 11), [np.nan, -np.inf, 1e300, 11.0, -0.5]])
+    row, col = xs[None, :], ys[:, None]
+    flat_x, flat_y = (a.ravel().copy() for a in np.broadcast_arrays(row, col))
+    expect = sample_local(field, flat_x, flat_y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_local(field, row, col)
+        swapped = sample_local(field, xs[:, None], ys[None, :])
+    assert got.shape == (ys.size, xs.size)
+    assert got.tobytes() == expect.tobytes()
+    assert swapped.tobytes() == sample_local(
+        field, *(a.ravel().copy() for a in np.broadcast_arrays(xs[:, None], ys[None, :]))
+    ).tobytes()
+    # into a caller's array of the broadcast shape, here a strided one
+    out = np.full((ys.size, 2 * xs.size), 5.0)[:, ::2]
+    assert sample_local(field, row, col, out=out) is out
+    assert out.tobytes() == expect.tobytes()
+    with pytest.raises(ValueError, match="broadcast"):
+        sample_local(field, xs, ys)
+    with pytest.raises(ValueError, match="out must be"):
+        sample_local(field, row, col, out=np.empty(expect.size))
+
+
 def _in_fresh_thread(fn):
     """Run ``fn`` in a new thread, whose kernel scratch starts empty."""
     out = []

@@ -1,9 +1,12 @@
 """Simulator tests: threshold counting against a dense-time reference
 integrator, label bookkeeping, preset scene geometry, and reproducibility."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from evseg.events import ImageGeometry
+from evseg.iwe import Iwe, sample_local
 from evseg.simulate import (
     MIN_SAMPLE_HZ,
     OVERSAMPLE,
@@ -17,7 +20,7 @@ from evseg.simulate import (
     render_scene,
     simulate,
 )
-from evseg.warps import WarpParams
+from evseg.warps import WarpParams, warp_points
 
 C = 0.2  # default contrast threshold used throughout
 
@@ -153,6 +156,14 @@ class TestValidation:
         with pytest.raises(SceneConfigError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["contrast_threshold", "duration", "timestamp_jitter", "noise_rate"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(SceneConfigError, match="finite"):
+            SimConfig(**{name: value})
+
 
 class TestThresholdCounting:
     def test_static_scene_emits_nothing(self):
@@ -235,6 +246,16 @@ class TestThresholdCounting:
         assert (np.diff(t) > 0).all()
         assert (np.diff(t)[:2] < 1.0 / 1000.0).all()
         assert (pk.polarity[m][:3] == 1).all()
+
+    def test_first_sample_interpolates_between_its_two_frames(self):
+        # a bright edge crosses a threshold within the first sampling
+        # interval, so that frame pair, like every later one, must place
+        # the crossing between the two frames' instants
+        geom = ImageGeometry(40, 12)
+        rec = simulate([solid_object(40 * C)], geom, SimConfig(duration=0.01, seed=1))
+        first = rec.packet.t[rec.packet.t <= 1.0 / MIN_SAMPLE_HZ]
+        assert first.size > 0
+        assert (first > 0.0).all() and (first < 1.0 / MIN_SAMPLE_HZ).all()
 
     def test_doubling_threshold_halves_counts(self):
         geom = ImageGeometry(40, 12)
@@ -395,3 +416,231 @@ class TestFanAndCoin:
         assert truth[1].theta[2] == 10.0
         assert truth[2].model == "flow2"
         assert tuple(truth[2].theta) == (70.0, 0.0)
+
+
+def exit_scene():
+    """A fourdof object that leaves a small sensor behind a flow2 object with
+    a fractional origin."""
+    rng = np.random.default_rng(2)
+    back = SceneObject(
+        np.where(rng.standard_normal((12, 14)) > 0, 0.45, 0.0),
+        WarpParams("fourdof", np.array([450.0, 30.0, 1.5, 2.0])),
+        Rect(30.0, 14.0, 14, 12),
+    )
+    front = SceneObject(
+        np.where(rng.standard_normal((20, 16)) > 0, 0.6, 0.1),
+        WarpParams("flow2", np.array([140.0, 15.0])),
+        Rect(24.35, 10.6, 16, 20),
+        depth_order=1,
+    )
+    return [back, front], ImageGeometry(64, 48)
+
+
+def recording_digest(rec):
+    h = hashlib.sha256()
+    pk = rec.packet
+    for a in (pk.x, pk.y, pk.t, pk.polarity, rec.labels):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Every event of these recordings keeps its bytes: a change to how the
+    simulator renders or counts must leave its output exactly as it was."""
+
+    def test_two_pebbles_with_noise_and_jitter(self):
+        geom = ImageGeometry(120, 90)
+        cfg = SimConfig(duration=0.05, seed=11, timestamp_jitter=2e-4, noise_rate=0.5)
+        rec = simulate(preset_two_pebbles(60.0, 40.0, geom, cfg), geom, cfg)
+        assert rec.packet.n == 3837
+        assert recording_digest(rec) == (
+            "95dc8fe79af7aa876f84b4ba39964ba6d3cf419312b7e2789e257655194e1162"
+        )
+
+    def test_fan_and_coin_with_noise(self):
+        geom = ImageGeometry(240, 180)
+        cfg = SimConfig(duration=0.015, seed=3, noise_rate=0.5)
+        rec = simulate(preset_fan_and_coin(10.0, (70.0, 0.0), geom, cfg), geom, cfg)
+        assert rec.packet.n == 9371
+        assert recording_digest(rec) == (
+            "8ddeb58855f8fd07d0dfc00079439e1d4e84e5f030b9a395714ec7cad1b160f0"
+        )
+
+    def test_fourdof_leaving_the_sensor_behind_a_flow2_object(self):
+        scene, geom = exit_scene()
+        rec = simulate(scene, geom, SimConfig(duration=0.1, seed=5))
+        assert rec.packet.n == 5247
+        assert recording_digest(rec) == (
+            "1976f9be79a8bef9cd046a0bfdebff985d90c3eab61d45d1e46541df5eaf8d1a"
+        )
+
+
+def reference_render(scene, geometry, t):
+    """The renderer as it was before objects kept their render constants:
+    every frame derives each object's corners and pattern again, warps an
+    mgrid of its whole box as flat positions and masks the result in."""
+    level = np.zeros((geometry.height, geometry.width))
+    owner = np.zeros((geometry.height, geometry.width), dtype=np.int32)
+    order = sorted(range(len(scene)), key=lambda i: (scene[i].depth_order, i))
+    for i in order:
+        obj = scene[i]
+        r, th = obj.region, obj.motion.theta
+        corners = np.array(
+            [
+                [r.x0, r.y0],
+                [r.x0 + r.width - 1, r.y0],
+                [r.x0, r.y0 + r.height - 1],
+                [r.x0 + r.width - 1, r.y0 + r.height - 1],
+            ]
+        )
+        if obj.motion.model == "rotation":
+            cx, cy = th[:2]
+        else:
+            cx, cy = corners.mean(axis=0)
+        rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
+        if obj.motion.model == "flow2":
+            fx = corners[:, 0] + t * th[0]
+            fy = corners[:, 1] + t * th[1]
+            lo_x, hi_x, lo_y, hi_y = fx.min(), fx.max(), fy.min(), fy.max()
+        elif obj.motion.model == "rotation":
+            lo_x, hi_x, lo_y, hi_y = cx - rad, cx + rad, cy - rad, cy + rad
+        else:
+            vx, vy, _, s = th
+            rad *= float(np.exp(abs(s) * t))
+            lo_x, hi_x = cx + t * vx - rad, cx + t * vx + rad
+            lo_y, hi_y = cy + t * vy - rad, cy + t * vy + rad
+        x0 = max(0, int(np.floor(lo_x)) - 2)
+        x1 = min(geometry.width, int(np.ceil(hi_x)) + 3)
+        y0 = max(0, int(np.floor(lo_y)) - 2)
+        y1 = min(geometry.height, int(np.ceil(hi_y)) + 3)
+        if x1 <= x0 or y1 <= y0:
+            continue
+        ys, xs = np.mgrid[y0:y1, x0:x1]
+        wx, wy = warp_points(
+            xs.ravel().astype(np.float64), ys.ravel().astype(np.float64),
+            np.float64(t), obj.motion, 0.0,
+        )
+        lx = wx - r.x0
+        ly = wy - r.y0
+        inside = (lx >= -0.5) & (lx < r.width - 0.5) & (ly >= -0.5) & (ly < r.height - 0.5)
+        if not inside.any():
+            continue
+        pat = Iwe(np.asarray(obj.pattern).astype(np.float64), ImageGeometry(r.width, r.height))
+        vals = sample_local(pat, lx, ly)
+        sub_l = level[y0:y1, x0:x1].ravel()
+        sub_o = owner[y0:y1, x0:x1].ravel()
+        sub_l[inside] = vals[inside]
+        sub_o[inside] = i + 1
+        level[y0:y1, x0:x1] = sub_l.reshape(y1 - y0, x1 - x0)
+        owner[y0:y1, x0:x1] = sub_o.reshape(y1 - y0, x1 - x0)
+    return level, owner
+
+
+def textured(rng, height, width, low=0.1, high=0.7):
+    return rng.uniform(low, high, (height, width))
+
+
+def flow2_scene():
+    """Two flow2 objects at one depth with fractional origins, one leaving
+    the sensor to the left and one to the bottom right."""
+    rng = np.random.default_rng(21)
+    return [
+        SceneObject(
+            textured(rng, 9, 13), WarpParams("flow2", np.array([-180.0, 37.5])),
+            Rect(6.3, 4.45, 13, 9),
+        ),
+        SceneObject(
+            textured(rng, 11, 8), WarpParams("flow2", np.array([123.0, 211.0])),
+            Rect(11.7, 8.2, 8, 11),
+        ),
+    ], ImageGeometry(40, 30)
+
+
+def rotation_scene():
+    """A spinning square whose box reaches past the sensor's corner, under
+    a flow2 object that shares its depth."""
+    rng = np.random.default_rng(22)
+    return [
+        SceneObject(
+            textured(rng, 21, 21), WarpParams("rotation", np.array([9.0, 8.0, 17.0])),
+            Rect(-1.0 + 0.5, 0.0, 21, 21),
+        ),
+        SceneObject(
+            textured(rng, 6, 10), WarpParams("flow2", np.array([95.0, -20.0])),
+            Rect(14.25, 12.6, 10, 6),
+        ),
+    ], ImageGeometry(36, 28)
+
+
+def fourdof_scene():
+    """exit_scene with a second fourdof object at the flow2 object's depth."""
+    scene, geom = exit_scene()
+    rng = np.random.default_rng(23)
+    tie = SceneObject(
+        textured(rng, 8, 9), WarpParams("fourdof", np.array([-60.0, -90.0, -3.0, -1.5])),
+        Rect(40.6, 30.3, 9, 8), depth_order=1,
+    )
+    return scene + [tie], geom
+
+
+SCENES = {"flow2": flow2_scene, "rotation": rotation_scene, "fourdof": fourdof_scene}
+
+
+class TestRenderExactness:
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_render_matches_the_per_frame_reference(self, name):
+        scene, geom = SCENES[name]()
+        for t in np.linspace(0.0, 0.1, 12):
+            level, owner = render_scene(scene, geom, float(t))
+            ref_level, ref_owner = reference_render(scene, geom, float(t))
+            assert level.tobytes() == ref_level.tobytes()
+            assert np.array_equal(owner, ref_owner)
+        # every object shows at t = 0, and by the end the first one has
+        # left the sensor, in part or in whole
+        assert set(np.unique(render_scene(scene, geom, 0.0)[1])) == set(range(len(scene) + 1))
+        first = scene[0].region
+        assert render_scene(scene[:1], geom, 0.1)[1].sum() < first.width * first.height
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_frames_rendered_into_buffers_equal_fresh_frames(self, name):
+        scene, geom = SCENES[name]()
+        shape = (geom.height, geom.width)
+        buffers = (np.full(shape, 9.5), np.full(shape, 7, dtype=np.int32))
+        for t in np.linspace(0.0, 0.1, 10):
+            level, owner = render_scene(scene, geom, float(t), out=buffers)
+            assert level is buffers[0] and owner is buffers[1]
+            fresh_level, fresh_owner = render_scene(scene, geom, float(t))
+            assert level.tobytes() == fresh_level.tobytes()
+            assert np.array_equal(owner, fresh_owner)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            (np.zeros((28, 36)), np.zeros((28, 36), dtype=np.int64)),
+            (np.zeros((28, 36), dtype=np.float32), np.zeros((28, 36), dtype=np.int32)),
+            (np.zeros((36, 28)), np.zeros((36, 28), dtype=np.int32)),
+        ],
+    )
+    def test_render_rejects_mismatched_buffers(self, out):
+        scene, geom = rotation_scene()
+        with pytest.raises(ValueError, match="out must be"):
+            render_scene(scene, geom, 0.0, out=out)
+
+    def test_object_keeps_its_own_copy_of_the_pattern(self):
+        geom = ImageGeometry(24, 16)
+        pattern = np.full((6, 8), 0.5)
+        obj = SceneObject(pattern, WarpParams("flow2", np.array([30.0, 10.0])), Rect(3.5, 2.25, 8, 6))
+        before = render_scene([obj], geom, 0.05)[0].copy()
+        pattern[...] = -3.0
+        assert render_scene([obj], geom, 0.05)[0].tobytes() == before.tobytes()
+        assert obj.pattern.dtype == np.float64 and not obj.pattern.flags.writeable
+        with pytest.raises(ValueError):
+            obj.pattern[0, 0] = 1.0
+
+    def test_integer_pattern_renders_as_its_float_copy(self):
+        geom = ImageGeometry(24, 16)
+        ints = np.arange(48).reshape(6, 8) % 3
+        motion = WarpParams("rotation", np.array([9.0, 6.0, 4.0]))
+        a = render_scene([SceneObject(ints, motion, Rect(5.0, 3.0, 8, 6))], geom, 0.07)
+        b = render_scene([SceneObject(ints.astype(float), motion, Rect(5.0, 3.0, 8, 6))], geom, 0.07)
+        assert a[0].tobytes() == b[0].tobytes()
