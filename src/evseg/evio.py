@@ -114,6 +114,9 @@ def write_ground_truth(path, labels: np.ndarray, truth: dict) -> None:
 
 
 def read_ground_truth(path) -> tuple[np.ndarray, dict]:
+    """Per-event labels (0 for noise, objects from 1) and the true motion of
+    each label.  Raises :class:`ParseError` with the line number for a label
+    that is not a non-negative integer or a bad ``# motion`` header."""
     labels = []
     truth: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -133,9 +136,12 @@ def read_ground_truth(path) -> tuple[np.ndarray, dict]:
                         raise ParseError(f"bad motion header: {exc}", lineno)
                 continue
             try:
-                labels.append(int(line))
+                label = int(line)
             except ValueError:
                 raise ParseError(f"label must be an integer, got {line!r}", lineno)
+            if label < 0:
+                raise ParseError(f"label must not be negative, got {label}", lineno)
+            labels.append(label)
     return np.asarray(labels, dtype=np.int32), truth
 
 
@@ -160,11 +166,12 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
     """Returns (associations, alive mask, cluster params list).
 
     Raises :class:`ParseError` with the line number for a row whose field
-    count differs from the column header's, for a ``# live`` entry that is
-    not a column number (1 to the column count), and for ``# cluster``
-    headers that disagree with the table: numbered out of sequence, more or
-    fewer of them than columns, or an ``alive``/``dead`` state that
-    contradicts ``# live``.  A file without ``# cluster`` headers carries no
+    count differs from the column header's, for a share that is not a
+    finite non-negative number, for a ``# live`` entry that is not a column
+    number (1 to the column count), and for ``# cluster`` headers that
+    disagree with the table: numbered out of sequence, more or fewer of them
+    than columns, or an ``alive``/``dead`` state that contradicts
+    ``# live``.  A file without ``# cluster`` headers carries no
     params."""
     rows = []
     live_line = None
@@ -206,9 +213,12 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
             if len(fields) != width:
                 raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
             try:
-                rows.append([float(v) for v in fields])
+                row = [float(v) for v in fields]
             except ValueError:
                 raise ParseError(f"non-numeric association row {line!r}", lineno)
+            if not all(0.0 <= v < np.inf for v in row):
+                raise ParseError(f"shares must be finite and non-negative, got {line!r}", lineno)
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path} holds no association rows")
     alive = np.zeros(width, dtype=bool)

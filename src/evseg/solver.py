@@ -15,28 +15,22 @@ solver alternates
 until the summed sharpness stops improving.  Clusters whose association mass
 falls below a floor are marked dead and take no further part.
 
-Every back-end climbs its objective with :func:`_line_search_step`, which
-hands back what it built at the params it returns, and follows one settle
-rule that :func:`_alternate` keeps for the run: a cluster whose line search
-finds no gain keeps its motion and takes no further step.  The layered and
-mixture M-steps search in pixel units: their differences move the warped
-events by up to ``FD_STEP_PX``, a quarter pixel that sees the sharpness
-basin of the default 1-px blur rather than the bilinear lattice.  Every
-M-step's backtracking gives up, which settles the cluster, before a
-candidate whose reach is at most ``STEP_FLOOR_PX``: the largest over
-parameters of how far that parameter's change alone can move an event
-(see :func:`_line_search_step`).  The fuzzy M-step keeps native-unit
-differences (``FD_STEP``) under that floor; greedy init's ascent keeps
-``FD_STEP`` and halves with no floor.  Greedy init's builds deposit only
-the events its residual still weights (see
-:func:`maximize_single_cluster`).  A settled layered cluster costs one
-image build per iteration, its sharpness at the new associations.  Each
-iteration's ascent keeps every live cluster's image at its final motion;
-the summed sharpness traced for the iteration and the next association
-refresh both read those images rather than rebuilding them.  The initial
-objective keeps its images the same way for the first refresh.  An image
-build works in per-thread scratch (see :func:`cluster_image`), so the kept
-images are copies, one buffer per cluster for the whole solve.
+Every back-end's M-step is one pass of :func:`_step_clusters`, the one
+step loop: for each live cluster not yet settled it runs
+:func:`_line_search_step`, which sizes its own step from the packet and
+hands back what it built at the params it returns.  A back-end adds only
+its per-cluster evaluator, and :func:`_line_search_step` lists each
+one's search settings.  One settle rule, which :func:`_alternate` keeps
+for the run, holds for all of them: a cluster whose line search finds no
+gain keeps its motion and takes no further step.  A settled layered
+cluster costs one image build per iteration, its sharpness at the new
+associations.  Each iteration's ascent keeps every live cluster's image
+at its final motion; the summed sharpness traced for the iteration and
+the next association refresh both read those images rather than
+rebuilding them.  The initial objective keeps its images the same way for
+the first refresh.  An image build works in per-thread scratch (see
+:func:`cluster_image`), so the kept images are copies, one buffer per
+cluster for the whole solve.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -312,7 +306,7 @@ def update_associations(
 def _line_search_step(
     evaluate: Callable[[WarpParams], tuple[float, object]],
     params: WarpParams,
-    kappa: np.ndarray,
+    packet: EventPacket,
     config: SolverConfig,
     f0: float,
     built0: object,
@@ -322,25 +316,28 @@ def _line_search_step(
     """One ascent step of ``evaluate`` from ``params``.
 
     ``evaluate`` returns a candidate's value and what it built to get it;
-    ``f0`` and ``built0`` are those at ``params``; ``kappa`` is
-    :func:`displacement_sensitivity` at ``params``.  Central differences at
-    ``h`` give gradient and diagonal curvature; the step is the gradient over
-    |curvature| (a one-dimensional Newton guess per parameter), then halved
-    until the value does not decrease.  A candidate's reach is the largest
-    over parameters of |alpha * direction_i| * kappa_i, how far that
-    parameter's change alone can move a warped position; several parameters
-    changed together can move some positions further.  The first candidate
-    is clamped to a reach of ``STEP_CLAMP_PX``, and the search fails without
-    building a candidate whose reach is at most ``floor_px``.  Returns
-    (new params, their value, what was built at them, whether the value
-    strictly improved).
+    ``f0`` and ``built0`` are those at ``params``.  The step is sized from
+    ``packet``: kappa, :func:`displacement_sensitivity` at ``params``, is how
+    far a unit change of each parameter can move a warped event.  Central
+    differences at ``h`` give gradient and diagonal curvature; the step is
+    the gradient over |curvature| (a one-dimensional Newton guess per
+    parameter), then halved until the value does not decrease.  A
+    candidate's reach is the largest over parameters of
+    |alpha * direction_i| * kappa_i, how far that parameter's change alone
+    can move a warped position; several parameters changed together can
+    move some positions further.  The first candidate is clamped to a reach
+    of ``STEP_CLAMP_PX``, and the search fails without building a candidate
+    whose reach is at most ``floor_px``.  Returns (new params, their value,
+    what was built at them, whether the value strictly improved).
 
-    By default ``h`` is ``FD_STEP_PX / kappa``, per parameter, so each
-    difference moves the warped positions by up to ``FD_STEP_PX``, and
-    ``floor_px`` is ``STEP_FLOOR_PX``.  The fuzzy M-step passes ``FD_STEP``
-    (native units, every parameter) and keeps the floor; greedy init passes
-    ``FD_STEP`` and no floor.
+    The layered and mixture M-steps take the defaults: ``h`` is
+    ``FD_STEP_PX / kappa`` per parameter, a quarter pixel of motion that
+    sees the sharpness basin of the default 1-px blur rather than the
+    bilinear lattice, and ``floor_px`` is ``STEP_FLOOR_PX``.  The fuzzy
+    M-step passes ``FD_STEP`` (native units, every parameter) under the
+    default floor; greedy init passes ``FD_STEP`` and no floor.
     """
+    kappa = displacement_sensitivity(packet, params)
     p = params.param_count
     h = np.broadcast_to(FD_STEP_PX / kappa if h is None else h, (p,))
     floor_px = STEP_FLOOR_PX if floor_px is None else floor_px
@@ -383,6 +380,24 @@ def _line_search_step(
     return params, f0, built0, False
 
 
+def _step_clusters(packet, clusters, settled, config, start, h=None):
+    """The M-step loop every back-end shares: one :func:`_line_search_step`
+    per live cluster not marked in ``settled``, in index order.
+
+    ``start(j)`` returns cluster j's ``(evaluate, f0, built0)`` at its
+    current motion.  The step's params go into ``clusters.params[j]``, a
+    cluster whose search fails gets marked, and ``(j, value, built)`` at the
+    returned params is yielded before the next cluster builds anything, so
+    ``built`` may still be a scratch result."""
+    for j in np.flatnonzero(clusters.alive & ~settled):
+        evaluate, f0, built0 = start(j)
+        clusters.params[j], value, built, improved = _line_search_step(
+            evaluate, clusters.params[j], packet, config, f0, built0, h
+        )
+        settled[j] = not improved
+        yield j, value, built
+
+
 def ascend_motion(
     packet: EventPacket,
     clusters: ClusterSet,
@@ -396,41 +411,36 @@ def ascend_motion(
     With associations frozen the summed objective splits per cluster, so
     backtracking each cluster against its own sharpness keeps the total
     non-decreasing.  Dead clusters keep their parameters untouched.  Each
-    step takes :func:`_line_search_step`'s defaults: differences that move
-    the warped events by up to ``FD_STEP_PX``, and no candidate whose reach
-    is at most ``STEP_FLOOR_PX``.
+    step takes :func:`_line_search_step`'s default search.
 
     ``settled``, a boolean mask over clusters, carries the settle rule
     across calls: a marked cluster takes no step, and a cluster whose line
-    search fails gets marked.  Returns the new clusters and a dict that maps
-    each live cluster to ``(contrast, image)`` at its returned params and
-    the given column.  Passing the previous call's dict as ``kept`` updates
-    it in place and reuses its image buffers.
+    search fails gets marked (see :func:`_step_clusters`).  Returns the new
+    clusters and a dict that maps each live cluster to ``(contrast, image)``
+    at its returned params and the given column.  Passing the previous
+    call's dict as ``kept`` updates it in place and reuses its image
+    buffers.
     """
-    new_params = list(clusters.params)
+    clusters = clusters.copy()
     kept = {} if kept is None else kept
     for j in [j for j in kept if not clusters.alive[j]]:
         del kept[j]
+
+    def contrast(j: int, candidate: WarpParams) -> tuple[float, Iwe]:
+        img, _, _ = cluster_image(packet, candidate, associations[:, j], config)
+        return variance_contrast(img), img
+
+    # kept before any difference builds over the scratch image
     for j in np.flatnonzero(clusters.alive):
-        w = associations[:, j]
+        _keep(kept, j, *contrast(j, clusters.params[j]))
 
-        def evaluate(candidate: WarpParams, _w=w) -> tuple[float, Iwe]:
-            img, _, _ = cluster_image(packet, candidate, _w, config)
-            return variance_contrast(img), img
+    def start(j: int):
+        return (lambda candidate: contrast(j, candidate)), *kept[j]
 
-        prm = clusters.params[j]
-        f, img = evaluate(prm)
-        # kept before the differences below build over the scratch image
-        _keep(kept, j, f, img)
-        if float(w.sum()) > 0.0 and not settled[j]:
-            kappa = displacement_sensitivity(packet, prm)
-            new_params[j], f, img, improved = _line_search_step(
-                evaluate, prm, kappa, config, f, kept[j][1]
-            )
-            settled[j] = not improved
-            # an accepted candidate was the last build, so it is still intact
-            _keep(kept, j, f, img)
-    return ClusterSet(new_params, clusters.alive.copy()), kept
+    for j, value, img in _step_clusters(packet, clusters, settled, config, start):
+        # an accepted candidate was the last build, so it is still intact
+        _keep(kept, j, value, img)
+    return clusters, kept
 
 
 def apply_collapse(
@@ -615,16 +625,14 @@ def _ascend_single(
 
     f, _ = evaluate(params)
     for _ in range(INIT_ASCEND_ITERS):
-        kappa = displacement_sensitivity(packet, params)
         # native-unit differences and no step floor, unlike the layered and
         # mixture M-steps: with theirs greedy init lands elsewhere, and on the
         # mini two-strip scene the solve that follows loses accuracy
         params, f_new, _, improved = _line_search_step(
-            evaluate, params, kappa, config, f, None, FD_STEP, 0.0
+            evaluate, params, packet, config, f, None, FD_STEP, 0.0
         )
         if not improved or f_new <= f * (1.0 + config.rel_tol):
-            f = f_new
-            break
+            return params, f_new
         f = f_new
     return params, f
 

@@ -12,15 +12,14 @@ for head-to-head comparison:
   classic inverse-power rule with fuzziness b, and motions climb the
   membership-weighted affinity sum.
 
-Both follow the layered solver's line search and settle rule; a settled
+Both M-steps are one pass of the layered solver's step loop through one
+column step (:func:`_column_m_step`), so they share its line search and
+settle rule and add only their value of a candidate column.  A settled
 cluster keeps its column of the per-event table, so it costs no build in
-the motion step.  The mixture searches in pixel units as the layered solver
-does; the fuzzy M-step keeps greedy init's native-unit differences.  Both
-stop backtracking at the layered solver's step floor.  Their
-per-event tables are column-major, as the layered solver's are.  Both
-report the same result type as the layered solver and additionally track
-the summed per-cluster sharpness so the three methods can be compared on
-one scale.
+the motion step.  Their per-event tables are column-major, as the layered
+solver's are.  Both report the same result type as the layered solver and
+additionally track the summed per-cluster sharpness so the three methods
+can be compared on one scale.
 """
 from __future__ import annotations
 
@@ -38,10 +37,11 @@ from .iwe import (
     variance_contrast,
 )
 # initialize_greedy runs inside _alternate, every image is built by
-# cluster_image and read out by sample_deposited, so this module no longer
-# calls accumulate_unweighted, sample_local, smooth, variance_contrast or
-# warp_packet; those names stay bound here because perfbench/tracing.py
-# wraps each name in every module that binds it
+# cluster_image and read out by sample_deposited, and every step is sized
+# inside solver's line search, so this module no longer calls
+# accumulate_unweighted, sample_local, smooth, variance_contrast,
+# warp_packet or displacement_sensitivity; those names stay bound here
+# because perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     EPSILON_C,
     FD_STEP,
@@ -50,8 +50,8 @@ from .solver import (
     SolverConfig,
     _alternate,
     _column_sums,
-    _line_search_step,
     _normalize_rows,
+    _step_clusters,
     cluster_image,
     initialize_greedy,
     objective,
@@ -136,17 +136,44 @@ def mixture_e_step(
     return MixtureState(clusters.copy(), membership, mixing)
 
 
-def _log_likelihood(likelihoods: np.ndarray, mixing: np.ndarray) -> float:
-    """Total log of each event's mixture density.  Its weighted columns are
-    added one after another into one event-sized array, the order in which
-    numpy sums the rows of the column-major product, so no (n, J) product
-    is made."""
-    mix = np.multiply(likelihoods[:, 0], mixing[0])
+def _log_likelihood(likelihoods: np.ndarray, mixing: np.ndarray, j=None, column=None) -> float:
+    """Total log of each event's mixture density, with ``column`` in place
+    of column ``j`` if given.  Its weighted columns are added one after
+    another into one event-sized array, the order in which numpy sums the
+    rows of the column-major product, so no (n, J) product is made."""
+    cols = [column if i == j else likelihoods[:, i] for i in range(likelihoods.shape[1])]
+    mix = np.multiply(cols[0], mixing[0])
     term = np.empty_like(mix)
-    for j in range(1, likelihoods.shape[1]):
-        mix += np.multiply(likelihoods[:, j], mixing[j], out=term)
+    for col, weight in zip(cols[1:], mixing[1:]):
+        mix += np.multiply(col, weight, out=term)
     np.maximum(mix, 1e-300, out=mix)
     return float(np.log(mix, out=mix).sum())
+
+
+def _column_m_step(packet, clusters, table, settled, config, column, value, h=None):
+    """One :func:`_step_clusters` pass over a copy of ``table``, a per-event
+    table with one column per cluster at the current motions.  A candidate's
+    column is ``column(packet, params, config, out=...)`` and its value is
+    ``value(table, j)(col)``, ``table`` holding every step taken so far;
+    each stepped cluster's column at its returned motion goes into the
+    table.  Returns the stepped clusters and the table."""
+    clusters = clusters.copy()
+    table = np.copy(table)      # np.copy keeps the column-major order
+    # each candidate's column is computed here; an accepted candidate is the
+    # line search's last, so its column is still here when it is yielded
+    buffer = np.empty(packet.n)
+
+    def start(j: int):
+        score = value(table, j)
+
+        def evaluate(candidate: WarpParams) -> tuple[float, np.ndarray]:
+            return score(column(packet, candidate, config, out=buffer)), buffer
+
+        return evaluate, score(table[:, j]), table[:, j]
+
+    for j, _, built in _step_clusters(packet, clusters, settled, config, start, h):
+        table[:, j] = built
+    return clusters, table
 
 
 def mixture_m_step(
@@ -161,23 +188,13 @@ def mixture_m_step(
     cluster whose line search fails gets marked.  ``likelihoods`` is the
     table at the current motions (the one the E-step used).  Returns the new
     state plus the refreshed likelihood table."""
-    clusters = state.clusters.copy()
-    likelihoods = np.copy(likelihoods)     # np.copy keeps the column-major order
-    for j in np.flatnonzero(clusters.alive & ~settled):
-        kappa = displacement_sensitivity(packet, clusters.params[j])
-        trial = np.copy(likelihoods)
 
-        # each candidate's column is computed in the trial table; an accepted
-        # candidate is the line search's last, so its column is still there
-        def evaluate(candidate: WarpParams, _j=j, _trial=trial) -> tuple[float, np.ndarray]:
-            column = component_likelihood(packet, candidate, config, out=_trial[:, _j])
-            return _log_likelihood(_trial, state.mixing), column
+    def value(table, j):
+        return lambda c: _log_likelihood(table, state.mixing, j, c)
 
-        f0 = _log_likelihood(likelihoods, state.mixing)
-        clusters.params[j], _, likelihoods[:, j], improved = _line_search_step(
-            evaluate, clusters.params[j], kappa, config, f0, likelihoods[:, j]
-        )
-        settled[j] = not improved
+    clusters, likelihoods = _column_m_step(
+        packet, state.clusters, likelihoods, settled, config, component_likelihood, value
+    )
     return MixtureState(clusters, state.membership, state.mixing), likelihoods
 
 
@@ -232,27 +249,17 @@ def fuzzy_m_step(
     whose line search fails gets marked.  ``affinities`` is the table at the
     current motions (the one the E-step used).  Returns the new state plus
     the refreshed affinity table."""
-    clusters = state.clusters.copy()
-    affinities = np.copy(affinities)
-    # each candidate's column is computed here; an accepted candidate is the
-    # line search's last, so its column is still here when it returns
-    column = np.empty(packet.n)
-    for j in np.flatnonzero(clusters.alive & ~settled):
-        kappa = displacement_sensitivity(packet, clusters.params[j])
+
+    def value(table, j):
         pw = state.membership[:, j] ** state.b
+        return lambda c: float((pw * c).sum())
 
-        def evaluate(candidate: WarpParams, _pw=pw) -> tuple[float, np.ndarray]:
-            fuzzy_affinity(packet, candidate, config, out=column)
-            return float((_pw * column).sum()), column
-
-        f0 = float((pw * affinities[:, j]).sum())
-        # native-unit differences, not the pixel-unit default: with those
-        # the slow cluster climbs onto the fast motion on the two-strip
-        # scene.  The step floor is the default, as in the other M-steps
-        clusters.params[j], _, affinities[:, j], improved = _line_search_step(
-            evaluate, clusters.params[j], kappa, config, f0, affinities[:, j], FD_STEP
-        )
-        settled[j] = not improved
+    # native-unit differences, not the pixel-unit default: with those the
+    # slow cluster climbs onto the fast motion on the two-strip scene.  The
+    # step floor is the default, as in the other M-steps
+    clusters, affinities = _column_m_step(
+        packet, state.clusters, affinities, settled, config, fuzzy_affinity, value, FD_STEP
+    )
     return FuzzyState(clusters, state.membership, state.b), affinities
 
 

@@ -170,6 +170,25 @@ class TestDataErrors:
         assert err.startswith("error: line ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "assoc_text, truth_text, line",
+        [
+            ("# live 1 2\np_1,p_2\n1.0,0.0\nnan,0.5\n", "1\n2\n", 4),
+            ("# live 1 2\np_1,p_2\n1.0,0.0\n-3.0,4.0\n", "1\n2\n", 4),
+            ("# live 1 2\np_1,p_2\n1.0,0.0\n0.0,1.0\n", "1\n-4\n", 2),
+        ],
+        ids=["nan-share", "negative-share", "negative-label"],
+    )
+    def test_eval_rejects_bad_values(self, tmp_path, capsys, assoc_text, truth_text, line):
+        assoc = tmp_path / "assoc.csv"
+        assoc.write_text(assoc_text)
+        truth = tmp_path / "truth.txt"
+        truth.write_text(truth_text)
+        assert main(["eval", "--assoc", str(assoc), "--truth", str(truth)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {line}") and "accuracy" not in captured.out
+
+
 class TestPipeline:
     def test_simulate_writes_recording(self, sim_dir, capsys):
         packet, geom = read_events_text(sim_dir / "events.txt")

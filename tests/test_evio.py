@@ -143,6 +143,15 @@ class TestGroundTruth:
             assert back_truth[label].model == truth[label].model
             assert np.array_equal(back_truth[label].theta, truth[label].theta)
 
+    def test_negative_label_rejected(self, tmp_path):
+        # labels are 0 for noise and objects from 1; a negative label would
+        # be left out of the scored events without a word
+        path = tmp_path / "truth.txt"
+        path.write_text("1\n0\n-4\n")
+        with pytest.raises(ParseError) as err:
+            read_ground_truth(path)
+        assert err.value.line_number == 3
+
     def test_non_integer_label_rejected(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("1\ntwo\n")
@@ -172,6 +181,15 @@ class TestCsv:
     def test_bad_association_row_rejected(self, tmp_path):
         path = tmp_path / "assoc.csv"
         path.write_text("# live 1\np_1\n0.5\nnope\n")
+        with pytest.raises(ParseError) as err:
+            read_associations_csv(path)
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("row", ["nan,0.5", "-3.0,4.0", "inf,0.0", "0.5,-0.0001"])
+    def test_non_finite_or_negative_share_rejected(self, tmp_path, row):
+        # such a share would be argmaxed or matched as if it were a count
+        path = tmp_path / "assoc.csv"
+        path.write_text(f"# live 1 2\np_1,p_2\n0.5,0.5\n{row}\n")
         with pytest.raises(ParseError) as err:
             read_associations_csv(path)
         assert err.value.line_number == 4

@@ -370,9 +370,7 @@ def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, step_name, counting_step)
-        # variants binds the line search by name
         mp.setattr(solver, "_line_search_step", counting_line_search)
-        mp.setattr(variants, "_line_search_step", counting_line_search)
         full = run(packet, j, "flow2", config, init=init, early_stop=False)
     assert len(calls) == budget
     for c, k in enumerate(full.diagnostics["settled"]):

@@ -6,7 +6,6 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import evseg.solver as solver
-import evseg.variants as variants
 from evseg.events import ImageGeometry, count_windows, make_packet
 from evseg.iwe import accumulate_weighted, variance_contrast
 from evseg.metrics import per_event_accuracy
@@ -195,10 +194,24 @@ def test_ascend_leaves_dead_clusters_alone(drift_packet):
     assert out.params[1] is dead
 
 
+def test_ascend_leaves_a_live_all_zero_column_where_it_is(drift_packet):
+    # a column with no mass builds an empty image at every candidate, so
+    # the search finds no gradient and the cluster settles where it stands
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=25, n_times=20)
+    idle = WarpParams("flow2", np.array([50.0, 50.0]))
+    clusters = ClusterSet([WarpParams("flow2", np.array([20.0, 0.0])), idle], np.ones(2, dtype=bool))
+    p = np.zeros((pk.n, 2), order="F")
+    p[:, 0] = 1.0
+    settled = np.zeros(2, dtype=bool)
+    out, kept = ascend_motion(pk, clusters, p, SolverConfig(), settled)
+    assert out.params[1].theta.tobytes() == idle.theta.tobytes()
+    assert settled[1] and kept[1][0] == 0.0
+
+
 def record_line_searches(monkeypatch):
     """Patch the line search so each call appends ``(params, candidates)``:
     the params it starts from and every candidate it builds, the 2p
-    differences first.  variants binds the line search by name."""
+    differences first."""
     searches = []
     line_search = solver._line_search_step
 
@@ -213,7 +226,6 @@ def record_line_searches(monkeypatch):
         return line_search(evaluate_and_record, params, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_line_search_step", recording)
-    monkeypatch.setattr(variants, "_line_search_step", recording)
     return searches
 
 
@@ -252,6 +264,26 @@ def test_m_step_differences_move_events_a_quarter_pixel(monkeypatch, drift_packe
     for candidate in built[: 2 * params.param_count]:
         moved = largest_move(pk, params, candidate)
         assert moved == pytest.approx(solver.FD_STEP_PX, rel=1e-2)
+
+
+def test_one_patch_of_the_line_search_sees_every_back_end_and_greedy_init(
+    monkeypatch, drift_packet
+):
+    # every M-step and greedy init's ascent call the line search solver
+    # binds, so patching that one name records each of them
+    pk, _ = drift_packet([(30.0, 0.0)], n_sources=20, n_times=20)
+    searches = record_line_searches(monkeypatch)
+    init = (
+        ClusterSet([WarpParams("flow2", np.array([26.0, 3.0]))], np.ones(1, dtype=bool)),
+        np.ones((pk.n, 1)),
+    )
+    seen = []
+    for solve in (segment, segment_mixture, segment_fuzzy):
+        solve(pk, 1, "flow2", SolverConfig(max_iters=1), init=init, early_stop=False)
+        seen.append(len(searches))
+    initialize_greedy(pk, 1, "flow2")
+    seen.append(len(searches))
+    assert np.all(np.diff([0] + seen) >= 1), seen
 
 
 def test_fuzzy_m_step_keeps_native_unit_differences(monkeypatch, drift_packet):

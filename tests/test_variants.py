@@ -19,6 +19,7 @@ from evseg.variants import (
     component_likelihood,
     fuzzy_affinity,
     _column_table,
+    _log_likelihood,
     fuzzy_e_step,
     fuzzy_m_step,
     mixture_e_step,
@@ -143,6 +144,25 @@ def test_m_step_skips_settled_and_marks_failed_clusters(drift_packet, method):
     np.testing.assert_array_equal(settled, [True, True])
     assert all(a is b for a, b in zip(new.clusters.params, state.clusters.params))
     assert refreshed.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("n_clusters, dead", [(1, None), (2, None), (2, 1), (3, None), (3, 0)])
+def test_log_likelihood_with_a_column_equals_it_with_the_column_in_the_table(n_clusters, dead):
+    # the M-step scores a candidate column in place of column j rather than
+    # in a copy of the table; both add the same columns in the same order
+    rng = np.random.default_rng(n_clusters)
+    table = np.asfortranarray(rng.random((257, n_clusters)) + 1e-3)
+    mixing = rng.random(n_clusters) + 0.1
+    if dead is not None:
+        table[:, dead] = 0.0
+        mixing[dead] = 0.0
+    mixing /= mixing.sum()
+    for j in range(n_clusters):
+        for column in (rng.random(257), np.zeros(257)):
+            trial = np.copy(table)
+            trial[:, j] = column
+            want = _log_likelihood(trial, mixing)
+            assert _log_likelihood(table, mixing, j, column).hex() == want.hex()
 
 
 def test_mixture_e_step_separates_true_clusters(drift_packet):
