@@ -67,8 +67,6 @@ from .solver import (
     update_associations,
 )
 from .variants import (
-    FuzzyState,
-    MixtureState,
     component_likelihood,
     fuzzy_affinity,
     fuzzy_e_step,

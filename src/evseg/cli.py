@@ -28,6 +28,7 @@ from .evio import (
     MissingGeometryError,
     ParseError,
     RunConfig,
+    read_associations_csv,
     read_config_file,
     read_events_text,
     read_ground_truth,
@@ -156,9 +157,14 @@ def _build_parser() -> _Parser:
 
 
 def _geometry_override(args) -> ImageGeometry | None:
-    if getattr(args, "width", None) and getattr(args, "height", None):
-        return ImageGeometry(args.width, args.height)
-    return None
+    """The sensor size ``--width`` and ``--height`` give, which wins over the
+    events file's header; None when neither is given.  One without the
+    other, or a size below one pixel, is a usage error."""
+    if args.width is None and args.height is None:
+        return None
+    if args.width is None or args.height is None or min(args.width, args.height) < 1:
+        raise _UsageError("--width and --height must be given together, each at least 1")
+    return ImageGeometry(args.width, args.height)
 
 
 def _load_packet(args):
@@ -276,8 +282,6 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .evio import read_associations_csv
-
     associations, alive, _ = read_associations_csv(args.assoc)
     labels, _ = read_ground_truth(args.truth)
     report = per_event_accuracy(associations, labels, alive)
@@ -363,11 +367,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

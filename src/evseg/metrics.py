@@ -151,21 +151,24 @@ def per_event_accuracy(
     scored = labels > 0
     n_scored = int(scored.sum())
     mass = associations.sum(axis=0)
-    present = sorted(int(v) for v in np.unique(labels[scored]))
-    if n_scored == 0 or not present:
+    present = np.unique(labels[scored])
+    if n_scored == 0 or not present.size:
         return AccuracyReport(0.0, {}, mass, 0, degenerate=True)
 
+    # one code per scored event on a live cluster: its row (the cluster's
+    # index among the live ones) times the label count plus its label index
     live = np.flatnonzero(alive)
-    overlap = np.zeros((live.size, len(present)), dtype=np.int64)
-    for col, j in enumerate(live):
-        sel = scored & (assigned == j)
-        for li, lab in enumerate(present):
-            overlap[col, li] = int((labels[sel] == lab).sum())
+    row_of = np.full(n_clusters, -1, dtype=np.int64)
+    row_of[live] = np.arange(live.size)
+    rows = row_of[assigned[scored]]
+    codes = rows * present.size + np.searchsorted(present, labels[scored])
+    overlap = np.bincount(codes[rows >= 0], minlength=live.size * present.size)
+    overlap = overlap.reshape(live.size, present.size)
     pairs = _match(overlap)
     correct = sum(int(overlap[j, li]) for j, li in pairs)
     return AccuracyReport(
         accuracy=correct / n_scored,
-        matching={int(live[j]): present[li] for j, li in pairs},
+        matching={int(live[j]): int(present[li]) for j, li in pairs},
         per_cluster_mass=mass,
         n_scored=n_scored,
         degenerate=len(pairs) < len(present),
@@ -218,28 +221,20 @@ def accuracy_vs_displacement(
             except DegenerateInitError:
                 # too little displacement for even one motion hypothesis:
                 # report the point instead of aborting the whole sweep
-                points.append(
-                    CurvePoint(
-                        delta_v=float(dv),
-                        window_span=float(span),
-                        displacement_px=abs(dv) * float(span),
-                        accuracy=0.0,
-                        n_events=recording.packet.n,
-                        degenerate=True,
-                    )
+                accuracy, degenerate = 0.0, True
+            else:
+                report = per_event_accuracy(
+                    result.associations, recording.labels, result.clusters.alive
                 )
-                continue
-            report = per_event_accuracy(
-                result.associations, recording.labels, result.clusters.alive
-            )
+                accuracy, degenerate = report.accuracy, report.degenerate or dv == 0
             points.append(
                 CurvePoint(
                     delta_v=float(dv),
                     window_span=float(span),
                     displacement_px=abs(dv) * float(span),
-                    accuracy=report.accuracy,
+                    accuracy=accuracy,
                     n_events=recording.packet.n,
-                    degenerate=report.degenerate or dv == 0,
+                    degenerate=degenerate,
                 )
             )
     return points

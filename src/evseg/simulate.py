@@ -55,8 +55,8 @@ class SceneObject:
 
     What every frame would otherwise derive again is computed here once:
     ``texture``, the pattern as an image to sample, and ``extent``, the
-    region's corner box at time 0 with the centre its motion turns about
-    (see :func:`_corner_extent`).
+    region's corner box at time 0 with a rotation's centre and reach (see
+    :func:`_corner_extent`).
     """
 
     pattern: np.ndarray
@@ -118,31 +118,39 @@ class LabeledEvents:
         return self.packet.n
 
 
+def _corner_reach(bounds: tuple, cx: float, cy: float) -> float:
+    """The largest distance from (cx, cy) to a corner of the box ``bounds``
+    (lowest and highest x, then y)."""
+    lo_x, hi_x, lo_y, hi_y = bounds
+    corners = np.array([[lo_x, lo_y], [hi_x, lo_y], [lo_x, hi_y], [hi_x, hi_y]])
+    return float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
+
+
 def _corner_extent(r: Rect, motion: WarpParams):
     """The bounds of a region's four corners at time 0 (lowest and highest
-    x, then y), the centre its motion turns or scales about (a rotation's
-    own centre, otherwise the region's centre) and the largest corner
-    distance from that centre."""
-    corners = np.array(
-        [
-            [r.x0, r.y0],
-            [r.x0 + r.width - 1, r.y0],
-            [r.x0, r.y0 + r.height - 1],
-            [r.x0 + r.width - 1, r.y0 + r.height - 1],
-        ]
-    )
-    if motion.model == "rotation":
-        cx, cy = motion.theta[:2]
-    else:
-        cx, cy = corners.mean(axis=0)
-    rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    return (lo[0], hi[0], lo[1], hi[1]), cx, cy, rad
+    x, then y) and, for a rotation, its own centre and the largest corner
+    distance from that centre (None for the other models)."""
+    bounds = (r.x0, r.x0 + r.width - 1, r.y0, r.y0 + r.height - 1)
+    if motion.model != "rotation":
+        return bounds, None, None, None
+    cx, cy = motion.theta[:2]
+    return bounds, cx, cy, _corner_reach(bounds, cx, cy)
+
+
+def _pivot(obj: SceneObject, geometry: ImageGeometry):
+    """The centre the object's motion turns and scales about, and the
+    largest corner distance from it at time 0: a rotation's own centre, and
+    for fourdof the sensor centre, the pivot the solver's warp uses."""
+    bounds, cx, cy, rad = obj.extent
+    if obj.motion.model == "rotation":
+        return cx, cy, rad
+    cx, cy = geometry.center
+    return cx, cy, _corner_reach(bounds, cx, cy)
 
 
 def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
     """Integer pixel box sure to contain the object at time t (clipped)."""
-    (lo_x, hi_x, lo_y, hi_y), cx, cy, rad = obj.extent
+    lo_x, hi_x, lo_y, hi_y = obj.extent[0]
     th = obj.motion.theta
     if obj.motion.model == "flow2":
         # a rounded sum keeps the order of its terms, so shifting the
@@ -150,9 +158,11 @@ def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
         lo_x, hi_x = lo_x + t * th[0], hi_x + t * th[0]
         lo_y, hi_y = lo_y + t * th[1], hi_y + t * th[1]
     elif obj.motion.model == "rotation":
+        cx, cy, rad = _pivot(obj, geometry)
         lo_x, hi_x = cx - rad, cx + rad
         lo_y, hi_y = cy - rad, cy + rad
-    else:  # fourdof: centre translates, radius grows at most exponentially
+    else:  # fourdof: pivot translates, radius grows at most exponentially
+        cx, cy, rad = _pivot(obj, geometry)
         vx, vy, _, s = th
         rad *= float(np.exp(abs(s) * t))
         lo_x, hi_x = cx + t * vx - rad, cx + t * vx + rad
@@ -164,11 +174,11 @@ def _forward_bound_box(obj: SceneObject, t: float, geometry: ImageGeometry):
     return x0, x1, y0, y1
 
 
-def _speed_bound(obj: SceneObject, duration: float) -> float:
+def _speed_bound(obj: SceneObject, duration: float, geometry: ImageGeometry) -> float:
     th = obj.motion.theta
     if obj.motion.model == "flow2":
         return float(np.hypot(th[0], th[1]))
-    rad = obj.extent[3]
+    rad = _pivot(obj, geometry)[2]
     if obj.motion.model == "rotation":
         return abs(th[2]) * rad
     vx, vy, omega, s = th
@@ -214,6 +224,7 @@ def render_scene(
             np.float64(t),
             obj.motion,
             0.0,
+            geometry.center,
         )
         lx = wx - r.x0
         ly = wy - r.y0
@@ -250,7 +261,7 @@ def simulate(
             raise SceneConfigError("object region must start inside the sensor")
     c_thr = config.contrast_threshold
     rng = np.random.default_rng(config.seed)
-    v_fast = max(_speed_bound(obj, config.duration) for obj in scene)
+    v_fast = max(_speed_bound(obj, config.duration, geometry) for obj in scene)
     rate = max(MIN_SAMPLE_HZ, OVERSAMPLE * v_fast)
     n_steps = int(np.ceil(config.duration * rate))
     times = np.minimum((np.arange(1, n_steps + 1) / rate), config.duration)

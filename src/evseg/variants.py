@@ -12,19 +12,20 @@ for head-to-head comparison:
   classic inverse-power rule with fuzziness b, and motions climb the
   membership-weighted affinity sum.
 
+Each E-step maps its per-event table to memberships and builds nothing.
 Both M-steps are one pass of the layered solver's step loop through one
 column step (:func:`_column_m_step`), so they share its line search and
-settle rule and add only their value of a candidate column.  A settled
-cluster keeps its column of the per-event table, so it costs no build in
-the motion step.  Their per-event tables are column-major, as the layered
-solver's are.  Both report the same result type as the layered solver and
-additionally track the summed per-cluster sharpness so the three methods
-can be compared on one scale.
+settle rule and add only their value of a candidate column; like
+``solver.ascend_motion`` they take ``(packet, clusters, table, config,
+settled)`` first.  A settled cluster keeps its column of the per-event
+table, so it costs no build in the motion step.  Their per-event tables are
+column-major, as the layered solver's are.  Both report the same result
+type as the layered solver and additionally track the summed per-cluster
+sharpness so the three methods can be compared on one scale.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +37,10 @@ from .iwe import (
     smooth,
     variance_contrast,
 )
-# initialize_greedy runs inside _alternate, every image is built by
-# cluster_image and read out by sample_deposited, and every step is sized
-# inside solver's line search, so this module no longer calls
-# accumulate_unweighted, sample_local, smooth, variance_contrast,
-# warp_packet or displacement_sensitivity; those names stay bound here
-# because perfbench/tracing.py wraps each name in every module that binds it
+# this module calls none of initialize_greedy, accumulate_unweighted,
+# sample_local, smooth, variance_contrast, warp_packet or
+# displacement_sensitivity; they stay bound here because
+# perfbench/tracing.py wraps each name in every module that binds it
 from .solver import (
     EPSILON_C,
     FD_STEP,
@@ -57,24 +56,6 @@ from .solver import (
     objective,
 )
 from .warps import WarpParams, displacement_sensitivity, warp_packet
-
-
-@dataclass
-class MixtureState:
-    """Clusters, per-event memberships and mixing weights of the mixture."""
-
-    clusters: ClusterSet
-    membership: np.ndarray      # (n_events, n_clusters), rows sum to 1
-    mixing: np.ndarray          # (n_clusters,), sums to 1 over live clusters
-
-
-@dataclass
-class FuzzyState:
-    """Clusters and fuzzy memberships with fuzziness exponent b."""
-
-    clusters: ClusterSet
-    membership: np.ndarray
-    b: float
 
 
 def _column_table(column, packet, clusters, config) -> np.ndarray:
@@ -120,20 +101,12 @@ def component_likelihood(
     return np.maximum(values, EPSILON_C, out=values)
 
 
-def mixture_e_step(
-    state: MixtureState,
-    packet: EventPacket,
-    config: SolverConfig,
-    likelihoods: np.ndarray | None = None,
-) -> MixtureState:
-    """Bayes membership refresh followed by the mixing-weight update
-    (mixing weight = mean membership)."""
-    clusters = state.clusters
-    if likelihoods is None:
-        likelihoods = _column_table(component_likelihood, packet, clusters, config)
-    membership = _normalize_rows(likelihoods * state.mixing, clusters.alive)
-    mixing = _column_sums(membership) / membership.shape[0]
-    return MixtureState(clusters.copy(), membership, mixing)
+def mixture_e_step(likelihoods: np.ndarray, mixing: np.ndarray, alive: np.ndarray):
+    """Bayes membership refresh over the ``alive`` clusters from the
+    likelihood table, followed by the mixing-weight update (mixing weight =
+    mean membership).  Returns ``(membership, mixing)``."""
+    membership = _normalize_rows(likelihoods * mixing, alive)
+    return membership, _column_sums(membership) / membership.shape[0]
 
 
 def _log_likelihood(likelihoods: np.ndarray, mixing: np.ndarray, j=None, column=None) -> float:
@@ -150,7 +123,7 @@ def _log_likelihood(likelihoods: np.ndarray, mixing: np.ndarray, j=None, column=
     return float(np.log(mix, out=mix).sum())
 
 
-def _column_m_step(packet, clusters, table, settled, config, column, value, h=None):
+def _column_m_step(packet, clusters, table, config, settled, column, value, h=None):
     """One :func:`_step_clusters` pass over a copy of ``table``, a per-event
     table with one column per cluster at the current motions.  A candidate's
     column is ``column(packet, params, config, out=...)`` and its value is
@@ -177,25 +150,21 @@ def _column_m_step(packet, clusters, table, settled, config, column, value, h=No
 
 
 def mixture_m_step(
-    state: MixtureState,
-    packet: EventPacket,
-    config: SolverConfig,
-    likelihoods: np.ndarray,
-    settled: np.ndarray,
-) -> tuple[MixtureState, np.ndarray]:
+    packet: EventPacket, clusters: ClusterSet, likelihoods: np.ndarray,
+    config: SolverConfig, settled: np.ndarray, mixing: np.ndarray,
+) -> tuple[ClusterSet, np.ndarray]:
     """One backtracking ascent step of the total log-likelihood per live
     cluster not marked in ``settled``, updating one component at a time; a
     cluster whose line search fails gets marked.  ``likelihoods`` is the
-    table at the current motions (the one the E-step used).  Returns the new
-    state plus the refreshed likelihood table."""
+    table at the current motions (the one the E-step used).  Returns the
+    stepped clusters plus the refreshed likelihood table."""
 
     def value(table, j):
-        return lambda c: _log_likelihood(table, state.mixing, j, c)
+        return lambda c: _log_likelihood(table, mixing, j, c)
 
-    clusters, likelihoods = _column_m_step(
-        packet, state.clusters, likelihoods, settled, config, component_likelihood, value
+    return _column_m_step(
+        packet, clusters, likelihoods, config, settled, component_likelihood, value
     )
-    return MixtureState(clusters, state.membership, state.mixing), likelihoods
 
 
 def fuzzy_affinity(
@@ -213,54 +182,42 @@ def fuzzy_affinity(
     return np.log1p(np.maximum(values, 0.0, out=values), out=values)
 
 
-def fuzzy_e_step(
-    state: FuzzyState,
-    packet: EventPacket,
-    config: SolverConfig,
-    affinities: np.ndarray | None = None,
-) -> FuzzyState:
+def fuzzy_e_step(affinities: np.ndarray, b: float, alive: np.ndarray) -> np.ndarray:
     """Inverse-power membership refresh: p_kj proportional to
-    affinity^(1/(b-1)); all-zero rows become uniform over live clusters."""
-    clusters = state.clusters
-    if affinities is None:
-        affinities = _column_table(fuzzy_affinity, packet, clusters, config)
+    affinity^(1/(b-1)) over the ``alive`` clusters; all-zero rows become
+    uniform over them."""
     powed = np.zeros_like(affinities)
-    exponent = 1.0 / (state.b - 1.0)
-    for j in np.flatnonzero(clusters.alive):
+    exponent = 1.0 / (b - 1.0)
+    for j in np.flatnonzero(alive):
         # each live column is copied and raised in place, so no fancy-indexed
         # temporaries; ** rather than np.power keeps numpy's shortcuts for
         # exponents such as 1.0 and 2.0, and so the bytes
         column = powed[:, j]
         column[...] = affinities[:, j]
         column **= exponent
-    membership = _normalize_rows(powed, clusters.alive, out=powed)
-    return FuzzyState(clusters.copy(), membership, state.b)
+    return _normalize_rows(powed, alive, out=powed)
 
 
 def fuzzy_m_step(
-    state: FuzzyState,
-    packet: EventPacket,
-    config: SolverConfig,
-    affinities: np.ndarray,
-    settled: np.ndarray,
-) -> tuple[FuzzyState, np.ndarray]:
+    packet: EventPacket, clusters: ClusterSet, affinities: np.ndarray,
+    config: SolverConfig, settled: np.ndarray, membership: np.ndarray, b: float,
+) -> tuple[ClusterSet, np.ndarray]:
     """One backtracking ascent step of its membership-weighted affinity sum,
     sum_k p_kj^b a_kj, per live cluster not marked in ``settled``; a cluster
     whose line search fails gets marked.  ``affinities`` is the table at the
-    current motions (the one the E-step used).  Returns the new state plus
-    the refreshed affinity table."""
+    current motions (the one the E-step used).  Returns the stepped clusters
+    plus the refreshed affinity table."""
 
     def value(table, j):
-        pw = state.membership[:, j] ** state.b
+        pw = membership[:, j] ** b
         return lambda c: float((pw * c).sum())
 
     # native-unit differences, not the pixel-unit default: with those the
     # slow cluster climbs onto the fast motion on the two-strip scene.  The
     # step floor is the default, as in the other M-steps
-    clusters, affinities = _column_m_step(
-        packet, state.clusters, affinities, settled, config, fuzzy_affinity, value, FD_STEP
+    return _column_m_step(
+        packet, clusters, affinities, config, settled, fuzzy_affinity, value, FD_STEP
     )
-    return FuzzyState(clusters, state.membership, state.b), affinities
 
 
 def segment_mixture(
@@ -281,13 +238,11 @@ def segment_mixture(
             mixing = _column_sums(membership) / membership.shape[0]
             mixing = mixing / mixing.sum()
             table = _column_table(component_likelihood, packet, clusters, config)
-        state = MixtureState(clusters, membership, mixing)
         # the E-step's likelihood table is the M-step's starting table
-        state = mixture_e_step(state, packet, config, table)
-        state, table = mixture_m_step(state, packet, config, table, settled)
-        mixing = state.mixing
-        sharpness = objective(packet, state.clusters, state.membership, config)
-        return state.clusters, state.membership, sharpness, _log_likelihood(table, mixing)
+        membership, mixing = mixture_e_step(table, mixing, clusters.alive)
+        clusters, table = mixture_m_step(packet, clusters, table, config, settled, mixing)
+        sharpness = objective(packet, clusters, membership, config)
+        return clusters, membership, sharpness, _log_likelihood(table, mixing)
 
     result = _alternate(packet, n_clusters, models, config, init, early_stop, "mixture", step)
     result.diagnostics["mixing"] = mixing.copy()
@@ -313,13 +268,13 @@ def segment_fuzzy(
         nonlocal table
         if table is None:
             table = _column_table(fuzzy_affinity, packet, clusters, config)
-        state = fuzzy_e_step(FuzzyState(clusters, membership, b), packet, config, table)
-        state, table = fuzzy_m_step(state, packet, config, table, settled)
+        membership = fuzzy_e_step(table, b, clusters.alive)
+        clusters, table = fuzzy_m_step(packet, clusters, table, config, settled, membership, b)
         # numpy sums a whole table in memory order, so the product is made
         # C-ordered to keep the sum's last bits
-        weighted = np.power(state.membership, b, order="C")
+        weighted = np.power(membership, b, order="C")
         own = float(np.multiply(weighted, table, out=weighted).sum())
-        sharpness = objective(packet, state.clusters, state.membership, config)
-        return state.clusters, state.membership, sharpness, own
+        sharpness = objective(packet, clusters, membership, config)
+        return clusters, membership, sharpness, own
 
     return _alternate(packet, n_clusters, models, config, init, early_stop, "fuzzy", step)

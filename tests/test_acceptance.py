@@ -31,8 +31,9 @@ from evseg.solver import (
     update_associations,
 )
 from evseg.variants import (
-    FuzzyState,
-    MixtureState,
+    _column_table,
+    component_likelihood,
+    fuzzy_affinity,
     fuzzy_e_step,
     mixture_e_step,
 )
@@ -221,12 +222,12 @@ def test_09_property_bundle(tmp_path, baseline_j2):
     uniform = np.full((packet.n, 2), 0.5)
     layered_p = update_associations(packet, clusters, uniform, config)
     assert np.abs(layered_p.sum(axis=1) - 1.0).max() < 1e-9
-    mix = mixture_e_step(
-        MixtureState(clusters, uniform.copy(), np.array([0.5, 0.5])), packet, config
-    )
-    assert np.abs(mix.membership.sum(axis=1) - 1.0).max() < 1e-9
-    fuz = fuzzy_e_step(FuzzyState(clusters, uniform.copy(), 2.0), packet, config)
-    assert np.abs(fuz.membership.sum(axis=1) - 1.0).max() < 1e-9
+    likelihoods = _column_table(component_likelihood, packet, clusters, config)
+    mix, _ = mixture_e_step(likelihoods, np.array([0.5, 0.5]), clusters.alive)
+    assert np.abs(mix.sum(axis=1) - 1.0).max() < 1e-9
+    affinities = _column_table(fuzzy_affinity, packet, clusters, config)
+    fuz = fuzzy_e_step(affinities, 2.0, clusters.alive)
+    assert np.abs(fuz.sum(axis=1) - 1.0).max() < 1e-9
 
     # warping to the reference time moves nothing at the reference time
     x = rng.uniform(0, 90, 400)

@@ -48,6 +48,32 @@ class TestUsage:
     def test_bad_flag_value_is_usage_error(self):
         assert main(["segment", "--events", "x", "--out", "y", "--j", "two"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("segment", ["--max-iters", "1"]),
+            ("bench", ["--j", "2", "--iters", "1", "--repeats", "1"]),
+            ("compare", ["--iters", "1"]),
+        ],
+        ids=["segment", "bench", "compare"],
+    )
+    @pytest.mark.parametrize(
+        "size",
+        [["--width", "64"], ["--height", "64"], ["--width", "0", "--height", "64"]],
+        ids=["width-alone", "height-alone", "zero-width"],
+    )
+    def test_half_given_sensor_size_is_usage_error(
+        self, sim_dir, tmp_path, capsys, command, extra, size
+    ):
+        # the file's header says 120x90; a size on the command line replaces
+        # it only when both sides are given
+        argv = [command, "--events", str(sim_dir / "events.txt"), *extra, *size]
+        if command == "segment":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "--width and --height" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestDataErrors:
     def test_missing_events_file(self, tmp_path):

@@ -36,14 +36,7 @@ from evseg.solver import (
     segment,
     update_associations,
 )
-from evseg.variants import (
-    FuzzyState,
-    MixtureState,
-    fuzzy_e_step,
-    mixture_e_step,
-    segment_fuzzy,
-    segment_mixture,
-)
+from evseg.variants import fuzzy_e_step, mixture_e_step, segment_fuzzy, segment_mixture
 from evseg.warps import MODEL_PARAM_COUNT, WarpParams, warp_points, zero_params
 
 from conftest import build_drift_packet
@@ -102,20 +95,16 @@ def test_mixture_e_step_keeps_rows_normalised(drawn):
     table, alive = drawn
     likelihoods = np.where(alive, table, 0.0)
     mixing = np.where(alive, 1.0, 0.0) / alive.sum()
-    state = MixtureState(clusters_of(alive), np.zeros_like(table), mixing)
-    # the likelihood table is given, so the packet is never read
-    out = mixture_e_step(state, None, SolverConfig(), likelihoods)
-    assert_rows_normalised(out.membership, alive)
-    assert abs(out.mixing.sum() - 1.0) <= ROW_TOL
+    membership, mixing = mixture_e_step(likelihoods, mixing, alive)
+    assert_rows_normalised(membership, alive)
+    assert abs(mixing.sum() - 1.0) <= ROW_TOL
 
 
 @given(tables(), st.floats(1.5, 4.0))
 def test_fuzzy_e_step_keeps_rows_normalised(drawn, b):
     # dead columns hold affinities too: the step must ignore them
     table, alive = drawn
-    state = FuzzyState(clusters_of(alive), np.zeros_like(table), b)
-    out = fuzzy_e_step(state, None, SolverConfig(), table)
-    assert_rows_normalised(out.membership, alive)
+    assert_rows_normalised(fuzzy_e_step(table, b, alive), alive)
 
 
 @st.composite
@@ -223,11 +212,10 @@ def test_table_steps_give_the_same_bytes_in_either_layout(drawn, collapse_frac, 
         return clusters.alive, out
 
     def mixture(t):
-        out = mixture_e_step(MixtureState(clusters_of(alive), None, mixing), None, config, t)
-        return out.membership, out.mixing
+        return mixture_e_step(t, mixing, alive)
 
     def fuzzy(t):
-        return (fuzzy_e_step(FuzzyState(clusters_of(alive), None, b), None, config, t).membership,)
+        return (fuzzy_e_step(t, b, alive),)
 
     assert_layout_free(lambda t: (_normalize_rows(t, alive),), table)
     assert_layout_free(collapse, assoc)
@@ -329,12 +317,12 @@ def test_count_windows_matches_sliding_windows(n, window, stride):
 
 velocities = st.tuples(st.floats(-40.0, 40.0), st.floats(-25.0, 25.0))
 
-# each back-end, the module and name of its per-iteration motion step, and
-# where that step's arguments hold the clusters
+# each back-end and the module and name of its per-iteration motion step;
+# every motion step takes the clusters as its second argument
 MOTION_STEPS = {
-    "layered": (segment, solver, "ascend_motion", lambda packet, clusters, *_: clusters),
-    "mixture": (segment_mixture, variants, "mixture_m_step", lambda state, *_: state.clusters),
-    "fuzzy": (segment_fuzzy, variants, "fuzzy_m_step", lambda state, *_: state.clusters),
+    "layered": (segment, solver, "ascend_motion"),
+    "mixture": (segment_mixture, variants, "mixture_m_step"),
+    "fuzzy": (segment_fuzzy, variants, "fuzzy_m_step"),
 }
 
 
@@ -345,7 +333,7 @@ MOTION_STEPS = {
     st.integers(0, 1000),
 )
 def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed):
-    run, module, step_name, clusters_in = MOTION_STEPS[method]
+    run, module, step_name = MOTION_STEPS[method]
     packet, _ = build_drift_packet(truth, n_sources=12, n_times=10, seed=seed)
     j = len(starts)
     init = (
@@ -360,7 +348,7 @@ def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed)
     motion_step, line_search = getattr(module, step_name), solver._line_search_step
 
     def counting_step(*args, **kwargs):
-        calls.append([clusters_in(*args).params, []])
+        calls.append([args[1].params, []])
         return motion_step(*args, **kwargs)
 
     def counting_line_search(evaluate, params, *args, **kwargs):

@@ -1,6 +1,7 @@
 """Simulator tests: threshold counting against a dense-time reference
 integrator, label bookkeeping, preset scene geometry, and reproducibility."""
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from evseg.simulate import (
 from evseg.warps import WarpParams, warp_points
 
 C = 0.2  # default contrast threshold used throughout
+# the module itself: the package binds the name simulate to the function
+simulate_module = importlib.import_module("evseg.simulate")
 
 
 def solid_object(amplitude, v=(40.0, 0.0), rect=Rect(2, 3, 16, 6)):
@@ -469,9 +472,11 @@ class TestPinnedBytes:
     def test_fourdof_leaving_the_sensor_behind_a_flow2_object(self):
         scene, geom = exit_scene()
         rec = simulate(scene, geom, SimConfig(duration=0.1, seed=5))
-        assert rec.packet.n == 5247
+        # retaken when fourdof objects began to turn about the sensor centre,
+        # the solver's pivot, rather than about the sensor origin
+        assert rec.packet.n == 5077
         assert recording_digest(rec) == (
-            "1976f9be79a8bef9cd046a0bfdebff985d90c3eab61d45d1e46541df5eaf8d1a"
+            "91ca8163891f8dead4569ea07587f14a9cd4cf443b659bcc6d6dedbd63c9c206"
         )
 
 
@@ -496,7 +501,9 @@ def reference_render(scene, geometry, t):
         if obj.motion.model == "rotation":
             cx, cy = th[:2]
         else:
-            cx, cy = corners.mean(axis=0)
+            # fourdof turns and scales about the sensor centre, as in the
+            # solver's warp; flow2 reads no centre
+            cx, cy = geometry.center
         rad = float(np.sqrt(((corners - [cx, cy]) ** 2).sum(axis=1)).max())
         if obj.motion.model == "flow2":
             fx = corners[:, 0] + t * th[0]
@@ -518,7 +525,7 @@ def reference_render(scene, geometry, t):
         ys, xs = np.mgrid[y0:y1, x0:x1]
         wx, wy = warp_points(
             xs.ravel().astype(np.float64), ys.ravel().astype(np.float64),
-            np.float64(t), obj.motion, 0.0,
+            np.float64(t), obj.motion, 0.0, geometry.center,
         )
         lx = wx - r.x0
         ly = wy - r.y0
@@ -600,6 +607,26 @@ class TestRenderExactness:
         assert set(np.unique(render_scene(scene, geom, 0.0)[1])) == set(range(len(scene) + 1))
         first = scene[0].region
         assert render_scene(scene[:1], geom, 0.1)[1].sum() < first.width * first.height
+
+    @pytest.mark.parametrize(
+        "theta", [(0.0, 0.0, 3.0, 0.0), (40.0, -25.0, -4.0, 1.5)], ids=["spin", "spin-zoom-drift"]
+    )
+    def test_fourdof_object_is_drawn_whole_inside_its_box(self, monkeypatch, theta):
+        # a box that misses part of the object leaves that part undrawn, so
+        # the render must equal one that warps every sensor pixel
+        geom = ImageGeometry(240, 180)
+        pattern = textured(np.random.default_rng(24), 20, 20)
+        obj = SceneObject(pattern, WarpParams("fourdof", np.array(theta)), Rect(150.0, 100.0, 20, 20))
+        times = np.linspace(0.0, 0.1, 6)
+        boxed = [render_scene([obj], geom, float(t)) for t in times]
+        monkeypatch.setattr(
+            simulate_module, "_forward_bound_box", lambda o, t, g: (0, g.width, 0, g.height)
+        )
+        for t, (level, owner) in zip(times, boxed):
+            whole_level, whole_owner = render_scene([obj], geom, float(t))
+            assert whole_owner.any()
+            assert level.tobytes() == whole_level.tobytes()
+            assert np.array_equal(owner, whole_owner)
 
     @pytest.mark.parametrize("name", sorted(SCENES))
     def test_frames_rendered_into_buffers_equal_fresh_frames(self, name):

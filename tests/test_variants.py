@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from evseg.events import ImageGeometry, make_packet
 from evseg.iwe import sample_local
 from evseg.metrics import per_event_accuracy
 from evseg.solver import (
@@ -14,8 +13,6 @@ from evseg.solver import (
     segment,
 )
 from evseg.variants import (
-    FuzzyState,
-    MixtureState,
     component_likelihood,
     fuzzy_affinity,
     _column_table,
@@ -27,17 +24,14 @@ from evseg.variants import (
     segment_fuzzy,
     segment_mixture,
 )
-from evseg.warps import WarpParams, zero_params
+from evseg.warps import WarpParams
 
 
-def two_cluster_state(pk, thetas, mixing=(0.5, 0.5)):
-    clusters = ClusterSet(
+def flow2_clusters(thetas):
+    return ClusterSet(
         [WarpParams("flow2", np.asarray(t, dtype=float)) for t in thetas],
         np.ones(len(thetas), dtype=bool),
     )
-    n = pk.n
-    membership = np.full((n, len(thetas)), 1.0 / len(thetas))
-    return MixtureState(clusters, membership, np.asarray(mixing, dtype=float))
 
 
 def test_component_likelihood_floor_and_contrast(drift_packet):
@@ -82,29 +76,32 @@ def test_columns_equal_a_build_read_out_by_sample_local(drift_packet, params, co
 def test_mixture_e_step_matches_bayes_by_hand(drift_packet):
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
     cfg = SolverConfig()
-    state = two_cluster_state(pk, [(30.0, 0.0), (-24.0, 14.0)], mixing=(0.7, 0.3))
+    clusters = flow2_clusters([(30.0, 0.0), (-24.0, 14.0)])
     like = np.stack(
         [
-            component_likelihood(pk, state.clusters.params[0], cfg),
-            component_likelihood(pk, state.clusters.params[1], cfg),
+            component_likelihood(pk, clusters.params[0], cfg),
+            component_likelihood(pk, clusters.params[1], cfg),
         ],
         axis=1,
     )
-    new = mixture_e_step(state, pk, cfg)
+    table = _column_table(component_likelihood, pk, clusters, cfg)
+    membership, mixing = mixture_e_step(table, np.array([0.7, 0.3]), clusters.alive)
     weighted = like * np.array([0.7, 0.3])
     expect = weighted / weighted.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(new.membership, expect, atol=1e-12)
-    np.testing.assert_allclose(new.mixing, expect.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(new.membership.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(membership, expect, atol=1e-12)
+    np.testing.assert_allclose(mixing, expect.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(membership.sum(axis=1), 1.0, atol=1e-9)
 
 
 def m_step_case(pk, method):
     """Two clusters near the motions of the two-motion drift packet ``pk``,
-    with the method's column builder and M-step."""
-    state = two_cluster_state(pk, [(26.0, 2.0), (-20.0, 11.0)])
+    with the method's column builder and its M-step at even memberships and
+    mixing weights."""
+    clusters = flow2_clusters([(26.0, 2.0), (-20.0, 11.0)])
     if method == "fuzzy":
-        return FuzzyState(state.clusters, state.membership, 2.0), fuzzy_affinity, fuzzy_m_step
-    return state, component_likelihood, mixture_m_step
+        membership = np.full((pk.n, 2), 0.5)
+        return clusters, fuzzy_affinity, lambda *a: fuzzy_m_step(*a, membership, 2.0)
+    return clusters, component_likelihood, lambda *a: mixture_m_step(*a, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("method", ["mixture", "fuzzy"])
@@ -113,18 +110,15 @@ def test_m_step_table_equals_rebuild_at_new_motions(drift_packet, method):
     # must be the columns at the accepted motions
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
     cfg = SolverConfig()
-    state, column, m_step = m_step_case(pk, method)
-    table = _column_table(column, pk, state.clusters, cfg)
+    clusters, column, m_step = m_step_case(pk, method)
+    table = _column_table(column, pk, clusters, cfg)
     before = table.copy()
     settled = np.zeros(2, dtype=bool)
-    new, refreshed = m_step(state, pk, cfg, table, settled)
-    moved = [
-        not np.array_equal(a.theta, b.theta)
-        for a, b in zip(new.clusters.params, state.clusters.params)
-    ]
+    new, refreshed = m_step(pk, clusters, table, cfg, settled)
+    moved = [not np.array_equal(a.theta, b.theta) for a, b in zip(new.params, clusters.params)]
     assert all(moved)
     assert not settled.any()
-    expect = _column_table(column, pk, new.clusters, cfg)
+    expect = _column_table(column, pk, new, cfg)
     assert refreshed.tobytes() == expect.tobytes()
     np.testing.assert_array_equal(table, before)
 
@@ -133,16 +127,16 @@ def test_m_step_table_equals_rebuild_at_new_motions(drift_packet, method):
 def test_m_step_skips_settled_and_marks_failed_clusters(drift_packet, method):
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
     cfg = SolverConfig(step_mu=0.0)     # every line search fails
-    state, column, m_step = m_step_case(pk, method)
-    table = _column_table(column, pk, state.clusters, cfg)
+    clusters, column, m_step = m_step_case(pk, method)
+    table = _column_table(column, pk, clusters, cfg)
     settled = np.array([False, True])
     start = build_count()
-    new, refreshed = m_step(state, pk, cfg, table, settled)
+    new, refreshed = m_step(pk, clusters, table, cfg, settled)
     # cluster 0 built its four differences and failed; settled cluster 1
     # built nothing
     assert build_count() - start == 4
     np.testing.assert_array_equal(settled, [True, True])
-    assert all(a is b for a, b in zip(new.clusters.params, state.clusters.params))
+    assert all(a is b for a, b in zip(new.params, clusters.params))
     assert refreshed.tobytes() == table.tobytes()
 
 
@@ -167,48 +161,28 @@ def test_log_likelihood_with_a_column_equals_it_with_the_column_in_the_table(n_c
 
 def test_mixture_e_step_separates_true_clusters(drift_packet):
     pk, labels = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=25, n_times=30)
-    state = two_cluster_state(pk, [(30.0, 0.0), (-24.0, 14.0)])
-    state = mixture_e_step(state, pk, SolverConfig())
-    own = np.where(labels == 1, state.membership[:, 0], state.membership[:, 1])
+    clusters = flow2_clusters([(30.0, 0.0), (-24.0, 14.0)])
+    table = _column_table(component_likelihood, pk, clusters, SolverConfig())
+    membership, _ = mixture_e_step(table, np.array([0.5, 0.5]), clusters.alive)
+    own = np.where(labels == 1, membership[:, 0], membership[:, 1])
     assert own.mean() > 0.75
 
 
 def test_fuzzy_membership_single_example():
     # affinities (2, 1) at b=2 split memberships (2/3, 1/3)
-    geom = ImageGeometry(8, 8)
-    pk = make_packet([4.0], [4.0], [0.0], [1], geom, t_ref=0.0)
-    state = FuzzyState(
-        ClusterSet([zero_params("flow2")] * 2, np.ones(2, dtype=bool)),
-        np.full((1, 2), 0.5),
-        2.0,
-    )
-    out = fuzzy_e_step(state, pk, SolverConfig(), affinities=np.array([[2.0, 1.0]]))
-    np.testing.assert_allclose(out.membership, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+    out = fuzzy_e_step(np.array([[2.0, 1.0]]), 2.0, np.ones(2, dtype=bool))
+    np.testing.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
 
 def test_fuzzy_membership_large_b_is_nearly_uniform():
-    geom = ImageGeometry(8, 8)
-    pk = make_packet([4.0], [4.0], [0.0], [1], geom, t_ref=0.0)
-    state = FuzzyState(
-        ClusterSet([zero_params("flow2")] * 2, np.ones(2, dtype=bool)),
-        np.full((1, 2), 0.5),
-        21.0,
-    )
-    out = fuzzy_e_step(state, pk, SolverConfig(), affinities=np.array([[2.0, 1.0]]))
-    assert abs(out.membership[0, 0] - 0.5) < 0.05
-    assert out.membership[0, 0] > 0.5
+    out = fuzzy_e_step(np.array([[2.0, 1.0]]), 21.0, np.ones(2, dtype=bool))
+    assert abs(out[0, 0] - 0.5) < 0.05
+    assert out[0, 0] > 0.5
 
 
 def test_fuzzy_zero_affinity_rows_become_uniform():
-    geom = ImageGeometry(8, 8)
-    pk = make_packet([4.0], [4.0], [0.0], [1], geom, t_ref=0.0)
-    state = FuzzyState(
-        ClusterSet([zero_params("flow2")] * 3, np.ones(3, dtype=bool)),
-        np.full((1, 3), 1.0 / 3.0),
-        2.0,
-    )
-    out = fuzzy_e_step(state, pk, SolverConfig(), affinities=np.zeros((1, 3)))
-    np.testing.assert_allclose(out.membership, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
+    out = fuzzy_e_step(np.zeros((1, 3)), 2.0, np.ones(3, dtype=bool))
+    np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_fuzzy_affinity_is_log1p_of_image(drift_packet):
