@@ -279,7 +279,7 @@ def render_segmentation(
     rgb = np.zeros((geom.height, geom.width, 3))
     palette = cluster_palette(result.clusters.n_clusters)
     for j in np.flatnonzero(result.clusters.alive):
-        img, _, _ = cluster_image(
+        img = cluster_image(
             packet, result.clusters.params[j], result.associations[:, j], config
         )
         rgb += img.pixels[:, :, None] * palette[j]
@@ -312,7 +312,7 @@ def write_cluster_pgms(
     out_dir = Path(out_dir)
     paths = []
     for j in np.flatnonzero(result.clusters.alive):
-        img, _, _ = cluster_image(
+        img = cluster_image(
             packet, result.clusters.params[j], result.associations[:, j], config
         )
         p = out_dir / f"cluster_{j + 1}.pgm"

@@ -7,21 +7,42 @@ the score every solver in this package climbs.
 Mass deposit uses bilinear splatting onto the four neighbouring pixel
 centres; sampling uses the matching bilinear interpolation.  Both take each
 position's footprint from one helper, :func:`_footprint`, which makes
-deposit and read-out adjoint to one another.  A deposit of unit weights
-leaves its footprint intact in scratch, and :func:`sample_deposited` reads
-an image out at that deposit's positions from it, without computing the
-footprint a second time.  The footprint indexes the sensor grid padded by
-a ring of ``RING`` pixels: a position is clamped into the ring first, so
-one that lands off the sensor (NaN and infinite ones included) puts all
-four corners on padding.  Events landing outside the sensor contribute
-only the in-bounds fraction of their mass; sampling outside returns zero.
+deposit and read-out adjoint to one another.  A footprint indexes the
+sensor grid padded by a ring of ``RING`` pixels: one int64 row holds each
+position's top-left corner as a flat index, and four rows hold the weights
+of its corners 00, 10, 01 and 11, which lie at fixed offsets from the
+first.  A deposit scatters, and a read takes, corner by corner through
+views of the padded grid at those offsets.  A position is clamped into the
+ring first, so one that lands off the sensor (NaN and infinite ones
+included) puts all four corners on padding.  Events landing outside
+the sensor contribute only the in-bounds fraction of their mass; sampling
+outside returns zero.
+
+Every footprint is computed into one of this thread's footprint slots, 40
+bytes per position each, and stays there until that slot is reused.  A
+deposit or read may name its positions with a ``key``, an ``(owner, tag)``
+pair: ``owner`` is any object that takes weak references, compared by
+identity, and ``tag`` a hashable value compared by equality.  A deposit or
+read whose key a slot holds uses that slot's footprint and reads neither
+``wx`` nor ``wy`` (only their shape is checked), so a key must name the
+same positions on the same grid for as long as its owner lives.  The
+solver keys a warp by the packet, which is immutable, and by the motion's
+model and parameter bytes.  A slot is reused in this order: one whose
+footprint no key can name again (it has none, or its owner is gone), the
+most recently used first; a new slot, while the thread has fewer than its
+slot count (two until :func:`footprint_slots` sets it; a solve sets its
+cluster count plus one); then the least recently used slot whose key is
+not held (see :func:`hold_footprints`).  A deposit never writes its
+weights into the footprint, so after any deposit :func:`sample_deposited`
+reads an image out at that deposit's positions with its footprint.
 
 Every image build would otherwise allocate, and free, about eight
 grid-sized or position-sized arrays, and freeing them lets the allocator
 hand their pages back to the system, so the next build page-faults them all
 in again.  So the kernels work in per-thread scratch (``threading.local``):
-footprint rows that grow to the largest footprint seen, padded grids kept
-per image shape, and blurs kept per image shape and sigma.
+the footprint slots, one work row that grows to the largest footprint seen,
+padded grids kept per image shape, and blurs kept per image shape and
+sigma.
 
 There is one deposit and one blur.  The deposit scatters every corner into
 this thread's deposit grid; the blur computes ``gaussian_filter``'s
@@ -42,8 +63,10 @@ function hands back:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +74,7 @@ import numpy as np
 from .events import ImageGeometry
 
 RING = 2    # padding pixels around every grid a footprint indexes
+_clock = itertools.count(1)     # orders the uses of footprint slots
 
 
 class NegativeWeightError(ValueError):
@@ -76,35 +100,83 @@ class Iwe:
         return float(self.pixels.sum())
 
 
+def _no_owner() -> None:
+    """The owner reference of a slot whose footprint no key names."""
+    return None
+
+
+class _Slot:
+    """One footprint slot: the corner-00 indices and corner weights of ``n``
+    positions on ``geometry``'s padded grid, with the corners' flat offsets
+    from corner 00, in one buffer as long as the largest footprint it has
+    held; a weak reference to the owner of the key that names them, and
+    its tag; and whether that key is held."""
+
+    def __init__(self) -> None:
+        self.owner, self.tag, self.held, self.used, self.size = _no_owner, None, False, 0, -1
+
+    def rows(self, n: int, geometry: ImageGeometry):
+        """The (n,) index row and (4, n) weight rows for a new footprint on
+        ``geometry``, which no key names yet; this thread's work row is made
+        at least as long."""
+        if n > self.size:
+            # the old buffer goes first, so it and the new one never coexist
+            self.index = self.weight = self.buffer = None
+            self.buffer, self.size = np.empty(5 * n), n
+        if n > _scratch.work.size:
+            _scratch.work = np.empty(n)
+        stride = geometry.width + 2 * RING
+        self.owner, self.tag, self.held = _no_owner, None, False
+        self.n, self.geometry = n, geometry
+        self.offsets = (0, 1, stride, stride + 1)
+        # the index row is the buffer's first n entries read as int64, and
+        # the weight rows follow it, so a shorter footprint stays contiguous
+        self.index = self.buffer[:n].view(np.int64)
+        self.weight = self.buffer[n : 5 * n].reshape(4, n)
+        return self.index, self.weight
+
+
 class _Scratch(threading.local):
-    """One thread's work arrays: the footprint rows, as long as the largest
+    """One thread's work arrays: the footprint slots and how many it may
+    have; one free work row, as long as the largest
     footprint seen in this thread; padded grids kept per image shape, each
     with its sensor-sized interior view; the blurs kept per image shape and
     sigma; and the deviations of ``variance_contrast``.  Fresh and scratch
     calls share them."""
 
     def __init__(self) -> None:
-        self.size = -1
-        # (geometry, n) of the unit-weight deposit whose footprint the rows
-        # still hold, or None
+        self.slots: list = []
+        self.count = 2
+        # the slot of the last deposit, until the next sample_local, or None
         self.deposited = None
+        self.work = np.empty(0)
         self.grids: dict = {}
         self.blurs: dict = {}
         self.deviations = np.empty(0)
 
-    def rows(self, n: int):
-        """(4, n) corner indices, (4, n) corner weights and one free row."""
-        if n > self.size:
-            # flat, so the (4, n) views of a shorter footprint stay contiguous
-            self.index = np.empty(4 * n, dtype=np.int64)
-            self.weight = np.empty(4 * n)
-            self.work = np.empty(n)
-            self.size = n
-        return (
-            self.index[: 4 * n].reshape(4, n),
-            self.weight[: 4 * n].reshape(4, n),
-            self.work[:n],
-        )
+    def find(self, key):
+        """The slot that holds ``key``'s footprint, or None."""
+        if key is not None:
+            owner, tag = key
+            for slot in self.slots:
+                if slot.tag == tag and slot.owner() is owner:
+                    return slot
+        return None
+
+    def victim(self) -> _Slot:
+        """The slot for the next new footprint: one no key names (the most
+        recently used), else a new one while there are fewer than ``count``,
+        else the least recently used one whose key is not held (of all of
+        them when every key is held)."""
+
+        def rank(slot: _Slot):
+            return (0, -slot.used) if slot.owner() is None else (1 + slot.held, slot.used)
+
+        best = min(self.slots, key=rank, default=None)
+        if len(self.slots) < self.count and (best is None or best.owner() is not None):
+            best = _Slot()
+            self.slots.append(best)
+        return best
 
     def grid(self, geometry: ImageGeometry, kind: str):
         """This thread's flat padded grid of one kind for one image shape and
@@ -133,62 +205,96 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
+def footprint_slots(count: int) -> None:
+    """Give this thread ``count`` footprint slots (at least one), dropping
+    any beyond, and hold no key.  A solve sizes them to its cluster count
+    plus one."""
+    if count < 1:
+        raise ValueError("need at least one footprint slot")
+    _scratch.count = count
+    del _scratch.slots[count:]
+    hold_footprints(())
+
+
+def hold_footprints(keys) -> None:
+    """Hold the slots of this thread that hold the footprints of ``keys``
+    now, and release every other: a held slot is reused only when every
+    slot is held, and until a new footprint goes into it."""
+    held = {(id(owner), tag) for owner, tag in keys}    # the caller keeps the owners alive
+    for slot in _scratch.slots:
+        owner = slot.owner()
+        slot.held = owner is not None and (id(owner), slot.tag) in held
+
+
+def has_footprint(key) -> bool:
+    """Whether one of this thread's slots holds the footprint ``key`` names,
+    so that a deposit or read with that key reads no positions."""
+    return _scratch.find(key) is not None
+
+
+def _slot_for(wx, wy, geometry: ImageGeometry, key) -> _Slot:
+    """This thread's slot holding the footprint of the positions ``key``
+    names, or, with no key or no slot holding it, a slot with the footprint
+    of ``wx`` and ``wy`` computed into it under ``key``."""
+    slot = _scratch.find(key)
+    if slot is None:
+        slot = _scratch.victim()
+        _footprint(wx, wy, geometry, slot)
+        if key is not None:
+            slot.owner, slot.tag = weakref.ref(key[0]), key[1]
+    slot.used = next(_clock)
+    return slot
+
+
 def _interior(flat: np.ndarray, geometry: ImageGeometry) -> np.ndarray:
     """The sensor-sized view of a flat grid padded by ``RING``."""
     h, w = geometry.height, geometry.width
     return flat.reshape(h + 2 * RING, w + 2 * RING)[RING:-RING, RING:-RING]
 
 
-def _footprint(wx, wy, geometry: ImageGeometry):
+def _footprint(wx, wy, geometry: ImageGeometry, slot: _Slot) -> None:
     """Bilinear footprint of each position on the sensor grid padded by
-    ``RING`` pixels on every side.
+    ``RING`` pixels on every side, computed into ``slot``.
 
     ``wx`` and ``wy`` are float64 arrays whose shapes broadcast together, to
     n positions in all: two flat arrays of one length, say, or a row of x
-    and a column of y.  Returns scratch views: the (4, n) flat padded
-    indices and (4, n) weights of each position's corners, in the order 00,
-    10, 01, 11, each row in the broadcast shape's C order, and a free (n,)
-    row.  Positions are clamped into [-RING, w] x [-RING, h] first (``fmax``
-    maps NaN to the low edge), which leaves every footprint that reaches the
-    sensor as it is and puts every other one, NaN and infinite positions
-    included, wholly on padding.  Each axis is clamped, floored and split at
-    its own shape, and only the corner indices and weights are formed at
-    the broadcast shape, so a row and a column give the bytes the flat
-    positions they broadcast to would.  All three are overwritten by the
-    next footprint computed in this thread.
+    and a column of y.  The slot receives, each row in the broadcast shape's
+    C order, the flat padded index of each position's corner 00 and the
+    weights of its corners 00, 10, 01 and 11.  Positions are clamped into
+    [-RING, w] x [-RING, h] first (``fmax`` maps NaN to the low edge), which
+    leaves every footprint that reaches the sensor as it is and puts every
+    other one, NaN and infinite positions included, wholly on padding.  Each
+    axis is clamped, floored and split at its own shape, and only the
+    corner index and weights are formed at the broadcast shape, so a row
+    and a column give the bytes the flat positions they broadcast to would.
+    The thread's work row is overwritten.
     """
     w, h = geometry.width, geometry.height
     stride = w + 2 * RING
-    _scratch.deposited = None
     same = wx.shape == wy.shape
     shape = wx.shape if same else np.broadcast_shapes(wx.shape, wy.shape)
-    index, weight, work = _scratch.rows(math.prod(shape))
-    grid_index = index.reshape((4,) + shape)
+    n = math.prod(shape)
+    index, weight = slot.rows(n, geometry)
     w00, w10, w01, w11 = weight.reshape((4,) + shape)
     if same:
-        # each axis's fraction, floor and index offset live in rows that
-        # the corners overwrite after their last read, so the footprint
-        # needs one row beyond its output
-        fx, x0, fy, y0 = work.reshape(shape), w00, w10, w01
-        ix, iy = grid_index[1], grid_index[0]
+        # each axis's fraction and floor live in rows that the corners
+        # overwrite after their last read, so the footprint needs one row
+        # beyond its output
+        fx, x0, fy, y0 = _scratch.work[:n].reshape(shape), w00, w10, w01
     else:
         # an axis is as long as one side of the positions, not all of them
         fx, x0, fy, y0 = (np.empty(a.shape) for a in (wx, wx, wy, wy))
-        ix, iy = np.empty(wx.shape, dtype=np.int64), np.empty(wy.shape, dtype=np.int64)
     np.fmin(np.fmax(wx, -RING, out=fx), w, out=fx)
     np.fmin(np.fmax(wy, -RING, out=fy), h, out=fy)
     np.floor(fx, out=x0)
     np.floor(fy, out=y0)
-    np.copyto(iy, y0, casting="unsafe")
-    iy *= stride
-    iy += RING * stride + RING
-    np.copyto(ix, x0, casting="unsafe")
-    base = np.add(iy, ix, out=grid_index[0])
-    np.add(base, 1, out=grid_index[1])
-    np.add(base, stride, out=grid_index[2])
-    np.add(base, stride + 1, out=grid_index[3])
     fx -= x0
     fy -= y0
+    # corner 00's flat index, exact in float64 (small integers), cast as
+    # the last sum is stored
+    y0 *= stride
+    corner = np.add(y0, x0, out=w01)
+    np.add(corner, RING * stride + RING, out=index.reshape(shape), casting="unsafe")
     # fx fy, (1-fx)fy, (1-fx)(1-fy) and fx(1-fy), with 1-fx in x0 and 1-fy
     # in fy, in an order that writes each row after its last read
     np.multiply(fx, fy, out=w11)
@@ -197,22 +303,19 @@ def _footprint(wx, wy, geometry: ImageGeometry):
     one_y = np.subtract(1.0, fy, out=fy)
     np.multiply(one_x, one_y, out=w00)
     np.multiply(fx, one_y, out=w10)
-    return index, weight, work
 
 
-def _splat(wx, wy, weights, geometry: ImageGeometry, scratch: bool, unit: bool) -> np.ndarray:
-    index, value, _ = _footprint(wx.ravel(), wy.ravel(), geometry)
-    # w * 1.0 is w to the byte, so unit weights leave the footprint's
-    # weights as they are, for sample_deposited to read with
-    if not unit:
-        value *= weights.ravel()
-    # one scatter of all corners, corner after corner, into this thread's
-    # deposit grid: each pixel sums its deposits in a fixed order
-    padded, pixels = _scratch.grid(geometry, "deposit")
+def _splat(slot: _Slot, weights, unit: bool, scratch: bool) -> np.ndarray:
+    # corner after corner into this thread's deposit grid, so each pixel
+    # sums its deposits in a fixed order; weighted corners go through the
+    # work row, which leaves the footprint as it was
+    padded, pixels = _scratch.grid(slot.geometry, "deposit")
     padded.fill(0.0)
-    np.add.at(padded, index.ravel(), value.ravel())
-    if unit:
-        _scratch.deposited = (geometry, wx.size)
+    work = _scratch.work[: slot.n]
+    for k, offset in enumerate(slot.offsets):
+        value = slot.weight[k] if unit else np.multiply(slot.weight[k], weights, out=work)
+        np.add.at(padded[offset:], slot.index, value)
+    _scratch.deposited = slot
     return pixels if scratch else pixels.copy()
 
 
@@ -223,13 +326,16 @@ def accumulate_weighted(
     geometry: ImageGeometry,
     *,
     scratch: bool = False,
+    key=None,
 ) -> Iwe:
     """Deposit per-event mass ``weights`` at warped positions by bilinear
     splatting.  Weights must be finite and non-negative.
 
     With ``scratch`` the image is this thread's deposit grid for its shape,
     overwritten by its next deposit of that shape; otherwise it is a fresh
-    copy of that grid."""
+    copy of that grid.  ``key`` names the positions (see the module
+    docstring): when one of this thread's slots holds its footprint,
+    ``wx`` and ``wy`` are not read."""
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -243,7 +349,8 @@ def accumulate_weighted(
         if not np.isfinite(high):
             raise ValueError("event weights must be finite")
         unit = low == high == 1.0
-    return Iwe(_splat(wx, wy, weights, geometry, scratch, unit), geometry)
+    slot = _slot_for(wx, wy, geometry, key)
+    return Iwe(_splat(slot, weights.ravel(), unit, scratch), geometry)
 
 
 def accumulate_unweighted(wx: np.ndarray, wy: np.ndarray, geometry: ImageGeometry) -> Iwe:
@@ -386,7 +493,7 @@ def _bordered(iwe: Iwe) -> np.ndarray:
 
 
 def sample_local(
-    iwe: Iwe, wx: np.ndarray, wy: np.ndarray, *, out: np.ndarray | None = None
+    iwe: Iwe, wx: np.ndarray, wy: np.ndarray, *, out: np.ndarray | None = None, key=None
 ) -> np.ndarray:
     """Bilinear read-out of the image at fractional positions; zero outside.
 
@@ -395,7 +502,8 @@ def sample_local(
     row of x and a column of y read the grid they span, with the bytes of
     reading it at the broadcast positions.  ``out``, a float64 array of the
     broadcast shape (a table column, say), receives the values and is
-    returned; without it the values come back in a fresh array.
+    returned; without it the values come back in a fresh array.  ``key``
+    names the positions, as for :func:`accumulate_weighted`.
     """
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
@@ -405,41 +513,39 @@ def sample_local(
     elif out.dtype != np.float64 or out.shape != shape:
         raise ValueError("out must be a float64 array of the positions' broadcast shape")
     padded = _bordered(iwe)
-    index, weight, work = _footprint(wx, wy, iwe.geometry)
-    return _read(padded, index, weight, work, out)
+    slot = _slot_for(wx, wy, iwe.geometry, key)
+    _scratch.deposited = None
+    return _read(padded, slot, out)
 
 
 def sample_deposited(iwe: Iwe, *, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`sample_local` at the positions of this thread's last deposit,
-    read with the footprint that deposit computed: the same bytes, without
-    computing the footprint again.
+    read with the footprint that deposit used: the same bytes, without
+    computing or finding the footprint again.
 
-    That deposit must have had unit weights (every weight 1.0) and
-    ``iwe``'s geometry, and no other deposit nor :func:`sample_local` may
-    have run in this thread since; otherwise ``ValueError`` is raised.
-    ``out`` is as for :func:`sample_local`.
+    That deposit must have had ``iwe``'s geometry, and no
+    :func:`sample_local` may have run in this thread since; otherwise
+    ``ValueError`` is raised.  ``out`` is as for :func:`sample_local`.
     """
-    deposited = _scratch.deposited
-    if deposited is None or deposited[0] != iwe.geometry:
-        raise ValueError("no unit-weight deposit of this geometry to read at")
-    n = deposited[1]
+    slot = _scratch.deposited
+    if slot is None or slot.geometry != iwe.geometry:
+        raise ValueError("no deposit of this geometry to read at")
     if out is None:
-        out = np.empty(n)
-    elif out.dtype != np.float64 or out.shape != (n,):
+        out = np.empty(slot.n)
+    elif out.dtype != np.float64 or out.shape != (slot.n,):
         raise ValueError("out must be a 1-D float64 array as long as the deposit")
-    padded = _bordered(iwe)
-    index, weight, work = _scratch.rows(n)
-    return _read(padded, index, weight, work, out)
+    return _read(_bordered(iwe), slot, out)
 
 
-def _read(padded, index, weight, work, out: np.ndarray) -> np.ndarray:
+def _read(padded, slot: _Slot, out: np.ndarray) -> np.ndarray:
     """Sum each position's four corners of the padded image, weighted by its
-    footprint, into ``out``, whose C order is the footprint's."""
+    footprint in ``slot``, into ``out``, whose C order is the footprint's."""
     out.fill(0.0)
+    work = _scratch.work[: slot.n]
     term = work.reshape(out.shape)
-    for k in range(4):
+    for k, offset in enumerate(slot.offsets):
         # every index is in range; "clip" lets take() write into work directly
-        np.take(padded, index[k], out=work, mode="clip")
-        np.multiply(weight[k], work, out=work)
+        np.take(padded[offset:], slot.index, out=work, mode="clip")
+        np.multiply(slot.weight[k], work, out=work)
         out += term
     return out

@@ -30,7 +30,10 @@ the next association refresh both read those images rather than
 rebuilding them.  The initial objective keeps its images the same way for
 the first refresh.  An image build works in per-thread scratch (see
 :func:`cluster_image`), so the kept images are copies, one buffer per
-cluster for the whole solve.
+cluster for the whole solve.  Each warp's bilinear footprint stays in one
+of the thread's J + 1 footprint slots (see :mod:`evseg.iwe`), and the step
+loop holds each live cluster's footprint at its current motion, so every
+build and read at that motion reuses it without warping again.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -55,7 +58,9 @@ from .events import (
 from .iwe import (
     Iwe,
     accumulate_weighted,
-    sample_deposited,
+    footprint_slots,
+    has_footprint,
+    hold_footprints,
     sample_local,
     smooth,
     variance_contrast,
@@ -193,31 +198,70 @@ def build_count() -> int:
     return _builds.count
 
 
+def _footprint_key(packet: EventPacket, params: WarpParams) -> tuple:
+    """The key that names the warp of ``packet`` under ``params`` in this
+    thread's footprint slots (see :mod:`evseg.iwe`): the packet itself, which
+    is immutable, and the motion's model and parameter bytes."""
+    return packet, (params.model, params.theta.tobytes())
+
+
+def _warped(packet: EventPacket, params: WarpParams):
+    """The footprint key of ``params``'s warp of ``packet`` and this thread's
+    position buffers, which hold the warped positions unless a slot already
+    holds the key's footprint: then nothing is warped, and a deposit or read
+    with the key reads no positions."""
+    key = _footprint_key(packet, params)
+    wx, wy = _builds.positions(packet.n)
+    if not has_footprint(key):
+        warp_packet(packet, params, out=(wx, wy))
+    return key, wx, wy
+
+
+def _hold(packet: EventPacket, clusters: ClusterSet) -> None:
+    """Hold each live cluster's footprint at its current motion in this
+    thread's slots, so that candidate builds do not push it out."""
+    live = np.flatnonzero(clusters.alive)
+    hold_footprints([_footprint_key(packet, clusters.params[j]) for j in live])
+
+
 def cluster_image(
     packet: EventPacket,
     params: WarpParams,
     weights: np.ndarray,
     config: SolverConfig,
-) -> tuple[Iwe, np.ndarray, np.ndarray]:
+) -> Iwe:
     """Warp the packet under one hypothesis, deposit the given weights and
-    blur.  Returns the smoothed image plus the warped coordinates.
+    blur.  Returns the smoothed image.
+
+    The warp's footprint is kept in one of this thread's footprint slots,
+    keyed by the packet and the motion (see :mod:`evseg.iwe`), so a build
+    or read at a motion whose footprint a slot still holds warps nothing.
+    After a build, :func:`evseg.iwe.sample_deposited` reads an image out at
+    the warped events.
 
     The deposit and blur are :mod:`evseg.iwe`'s scratch results, the bytes
-    of a fresh call without its copy.  All three live in this thread's
-    scratch and stay valid only until its next build, or its next deposit
+    of a fresh call without its copy.  The image lives in this thread's
+    scratch and stays valid only until its next build, or its next deposit
     or blur of the sensor's shape (fresh ones included): a caller that
     keeps an image copies it.  With ``sigma`` 0 the image is a fresh copy
     of the deposit: the deposit grid is never handed out.
 
     Every full-sensor image of warped events is built here, so this is the
     one place that adds to :func:`build_count`."""
-    wx, wy = warp_packet(packet, params, out=_builds.positions(packet.n))
-    img = accumulate_weighted(wx, wy, weights, packet.geometry, scratch=True)
+    key, wx, wy = _warped(packet, params)
+    img = accumulate_weighted(wx, wy, weights, packet.geometry, scratch=True, key=key)
     _builds.count += 1
     img = smooth(img, config.sigma, scratch=True)
     if config.sigma == 0:
         img = Iwe(img.pixels.copy(), img.geometry)
-    return img, wx, wy
+    return img
+
+
+def _sample_warped(img: Iwe, packet: EventPacket, params: WarpParams, out=None) -> np.ndarray:
+    """``img`` read out at the events of ``packet`` warped by ``params``,
+    with the footprint a slot holds for them if there is one."""
+    key, wx, wy = _warped(packet, params)
+    return sample_local(img, wx, wy, out=out, key=key)
 
 
 def cluster_contrast(
@@ -226,8 +270,7 @@ def cluster_contrast(
     weights: np.ndarray,
     config: SolverConfig,
 ) -> float:
-    img, _, _ = cluster_image(packet, params, weights, config)
-    return variance_contrast(img)
+    return variance_contrast(cluster_image(packet, params, weights, config))
 
 
 def objective(
@@ -246,7 +289,7 @@ def objective(
     for j, prm in enumerate(clusters.params):
         if not clusters.alive[j]:
             continue
-        img, _, _ = cluster_image(packet, prm, associations[:, j], config)
+        img = cluster_image(packet, prm, associations[:, j], config)
         contrast = variance_contrast(img)
         if kept is not None:
             _keep(kept, j, contrast, img)
@@ -282,9 +325,10 @@ def update_associations(
     the floor come out uniform over live clusters.  Dead columns stay zero.
 
     ``images`` may map a cluster index to that image, already built at the
-    cluster's params and incoming column; such a cluster is only re-warped.
-    They must be kept copies, not :func:`cluster_image` scratch views,
-    which the builds of the other clusters overwrite.
+    cluster's params and incoming column; such a cluster is only read, with
+    its footprint at those params, which is warped again only if no slot
+    holds it.  They must be kept copies, not :func:`cluster_image` scratch
+    views, which the builds of the other clusters overwrite.
     """
     n, n_clusters = associations.shape
     alive_idx = np.flatnonzero(clusters.alive)
@@ -293,10 +337,9 @@ def update_associations(
         prm = clusters.params[j]
         if images is not None and j in images:
             img = images[j]
-            wx, wy = warp_packet(packet, prm, out=_builds.positions(n))
         else:
-            img, wx, wy = cluster_image(packet, prm, associations[:, j], config)
-        sample_local(img, wx, wy, out=scores[:, col])
+            img = cluster_image(packet, prm, associations[:, j], config)
+        _sample_warped(img, packet, prm, out=scores[:, col])
     np.maximum(scores, EPSILON_C, out=scores)
     out = np.zeros_like(associations)
     out[:, alive_idx] = np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores)
@@ -388,13 +431,16 @@ def _step_clusters(packet, clusters, settled, config, start, h=None):
     current motion.  The step's params go into ``clusters.params[j]``, a
     cluster whose search fails gets marked, and ``(j, value, built)`` at the
     returned params is yielded before the next cluster builds anything, so
-    ``built`` may still be a scratch result."""
+    ``built`` may still be a scratch result.  Each live cluster's footprint
+    at its current motion is held throughout (see :func:`_hold`)."""
+    _hold(packet, clusters)
     for j in np.flatnonzero(clusters.alive & ~settled):
         evaluate, f0, built0 = start(j)
         clusters.params[j], value, built, improved = _line_search_step(
             evaluate, clusters.params[j], packet, config, f0, built0, h
         )
         settled[j] = not improved
+        _hold(packet, clusters)
         yield j, value, built
 
 
@@ -427,7 +473,7 @@ def ascend_motion(
         del kept[j]
 
     def contrast(j: int, candidate: WarpParams) -> tuple[float, Iwe]:
-        img, _, _ = cluster_image(packet, candidate, associations[:, j], config)
+        img = cluster_image(packet, candidate, associations[:, j], config)
         return variance_contrast(img), img
 
     # kept before any difference builds over the scratch image
@@ -709,20 +755,15 @@ def _claim_mask(
     """Events whose local sharpness strictly drops when the optimised motion
     is perturbed: these are the events the motion explains.
 
-    Every event is sampled, weighted or not.  When every weight is one, each
-    image is read out at the positions it deposited, from its deposit's
-    footprint; otherwise each build deposits only the weighted events (see
-    :func:`_weighted_events`) and every event's position is warped apart."""
+    Every event is sampled, weighted or not.  Each build deposits only the
+    weighted events (see :func:`_weighted_events`); when no weight is zero
+    they are the packet, and each image is read out with the footprint its
+    build used."""
     deposit, deposit_weights = _weighted_events(packet, weights)
-    unit = bool((weights == 1.0).all())
 
     def local_sharpness(prm: WarpParams, out: np.ndarray | None = None) -> np.ndarray:
-        img, wx, wy = cluster_image(deposit, prm, deposit_weights, config)
-        if unit:
-            return sample_deposited(img, out=out)
-        if deposit is not packet:
-            wx, wy = warp_packet(packet, prm, out=_builds.positions(packet.n))
-        return sample_local(img, wx, wy, out=out)
+        img = cluster_image(deposit, prm, deposit_weights, config)
+        return _sample_warped(img, packet, prm, out)
 
     c_star = local_sharpness(params)
     kappa = displacement_sensitivity(packet, params)
@@ -748,13 +789,15 @@ def initialize_greedy(
     weights, hand events that sharpened under it a strong association, damp
     them out of the residual, repeat.  The last cluster absorbs whatever
     stayed unclaimed.  Clusters facing a near-empty residual keep zero
-    motion and are left for collapse to clean up."""
+    motion and are left for collapse to clean up.  The calling thread gets
+    ``n_clusters + 1`` footprint slots, as in a solve."""
     if config is None:
         config = SolverConfig()
     models = _resolve_models(models, n_clusters)
     n = packet.n
     if n == 0:
         raise ValueError("cannot initialise on an empty packet")
+    footprint_slots(n_clusters + 1)
     share = INIT_CLAIM_PROB
     low = (1.0 - share) / (n_clusters - 1) if n_clusters > 1 else 0.0
 
@@ -880,12 +923,14 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     A given init table may have either memory layout: the run works on a
     column-major copy and returns its associations C-contiguous.  ``kept``,
     if given, receives the initial objective's images (see
-    :func:`objective`) for the first step to read.
+    :func:`objective`) for the first step to read.  The calling thread gets
+    ``n_clusters + 1`` footprint slots for the run.
     """
     if config is None:
         config = SolverConfig()
     start = build_count()
     models = _resolve_models(models, n_clusters)
+    footprint_slots(n_clusters + 1)
     if init is None:
         clusters, associations = initialize_greedy(packet, n_clusters, models, config)
         init_mode = "greedy"

@@ -93,7 +93,7 @@ def component_likelihood(
     but non-zero likelihood.  Computed in ``out`` (a table column, say) if
     given, else in a fresh array.
     """
-    img, _, _ = cluster_image(packet, params, _unit_weights(packet.n), config)
+    img = cluster_image(packet, params, _unit_weights(packet.n), config)
     total = img.total_mass
     values = sample_deposited(img, out=out)
     if total > 0.0:
@@ -177,7 +177,7 @@ def fuzzy_affinity(
     """Per-event affinity log(1 + image value) under one motion; zero where
     the warped position lands on empty pixels.  Computed in ``out`` (a
     table column, say) if given, else in a fresh array."""
-    img, _, _ = cluster_image(packet, params, _unit_weights(packet.n), config)
+    img = cluster_image(packet, params, _unit_weights(packet.n), config)
     values = sample_deposited(img, out=out)
     return np.log1p(np.maximum(values, 0.0, out=values), out=values)
 
@@ -259,22 +259,32 @@ def segment_fuzzy(
     early_stop: bool = True,
 ) -> SegmentationResult:
     """Fuzzy-membership clustering of one packet; see module docstring.  The
-    own objective is the membership-weighted affinity sum."""
+    own objective is the membership-weighted affinity sum.
+
+    Once every live cluster is settled, an iteration whose affinity table
+    equals the one the previous E-step read repeats that iteration exactly:
+    its E-step, own objective and summed sharpness depend only on that
+    table and the unchanged motions, and a settled cluster takes no step.
+    So it hands back the previous iteration's result and builds nothing."""
     if not 1.0 < b < np.inf:
         raise ValueError("fuzziness b must be finite and exceed 1")
     table = None
+    last = None     # (the table the previous E-step read, that step's result)
 
     def step(packet, clusters, membership, config, settled):
-        nonlocal table
+        nonlocal table, last
         if table is None:
             table = _column_table(fuzzy_affinity, packet, clusters, config)
-        membership = fuzzy_e_step(table, b, clusters.alive)
+        if last and (settled | ~clusters.alive).all() and np.array_equal(last[0], table):
+            return last[1]
+        read, membership = table, fuzzy_e_step(table, b, clusters.alive)
         clusters, table = fuzzy_m_step(packet, clusters, table, config, settled, membership, b)
         # numpy sums a whole table in memory order, so the product is made
         # C-ordered to keep the sum's last bits
         weighted = np.power(membership, b, order="C")
         own = float(np.multiply(weighted, table, out=weighted).sum())
         sharpness = objective(packet, clusters, membership, config)
-        return clusters, membership, sharpness, own
+        last = (read, (clusters, membership, sharpness, own))
+        return last[1]
 
     return _alternate(packet, n_clusters, models, config, init, early_stop, "fuzzy", step)

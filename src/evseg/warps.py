@@ -82,10 +82,12 @@ def warp_points(
         if out is None:
             out = np.empty(np.broadcast(x, t).shape), np.empty(np.broadcast(y, t).shape)
         rx, ry = out
-        # (t - t_ref) * v goes straight into each output and is subtracted
+        # t - t_ref once, in ry when t is as large (it broadcasts to both
+        # outputs), then times each velocity into its output and subtracted
         # in place, so nothing is allocated beyond the outputs
-        np.multiply(np.subtract(t, t_ref, out=rx), th[0], out=rx)
-        np.multiply(np.subtract(t, t_ref, out=ry), th[1], out=ry)
+        dt = np.subtract(t, t_ref, out=ry) if t.shape == ry.shape else t - t_ref
+        np.multiply(dt, th[0], out=rx)
+        np.multiply(dt, th[1], out=ry)
         return np.subtract(x, rx, out=rx), np.subtract(y, ry, out=ry)
     dt = t - t_ref
     if params.model == "rotation":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import evseg.iwe as iwe_module
+import evseg.solver as solver_module
 from evseg.events import ImageGeometry, make_packet
 from evseg.iwe import (
     Iwe,
@@ -20,7 +21,7 @@ from evseg.iwe import (
     variance_contrast,
 )
 from evseg.solver import SolverConfig, cluster_contrast, cluster_image
-from evseg.warps import WarpParams, warp_points
+from evseg.warps import WarpParams, warp_packet, warp_points
 
 
 GEOM = ImageGeometry(16, 12)
@@ -202,7 +203,8 @@ def test_scratch_smooth_reads_each_new_deposit():
 def _thread_buffers():
     """Every array in this thread's kernel scratch."""
     s = iwe_module._scratch
-    out = [s.index, s.weight, s.work, s.deviations]
+    out = [s.work, s.deviations]
+    out += [slot.buffer for slot in s.slots]
     out += [flat for flat, _ in s.grids.values()]
     for blur in s.blurs.values():
         out += [blur.mid, blur.result]
@@ -385,10 +387,9 @@ def test_sample_deposited_reads_as_sample_local_at_the_deposit():
     sample_local(field, wx[:10], wy[:10])
     with pytest.raises(ValueError):
         sample_deposited(field)
-    # any other weight multiplies the footprint's weights in place
-    accumulate_weighted(wx, wy, np.full(n, 2.0), geom)
-    with pytest.raises(ValueError):
-        sample_deposited(field)
+    # other weights are multiplied outside the footprint, which stays intact
+    accumulate_weighted(wx, wy, rng.uniform(0, 2, n), geom)
+    assert sample_deposited(field).tobytes() == expect
 
 
 def test_scratch_reuse_across_sizes_and_geometries():
@@ -443,19 +444,25 @@ def test_concurrent_threads_keep_their_own_scratch():
         packet = make_packet(wx, wy, t, np.ones(n), geom, t_ref=0.05)
         inputs.append((wx, wy, rng.uniform(0, 2, n), packet))
 
-    def run(wx, wy, w, packet):
+    def run(k):
+        wx, wy, w, packet = inputs[k]
         img = accumulate_weighted(wx, wy, w, geom)
         out = [img.pixels, sample_local(img, wx, wy)]
-        built, bx, by = cluster_image(packet, flow, w, config)
-        out += [built.pixels, bx, by, sample_local(built, bx, by)]
+        # this thread's packet and the next thread's, at one motion: each
+        # build and read must use the footprint of the packet it names
+        for _, _, weights, pk in (inputs[k], inputs[(k + 1) % len(inputs)]):
+            built = cluster_image(pk, flow, weights, config)
+            out += [built.pixels, sample_deposited(built)]
+            bx, by = warp_packet(pk, flow)
+            out += [bx, by, sample_local(built, bx, by), solver_module._sample_warped(built, pk, flow)]
         return b"".join(a.tobytes() for a in out)
 
-    expect = [run(*args) for args in inputs]
+    expect = [run(k) for k in range(len(inputs))]
     mismatches = []
 
     def worker(k):
         for _ in range(10):
-            if run(*inputs[k]) != expect[k]:
+            if run(k) != expect[k]:
                 mismatches.append(k)
 
     interval = sys.getswitchinterval()
@@ -475,27 +482,46 @@ def test_concurrent_threads_keep_their_own_scratch():
 def test_steady_state_builds_do_not_page_fault(standard_recording):
     # a build hands no grid- or position-sized buffer back to the allocator,
     # so once its scratch has grown it pages nothing in; builds that freed
-    # their buffers made 230-376 minor faults each in a faulting process
+    # their buffers made 230-376 minor faults each in a faulting process.
+    # A solve at J = 2 keeps J + 1 = 3 footprint slots: builds cycled through
+    # three motions find every footprint in its slot, and through four
+    # compute every footprint into a reused slot
     resource = pytest.importorskip("resource")
     pk = standard_recording.packet
-    params = WarpParams("flow2", np.array([50.0, 0.0]))
     config = SolverConfig()
-    for n in (100, pk.n):
-        packet = make_packet(
-            pk.x[:n], pk.y[:n], pk.t[:n], pk.polarity[:n], pk.geometry, t_ref=pk.t_ref
-        )
-        weights = np.ones(n)
-        for _ in range(5):
-            cluster_contrast(packet, params, weights, config)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(50):
-            cluster_contrast(packet, params, weights, config)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults < 50, f"{faults} minor faults in 50 builds of {n} events"
-        # whether freed buffers fault depends on the allocator's state, so
-        # check the cause too: nothing grid-sized (345,600 bytes) is allocated
-        peak = _peak_bytes(lambda: cluster_contrast(packet, params, weights, config))
-        assert peak < 200_000
+    saved = iwe_module._scratch.count
+    iwe_module.footprint_slots(3)
+    try:
+        for n in (100, pk.n):
+            packet = make_packet(
+                pk.x[:n], pk.y[:n], pk.t[:n], pk.polarity[:n], pk.geometry, t_ref=pk.t_ref
+            )
+            weights = np.ones(n)
+            for count in (3, 4):
+                motions = [WarpParams("flow2", np.array([50.0 + k, 0.0])) for k in range(count)]
+
+                def build(i):
+                    cluster_contrast(packet, motions[i % count], weights, config)
+
+                for i in range(5 * count):
+                    build(i)
+                held = [
+                    iwe_module.has_footprint(solver_module._footprint_key(packet, p))
+                    for p in motions
+                ]
+                assert all(held) == (count == 3)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for i in range(50):
+                    build(i)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                assert faults < 50, f"{faults} minor faults in 50 builds of {n} events"
+                # whether freed buffers fault depends on the allocator's state,
+                # so check the cause too: nothing grid-sized (345,600 bytes) is
+                # allocated
+                peak = _peak_bytes(lambda: [build(i) for i in range(count)])
+                assert peak < 200_000
+    finally:
+        iwe_module.footprint_slots(saved)
 
 
 def _peak_bytes(fn) -> int:

@@ -11,8 +11,10 @@ solve run to its full budget, the solver's hard labels equal
 clusters of a layered solve swaps its outputs, every finite packet
 either segments into a finite, normalised result or raises
 ``DegenerateInitError``, a layered solve's objective never falls by
-more than 1% in one iteration, and zero-weight events change no byte of an
-image build or of greedy init's coarse score."""
+more than 1% in one iteration, zero-weight events change no byte of an
+image build or of greedy init's coarse score, and builds and reads whose
+footprint comes from a slot give the bytes of footprints computed afresh,
+for any packet, never another packet's."""
 
 import numpy as np
 import pytest
@@ -21,7 +23,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evseg.events import ImageGeometry, count_windows, make_packet, sliding_windows
-from evseg.iwe import Iwe, accumulate_weighted, sample_local, variance_contrast
+import evseg.iwe as iwe
+from evseg.iwe import (
+    Iwe,
+    accumulate_weighted,
+    footprint_slots,
+    hold_footprints,
+    sample_deposited,
+    sample_local,
+    variance_contrast,
+)
 from evseg.metrics import hard_assignments
 import evseg.solver as solver
 import evseg.variants as variants
@@ -37,7 +48,7 @@ from evseg.solver import (
     update_associations,
 )
 from evseg.variants import fuzzy_e_step, mixture_e_step, segment_fuzzy, segment_mixture
-from evseg.warps import MODEL_PARAM_COUNT, WarpParams, warp_points, zero_params
+from evseg.warps import MODEL_PARAM_COUNT, WarpParams, warp_packet, warp_points, zero_params
 
 from conftest import build_drift_packet
 
@@ -143,7 +154,7 @@ def test_update_associations_keeps_rows_normalised_and_reuses_images(drawn, sigm
     assert_rows_normalised(rebuilt, clusters.alive)
     # a build's image lives in scratch until the next build: keep copies
     images = {
-        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config)[0])
+        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config))
         for j in np.flatnonzero(clusters.alive & reuse)
     }
     reused = update_associations(packet, clusters, assoc, config, images=images)
@@ -175,7 +186,7 @@ def test_update_associations_reuses_every_live_image(drift_packet, velocities, a
     live = np.flatnonzero(alive)
     assert np.ptp(rebuilt[:, live], axis=1).mean() > 0.2
     images = {
-        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config)[0])
+        j: copied(cluster_image(packet, clusters.params[j], assoc[:, j], config))
         for j in live
     }
     reused = update_associations(packet, clusters, assoc, config, images=images)
@@ -360,8 +371,12 @@ def test_settled_cluster_never_moves_or_steps_again(method, truth, starts, seed)
         mp.setattr(module, step_name, counting_step)
         mp.setattr(solver, "_line_search_step", counting_line_search)
         full = run(packet, j, "flow2", config, init=init, early_stop=False)
-    assert len(calls) == budget
-    for c, k in enumerate(full.diagnostics["settled"]):
+    settled_at = full.diagnostics["settled"]
+    # one motion step per iteration; a fuzzy solve makes none from the
+    # iteration after its last cluster settles, which repeats the one before
+    repeats = method == "fuzzy" and (settled_at > 0).all()
+    assert len(calls) == (settled_at.max() if repeats else budget)
+    for c, k in enumerate(settled_at):
         if k < 0:
             continue
         assert 1 <= k <= budget
@@ -568,10 +583,110 @@ def test_zero_weight_events_change_no_build_byte(model, drawn, velocity, spin):
     assert padded.n < 2 * solver.INIT_SCAN_EVENTS
     params = params_for(model, velocity, spin)
     config = SolverConfig()
-    img, _, _ = cluster_image(packet, params, weights, config)
+    img = cluster_image(packet, params, weights, config)
     expect = img.pixels.tobytes()
-    img, _, _ = cluster_image(padded, params, padded_weights, config)
+    img = cluster_image(padded, params, padded_weights, config)
     assert img.pixels.tobytes() == expect
     coarse = solver._coarse_eval_factory(packet, weights)(params)
     padded_coarse = solver._coarse_eval_factory(padded, padded_weights)(params)
     assert np.float64(padded_coarse).tobytes() == np.float64(coarse).tobytes()
+
+
+@st.composite
+def slot_sequences(draw):
+    """A small packet with lattice or fractional coordinates, some events off
+    the sensor; more motions than footprint slots, non-finite ones among
+    them; and a run of builds, reads and holds at those motions, each build
+    with unit weights or weights that may be zero."""
+    geometry = ImageGeometry(24, 18)
+    n = draw(st.integers(1, 30))
+    x = draw(arrays(np.float64, n, elements=st.floats(-4.0, 28.0)))
+    y = draw(arrays(np.float64, n, elements=st.floats(-4.0, 22.0)))
+    if draw(st.booleans()):
+        x, y = np.round(x), np.round(y)
+    t = np.sort(draw(arrays(np.float64, n, elements=st.floats(0.0, 0.1))))
+    packet = make_packet(x, y, t, np.ones(n), geometry, t_ref=float(t[n // 2]))
+    weights = [
+        np.ones(n),
+        draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))),
+    ]
+    count = draw(st.integers(1, 3))
+    value = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+    motions = []
+    for _ in range(count + draw(st.integers(1, 3))):
+        model = draw(st.sampled_from(sorted(MODEL_PARAM_COUNT)))
+        theta = draw(arrays(np.float64, MODEL_PARAM_COUNT[model], elements=value))
+        motions.append(WarpParams(model, theta))
+    step = st.tuples(
+        st.sampled_from(["build", "read", "hold"]),
+        st.integers(0, len(motions) - 1),
+        st.integers(0, 1),
+    )
+    return packet, weights, count, motions, draw(st.lists(step, min_size=1, max_size=14))
+
+
+@given(slot_sequences())
+def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
+    # builds and reads named by (packet, motion) take their footprint from
+    # a slot whenever one holds it; over more motions than slots, with holds
+    # moving the eviction order, each must give the bytes of a build or read
+    # whose footprint is computed afresh from the warped positions
+    packet, weights, count, motions, steps = drawn
+    geometry = packet.geometry
+    field = Iwe(np.random.default_rng(packet.n).normal(size=(18, 24)), geometry)
+    with np.errstate(invalid="ignore", over="ignore"):
+        warped = [warp_packet(packet, m) for m in motions]
+        expect_build = {
+            (m, k): accumulate_weighted(*warped[m], weights[k], geometry).pixels.tobytes()
+            for m in range(len(motions))
+            for k in range(2)
+        }
+        expect_read = [sample_local(field, *xy).tobytes() for xy in warped]
+        saved = iwe._scratch.count
+        footprint_slots(count)
+        try:
+            for kind, m, k in steps:
+                if kind == "hold":
+                    hold_footprints([solver._footprint_key(packet, motions[m])])
+                elif kind == "read":
+                    got = solver._sample_warped(field, packet, motions[m])
+                    assert got.tobytes() == expect_read[m]
+                else:
+                    key, wx, wy = solver._warped(packet, motions[m])
+                    img = accumulate_weighted(wx, wy, weights[k], geometry, key=key)
+                    assert img.pixels.tobytes() == expect_build[m, k]
+                    assert sample_deposited(field).tobytes() == expect_read[m]
+        finally:
+            footprint_slots(saved)
+
+
+def test_a_new_packet_never_gets_a_dropped_packets_footprint():
+    # a packet made after another is dropped often takes the dropped one's
+    # id(); the footprints that packet left in the slots must never serve
+    # the new one
+    geometry = ImageGeometry(24, 18)
+    params = WarpParams("flow2", np.array([30.0, -20.0]))
+    rng = np.random.default_rng(31)
+    field = Iwe(rng.normal(size=(18, 24)), geometry)
+    config = SolverConfig(sigma=0.0)
+    ids = set()
+    saved = iwe._scratch.count
+    footprint_slots(3)
+    try:
+        for _ in range(40):
+            t = np.sort(rng.uniform(0.0, 0.1, 30))
+            packet = make_packet(
+                rng.uniform(-2, 26, 30), rng.uniform(-2, 20, 30), t, np.ones(30), geometry
+            )
+            ids.add(id(packet))
+            # keyed first, while the dropped packet's footprints are in the
+            # slots; the slot-free references after
+            built = cluster_image(packet, params, np.ones(30), config).pixels.tobytes()
+            read = solver._sample_warped(field, packet, params).tobytes()
+            wx, wy = warp_packet(packet, params)
+            assert built == accumulate_weighted(wx, wy, np.ones(30), geometry).pixels.tobytes()
+            assert read == sample_local(field, wx, wy).tobytes()
+            del packet
+    finally:
+        footprint_slots(saved)
+    assert len(ids) < 40, "no packet took a dropped packet's id, so nothing was tested"

@@ -7,9 +7,11 @@ from evseg.solver import (
     EPSILON_C,
     ClusterSet,
     SolverConfig,
+    _alternate,
     build_count,
     cluster_image,
     initialize_greedy,
+    objective,
     segment,
 )
 from evseg.variants import (
@@ -24,7 +26,7 @@ from evseg.variants import (
     segment_fuzzy,
     segment_mixture,
 )
-from evseg.warps import WarpParams
+from evseg.warps import WarpParams, warp_packet
 
 
 def flow2_clusters(thetas):
@@ -60,8 +62,8 @@ def test_columns_equal_a_build_read_out_by_sample_local(drift_packet, params, co
     # the deposit's footprint: the bytes of sample_local at those positions
     pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
     cfg = SolverConfig()
-    img, wx, wy = cluster_image(pk, params, np.ones(pk.n), cfg)
-    values = sample_local(img, wx, wy)
+    img = cluster_image(pk, params, np.ones(pk.n), cfg)
+    values = sample_local(img, *warp_packet(pk, params))
     if column is component_likelihood:
         values /= img.total_mass
         np.maximum(values, EPSILON_C, out=values)
@@ -259,3 +261,44 @@ def test_variants_accept_shared_init(mini_recording):
     b = segment_mixture(mini_recording.packet, 2, "flow2", init=init)
     np.testing.assert_array_equal(a.associations, b.associations)
     np.testing.assert_array_equal(init[1], initialize_greedy(mini_recording.packet, 2, "flow2")[1])
+
+
+def test_fuzzy_fixed_point_keeps_the_bytes_of_running_every_iteration(drift_packet):
+    # once every live cluster is settled and the affinity table repeats, the
+    # fuzzy solve hands back the previous iteration's result; the same
+    # alternation run without that shortcut must give the same bytes
+    pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
+    cfg = SolverConfig(max_iters=12)
+    init = initialize_greedy(pk, 2, "flow2", cfg)
+    table = None
+
+    def step(packet, clusters, membership, config, settled):
+        nonlocal table
+        if table is None:
+            table = _column_table(fuzzy_affinity, packet, clusters, config)
+        membership = fuzzy_e_step(table, 2.0, clusters.alive)
+        clusters, table = fuzzy_m_step(packet, clusters, table, config, settled, membership, 2.0)
+        weighted = np.power(membership, 2.0, order="C")
+        own = float(np.multiply(weighted, table, out=weighted).sum())
+        return clusters, membership, objective(packet, clusters, membership, config), own
+
+    results = []
+    for run in (
+        lambda: _alternate(pk, 2, "flow2", cfg, init, False, "fuzzy", step),
+        lambda: segment_fuzzy(pk, 2, "flow2", cfg, init=init, early_stop=False),
+    ):
+        start = build_count()
+        result = run()
+        results.append((result, build_count() - start))
+    (expect, full_builds), (got, builds) = results
+    assert builds < full_builds, "no iteration was repeated, so nothing was tested"
+    for a, b in (
+        (expect.associations, got.associations),
+        (expect.objective_trace, got.objective_trace),
+        (expect.diagnostics["own_trace"], got.diagnostics["own_trace"]),
+        (expect.diagnostics["settled"], got.diagnostics["settled"]),
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert [p.theta.tobytes() for p in expect.clusters.params] == [
+        p.theta.tobytes() for p in got.clusters.params
+    ]
