@@ -371,6 +371,15 @@ def _windows(a: np.ndarray, count: int, step: int, length: int, axis: int) -> np
     return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=step >= length)
 
 
+def gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
+    """The normalised Gaussian kernel of ``sigma`` on offsets -radius ..
+    radius, computed as ``scipy.ndimage`` computes it, so a filter that
+    sums with scipy's order also gets scipy's bytes.  It is symmetric."""
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return phi / phi.sum()
+
+
 class _BandedBlur:
     """Gaussian blur of one image shape as two banded matrix products.
 
@@ -392,13 +401,10 @@ class _BandedBlur:
     BLOCK = 8
 
     def __init__(self, height: int, width: int, sigma: float) -> None:
-        # gaussian_filter's kernel: normalised, truncated at radius
-        # ceil(3*sigma), computed as scipy computes it; it is symmetric, so
-        # correlating with it is convolving with it
+        # gaussian_filter's kernel truncated at radius ceil(3*sigma); it is
+        # symmetric, so correlating with it is convolving with it
         self.radius = r = int(np.ceil(3.0 * sigma))
-        x = np.arange(-r, r + 1)
-        phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-        self.taps = phi / phi.sum()
+        self.taps = gaussian_kernel(sigma, r)
         b = self.BLOCK
         # row blocks first .. last-1 read only image rows, through one band
         self.first = -(-r // b)

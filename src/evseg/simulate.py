@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+# numpy imports its random module on first use; importing it with this
+# module keeps that import (10-20 ms) out of the first simulation
+from numpy.random import default_rng
 
 from .events import EventPacket, ImageGeometry, make_packet
-from .iwe import Iwe, sample_local
+from .iwe import Iwe, gaussian_kernel, sample_local
 from .warps import WarpParams, warp_points
 
 
@@ -260,7 +262,7 @@ def simulate(
         ):
             raise SceneConfigError("object region must start inside the sensor")
     c_thr = config.contrast_threshold
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     v_fast = max(_speed_bound(obj, config.duration, geometry) for obj in scene)
     rate = max(MIN_SAMPLE_HZ, OVERSAMPLE * v_fast)
     n_steps = int(np.ceil(config.duration * rate))
@@ -349,10 +351,38 @@ def simulate(
 # preset scenes
 
 
+def _periodic_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a 2-D float64 image that wraps at its edges: the
+    bytes of ``scipy.ndimage.gaussian_filter(image, sigma, mode="wrap")``.
+
+    It does scipy's arithmetic in scipy's order: the kernel truncated at
+    radius int(4*sigma + 0.5), axis 0 then axis 1, and each output
+    x[i]*w[0] plus (x[i-k] + x[i+k])*w[k] for k from the radius down to 1,
+    with indices taken modulo the side, so a kernel longer than the side
+    wraps more than once, as scipy's does."""
+    r = int(4.0 * sigma + 0.5)
+    w = gaussian_kernel(sigma, r)[r:]
+    out = image
+    for _ in range(2):
+        # a pass blurs axis 0 of a C-contiguous copy with r periodic rows
+        # added on each side, and hands its result on transposed: the
+        # second pass blurs axis 1 and turns the image upright again
+        n = out.shape[0]
+        padded = out[np.arange(-r, n + r) % n]
+        acc = padded[r : r + n] * w[0]
+        pair = np.empty_like(acc)
+        for k in range(r, 0, -1):
+            np.add(padded[r - k : r - k + n], padded[r + k : r + k + n], out=pair)
+            pair *= w[k]
+            acc += pair
+        out = acc.T
+    return np.ascontiguousarray(out)
+
+
 def _blob_pattern(width: int, height: int, rng, amplitude: float, feature_px: float) -> np.ndarray:
     """Binary pebble-like texture: thresholded smoothed noise."""
     noise = rng.standard_normal((height, width))
-    smoothed = ndimage.gaussian_filter(noise, feature_px / 2.0, mode="wrap")
+    smoothed = _periodic_blur(noise, feature_px / 2.0)
     return np.where(smoothed > 0.0, amplitude, 0.0)
 
 
@@ -369,7 +399,7 @@ def preset_two_pebbles(
         geometry = ImageGeometry(240, 180)
     if config is None:
         config = SimConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     amplitude = 2.25 * config.contrast_threshold
     v_hi = max(abs(base_v), abs(base_v + delta_v))
     travel = int(np.ceil(v_hi * config.duration))
@@ -433,7 +463,7 @@ def preset_fan_and_coin(
         geometry = ImageGeometry(240, 180)
     if config is None:
         config = SimConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     amplitude = 2.25 * config.contrast_threshold
     fan_side = 145
     fan_origin = (16.0, 16.0)

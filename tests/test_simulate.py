@@ -1,10 +1,20 @@
 """Simulator tests: threshold counting against a dense-time reference
-integrator, label bookkeeping, preset scene geometry, and reproducibility."""
+integrator, label bookkeeping, preset scene geometry, reproducibility, the
+texture blur against scipy's, and a run of the package without scipy."""
 import hashlib
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import evseg
 
 from evseg.events import ImageGeometry
 from evseg.iwe import Iwe, sample_local
@@ -671,3 +681,110 @@ class TestRenderExactness:
         a = render_scene([SceneObject(ints, motion, Rect(5.0, 3.0, 8, 6))], geom, 0.07)
         b = render_scene([SceneObject(ints.astype(float), motion, Rect(5.0, 3.0, 8, 6))], geom, 0.07)
         assert a[0].tobytes() == b[0].tobytes()
+
+
+class TestPeriodicBlur:
+    """The texture blur gives the bytes of ``gaussian_filter(mode="wrap")``.
+    scipy is the oracle here only, so each test imports it itself."""
+
+    @given(
+        image=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+        sigma=st.sampled_from([2.5, 3.5]),
+    )
+    def test_matches_gaussian_filter_wrap_to_the_byte(self, image, sigma):
+        # sides from 1 up, most of them shorter than the radius (10 and 14),
+        # where the kernel wraps round the side more than once
+        from scipy import ndimage
+
+        expect = ndimage.gaussian_filter(image, sigma, mode="wrap")
+        assert simulate_module._periodic_blur(image, sigma).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "width, height, duration, preset",
+        [
+            (240, 180, 0.25, "two_pebbles"),    # the preset's defaults: 78x196
+            (240, 180, 0.12, "two_pebbles"),    # the full benchmark scene: 78x210
+            (240, 180, 0.13, "two_pebbles"),    # and its longer retake: 78x209
+            (120, 90, 0.03, "two_pebbles"),     # the mini scene: 33x100
+            (240, 180, 0.25, "fan_and_coin"),   # the coin's face: 56x56
+        ],
+    )
+    def test_preset_patterns_match_gaussian_filter_wrap_to_the_byte(
+        self, monkeypatch, width, height, duration, preset
+    ):
+        from scipy import ndimage
+
+        blur = simulate_module._periodic_blur
+        calls = []
+
+        def recorded(image, sigma):
+            out = blur(image, sigma)
+            calls.append((image.copy(), sigma, out))
+            return out
+
+        monkeypatch.setattr(simulate_module, "_periodic_blur", recorded)
+        geom = ImageGeometry(width, height)
+        cfg = SimConfig(duration=duration, seed=7)
+        if preset == "two_pebbles":
+            preset_two_pebbles(60.0, 50.0, geom, cfg)
+        else:
+            preset_fan_and_coin(10.0, (70.0, 0.0), geom, cfg)
+        assert calls
+        for image, sigma, out in calls:
+            expect = ndimage.gaussian_filter(image, sigma, mode="wrap")
+            assert out.tobytes() == expect.tobytes()
+
+
+class TestRunsWithoutScipy:
+    """numpy is the package's one runtime dependency."""
+
+    def _run(self, code):
+        src = str(Path(evseg.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_simulates_and_segments_with_scipy_blocked(self):
+        self._run(
+            """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"blocked: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import evseg, evseg.cli
+from evseg import ImageGeometry, SimConfig, SolverConfig, segment, simulate
+from evseg import preset_fan_and_coin, preset_two_pebbles
+
+geom, cfg = ImageGeometry(120, 90), SimConfig(duration=0.03, seed=7)
+rec = simulate(preset_two_pebbles(60.0, 50.0, geom, cfg), geom, cfg)
+geom, cfg = ImageGeometry(240, 180), SimConfig(duration=0.01, seed=7)
+assert simulate(preset_fan_and_coin(10.0, (70.0, 0.0), geom, cfg), geom, cfg).packet.n
+result = segment(rec.packet, 2, "flow2", SolverConfig(max_iters=2))
+assert result.associations.shape == (rec.packet.n, 2)
+"""
+        )
+
+    def test_import_and_simulate_load_no_scipy_module(self):
+        self._run(
+            """
+import sys
+import evseg
+from evseg import ImageGeometry, SimConfig, preset_two_pebbles, simulate
+
+geom, cfg = ImageGeometry(120, 90), SimConfig(duration=0.03, seed=7)
+simulate(preset_two_pebbles(60.0, 50.0, geom, cfg), geom, cfg)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+        )
