@@ -169,8 +169,18 @@ def _geometry_override(args) -> ImageGeometry | None:
 
 def _load_packet(args):
     """Read and leniently validate the events file, saying on stderr how many
-    rows validation dropped."""
+    rows validation dropped.  The rows it keeps must be in time order:
+    validation would sort them, and every per-event output, in time order,
+    would then no longer pair with the file's rows (or its truth file's)."""
     packet, _ = read_events_text(args.events, _geometry_override(args))
+    kept = np.flatnonzero(np.isfinite(packet.t) & packet.geometry.contains(packet.x, packet.y))
+    back = np.diff(packet.t[kept]) < 0.0
+    if back.any():
+        row = int(np.argmax(back))
+        raise ValueError(
+            f"event times must not decrease: row {kept[row + 1]} is earlier "
+            f"than row {kept[row]} (rows counted from 0)"
+        )
     valid = validate_packet(packet, strict=False)
     if valid.n < packet.n:
         print(

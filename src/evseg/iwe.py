@@ -19,22 +19,21 @@ the sensor contribute only the in-bounds fraction of their mass; sampling
 outside returns zero.
 
 Every footprint is computed into one of this thread's footprint slots, 40
-bytes per position each, and stays there until that slot is reused.  A
-deposit or read may name its positions with a ``key``, an ``(owner, tag)``
-pair: ``owner`` is any object that takes weak references, compared by
-identity, and ``tag`` a hashable value compared by equality.  A deposit or
-read whose key a slot holds uses that slot's footprint and reads neither
-``wx`` nor ``wy`` (only their shape is checked), so a key must name the
-same positions on the same grid for as long as its owner lives.  The
-solver keys a warp by the packet, which is immutable, and by the motion's
-model and parameter bytes.  A slot is reused in this order: one whose
-footprint no key can name again (it has none, or its owner is gone), the
-most recently used first; a new slot, while the thread has fewer than its
-slot count (two until :func:`footprint_slots` sets it; a solve sets its
-cluster count plus one); then the least recently used slot whose key is
-not held (see :func:`hold_footprints`).  A deposit never writes its
-weights into the footprint, so after any deposit :func:`sample_deposited`
-reads an image out at that deposit's positions with its footprint.
+bytes per position each.  A deposit or read may name its positions with a
+``key``, an ``(owner, tag)`` pair: ``owner`` is any object that takes weak
+references, compared by identity, and ``tag`` a hashable value compared by
+equality.  A deposit or read whose key a slot holds uses that slot's
+footprint and reads neither ``wx`` nor ``wy`` (only their shape is
+checked), so a key must name the same positions on the same grid for as
+long as its owner lives.  The solver keys a warp by the packet, which is
+immutable, and by the motion's model and parameter bytes.  Which
+footprints stay follows from the keys :func:`hold_footprints` holds: a
+held key's footprint keeps a slot of its own, and every other footprint
+goes into one spare slot.  A new footprint takes the first slot that holds
+no held key, or a new slot when every slot holds one, so a thread never
+has more than one slot beyond its held keys.  A deposit never writes its
+weights into the footprint, so a keyed read after a weighted deposit reads
+with the footprint that deposit computed.
 
 Every image build would otherwise allocate, and free, about eight
 grid-sized or position-sized arrays, and freeing them lets the allocator
@@ -63,7 +62,6 @@ function hands back:
 """
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import weakref
@@ -74,7 +72,6 @@ import numpy as np
 from .events import ImageGeometry
 
 RING = 2    # padding pixels around every grid a footprint indexes
-_clock = itertools.count(1)     # orders the uses of footprint slots
 
 
 class NegativeWeightError(ValueError):
@@ -109,11 +106,11 @@ class _Slot:
     """One footprint slot: the corner-00 indices and corner weights of ``n``
     positions on ``geometry``'s padded grid, with the corners' flat offsets
     from corner 00, in one buffer as long as the largest footprint it has
-    held; a weak reference to the owner of the key that names them, and
-    its tag; and whether that key is held."""
+    held; and a weak reference to the owner of the key that names them, and
+    its tag."""
 
     def __init__(self) -> None:
-        self.owner, self.tag, self.held, self.used, self.size = _no_owner, None, False, 0, -1
+        self.owner, self.tag, self.size = _no_owner, None, -1
 
     def rows(self, n: int, geometry: ImageGeometry):
         """The (n,) index row and (4, n) weight rows for a new footprint on
@@ -126,7 +123,7 @@ class _Slot:
         if n > _scratch.work.size:
             _scratch.work = np.empty(n)
         stride = geometry.width + 2 * RING
-        self.owner, self.tag, self.held = _no_owner, None, False
+        self.owner, self.tag = _no_owner, None
         self.n, self.geometry = n, geometry
         self.offsets = (0, 1, stride, stride + 1)
         # the index row is the buffer's first n entries read as int64, and
@@ -137,18 +134,16 @@ class _Slot:
 
 
 class _Scratch(threading.local):
-    """One thread's work arrays: the footprint slots and how many it may
-    have; one free work row, as long as the largest
-    footprint seen in this thread; padded grids kept per image shape, each
-    with its sensor-sized interior view; the blurs kept per image shape and
-    sigma; and the deviations of ``variance_contrast``.  Fresh and scratch
-    calls share them."""
+    """One thread's work arrays: the footprint slots and the held keys; one
+    free work row, as long as the largest footprint seen in this thread;
+    padded grids kept per image shape, each with its sensor-sized interior
+    view; the blurs kept per image shape and sigma; and the deviations of
+    ``variance_contrast``.  Fresh and scratch calls share them."""
 
     def __init__(self) -> None:
         self.slots: list = []
-        self.count = 2
-        # the slot of the last deposit, until the next sample_local, or None
-        self.deposited = None
+        # (id(owner), tag) of each held key; the holder keeps the owners alive
+        self.held: set = set()
         self.work = np.empty(0)
         self.grids: dict = {}
         self.blurs: dict = {}
@@ -163,20 +158,19 @@ class _Scratch(threading.local):
                     return slot
         return None
 
-    def victim(self) -> _Slot:
-        """The slot for the next new footprint: one no key names (the most
-        recently used), else a new one while there are fewer than ``count``,
-        else the least recently used one whose key is not held (of all of
-        them when every key is held)."""
+    def holds(self, slot: _Slot) -> bool:
+        """Whether ``slot`` holds a held key's footprint."""
+        owner = slot.owner()
+        return owner is not None and (id(owner), slot.tag) in self.held
 
-        def rank(slot: _Slot):
-            return (0, -slot.used) if slot.owner() is None else (1 + slot.held, slot.used)
-
-        best = min(self.slots, key=rank, default=None)
-        if len(self.slots) < self.count and (best is None or best.owner() is not None):
-            best = _Slot()
-            self.slots.append(best)
-        return best
+    def spare(self) -> _Slot:
+        """The slot for a new footprint: the first that holds no held key,
+        or a new one when every slot holds one."""
+        for slot in self.slots:
+            if not self.holds(slot):
+                return slot
+        self.slots.append(_Slot())
+        return self.slots[-1]
 
     def grid(self, geometry: ImageGeometry, kind: str):
         """This thread's flat padded grid of one kind for one image shape and
@@ -205,25 +199,15 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def footprint_slots(count: int) -> None:
-    """Give this thread ``count`` footprint slots (at least one), dropping
-    any beyond, and hold no key.  A solve sizes them to its cluster count
-    plus one."""
-    if count < 1:
-        raise ValueError("need at least one footprint slot")
-    _scratch.count = count
-    del _scratch.slots[count:]
-    hold_footprints(())
-
-
 def hold_footprints(keys) -> None:
-    """Hold the slots of this thread that hold the footprints of ``keys``
-    now, and release every other: a held slot is reused only when every
-    slot is held, and until a new footprint goes into it."""
-    held = {(id(owner), tag) for owner, tag in keys}    # the caller keeps the owners alive
-    for slot in _scratch.slots:
-        owner = slot.owner()
-        slot.held = owner is not None and (id(owner), slot.tag) in held
+    """Hold the footprints of ``keys`` in this thread's slots in place of the
+    keys held before: a held key's footprint, once computed, keeps its slot
+    until its key is released.  Slots beyond one per held key and one spare
+    are freed, the held ones kept."""
+    _scratch.held = {(id(owner), tag) for owner, tag in keys}
+    # a stable sort, so the spare is still the first slot holding no held key
+    _scratch.slots.sort(key=lambda slot: not _scratch.holds(slot))
+    del _scratch.slots[len(_scratch.held) + 1 :]
 
 
 def has_footprint(key) -> bool:
@@ -238,11 +222,10 @@ def _slot_for(wx, wy, geometry: ImageGeometry, key) -> _Slot:
     of ``wx`` and ``wy`` computed into it under ``key``."""
     slot = _scratch.find(key)
     if slot is None:
-        slot = _scratch.victim()
+        slot = _scratch.spare()
         _footprint(wx, wy, geometry, slot)
         if key is not None:
             slot.owner, slot.tag = weakref.ref(key[0]), key[1]
-    slot.used = next(_clock)
     return slot
 
 
@@ -315,7 +298,6 @@ def _splat(slot: _Slot, weights, unit: bool, scratch: bool) -> np.ndarray:
     for k, offset in enumerate(slot.offsets):
         value = slot.weight[k] if unit else np.multiply(slot.weight[k], weights, out=work)
         np.add.at(padded[offset:], slot.index, value)
-    _scratch.deposited = slot
     return pixels if scratch else pixels.copy()
 
 
@@ -519,28 +501,7 @@ def sample_local(
     elif out.dtype != np.float64 or out.shape != shape:
         raise ValueError("out must be a float64 array of the positions' broadcast shape")
     padded = _bordered(iwe)
-    slot = _slot_for(wx, wy, iwe.geometry, key)
-    _scratch.deposited = None
-    return _read(padded, slot, out)
-
-
-def sample_deposited(iwe: Iwe, *, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`sample_local` at the positions of this thread's last deposit,
-    read with the footprint that deposit used: the same bytes, without
-    computing or finding the footprint again.
-
-    That deposit must have had ``iwe``'s geometry, and no
-    :func:`sample_local` may have run in this thread since; otherwise
-    ``ValueError`` is raised.  ``out`` is as for :func:`sample_local`.
-    """
-    slot = _scratch.deposited
-    if slot is None or slot.geometry != iwe.geometry:
-        raise ValueError("no deposit of this geometry to read at")
-    if out is None:
-        out = np.empty(slot.n)
-    elif out.dtype != np.float64 or out.shape != (slot.n,):
-        raise ValueError("out must be a 1-D float64 array as long as the deposit")
-    return _read(_bordered(iwe), slot, out)
+    return _read(padded, _slot_for(wx, wy, iwe.geometry, key), out)
 
 
 def _read(padded, slot: _Slot, out: np.ndarray) -> np.ndarray:

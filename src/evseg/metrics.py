@@ -309,6 +309,8 @@ def throughput_benchmark(
     j_values = list(j_values)
     if min(j_values, default=1) < 1:
         raise ValueError(f"need at least one cluster, got {min(j_values)}")
+    if repeats < 1:
+        raise ValueError(f"need at least one repeat, got {repeats}")
     if config is None:
         config = SolverConfig()
     cfg = dc_replace(config, max_iters=iterations, collapse_frac=1e-12)

@@ -30,10 +30,11 @@ the next association refresh both read those images rather than
 rebuilding them.  The initial objective keeps its images the same way for
 the first refresh.  An image build works in per-thread scratch (see
 :func:`cluster_image`), so the kept images are copies, one buffer per
-cluster for the whole solve.  Each warp's bilinear footprint stays in one
-of the thread's J + 1 footprint slots (see :mod:`evseg.iwe`), and the step
-loop holds each live cluster's footprint at its current motion, so every
-build and read at that motion reuses it without warping again.
+cluster for the whole solve.  From the initial objective on, each live
+cluster's warp at its current motion is held (see :func:`_hold`): its
+bilinear footprint keeps a footprint slot of its own (see :mod:`evseg.iwe`),
+so every build and read at that motion reuses it without warping again,
+and every other footprint shares the thread's one spare slot.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -58,7 +59,6 @@ from .events import (
 from .iwe import (
     Iwe,
     accumulate_weighted,
-    footprint_slots,
     has_footprint,
     hold_footprints,
     sample_local,
@@ -219,7 +219,8 @@ def _warped(packet: EventPacket, params: WarpParams):
 
 def _hold(packet: EventPacket, clusters: ClusterSet) -> None:
     """Hold each live cluster's footprint at its current motion in this
-    thread's slots, so that candidate builds do not push it out."""
+    thread's slots, in place of the footprints held before, so that
+    candidate builds do not push it out."""
     live = np.flatnonzero(clusters.alive)
     hold_footprints([_footprint_key(packet, clusters.params[j]) for j in live])
 
@@ -235,9 +236,10 @@ def cluster_image(
 
     The warp's footprint is kept in one of this thread's footprint slots,
     keyed by the packet and the motion (see :mod:`evseg.iwe`), so a build
-    or read at a motion whose footprint a slot still holds warps nothing.
-    After a build, :func:`evseg.iwe.sample_deposited` reads an image out at
-    the warped events.
+    or read at a motion whose footprint a slot still holds warps nothing:
+    one held at a live cluster's motion (see :func:`_hold`), or the spare,
+    which keeps the last other footprint, so :func:`_sample_warped` right
+    after a build reads at the warped events without warping again.
 
     The deposit and blur are :mod:`evseg.iwe`'s scratch results, the bytes
     of a fresh call without its copy.  The image lives in this thread's
@@ -716,10 +718,7 @@ def maximize_single_cluster(
         raise DegenerateInitError(
             f"no {model} hypothesis beats zero motion: no warp moves these events"
         )
-    deposit, deposit_weights = _weighted_events(packet, weights)
     base = zero_params(model)
-    f_zero = cluster_contrast(deposit, base, deposit_weights, config)
-
     coarse = _coarse_eval_factory(packet, weights)
     best, best_val = base, coarse(base)
     moving, moving_val = None, -np.inf
@@ -729,6 +728,10 @@ def maximize_single_cluster(
             best, best_val = cand, v
         if v > moving_val and np.any(cand.theta):
             moving, moving_val = cand, v
+    # built after the scan, whose builds share the spare footprint slot, so
+    # an ascent from zero motion finds its footprint there
+    deposit, deposit_weights = _weighted_events(packet, weights)
+    f_zero = cluster_contrast(deposit, base, deposit_weights, config)
     # zero motion is a lattice artefact maximum when event coordinates are
     # integral, so always ascend from the best moving candidate as well
     starts = [best]
@@ -789,15 +792,13 @@ def initialize_greedy(
     weights, hand events that sharpened under it a strong association, damp
     them out of the residual, repeat.  The last cluster absorbs whatever
     stayed unclaimed.  Clusters facing a near-empty residual keep zero
-    motion and are left for collapse to clean up.  The calling thread gets
-    ``n_clusters + 1`` footprint slots, as in a solve."""
+    motion and are left for collapse to clean up."""
     if config is None:
         config = SolverConfig()
     models = _resolve_models(models, n_clusters)
     n = packet.n
     if n == 0:
         raise ValueError("cannot initialise on an empty packet")
-    footprint_slots(n_clusters + 1)
     share = INIT_CLAIM_PROB
     low = (1.0 - share) / (n_clusters - 1) if n_clusters > 1 else 0.0
 
@@ -923,14 +924,14 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     A given init table may have either memory layout: the run works on a
     column-major copy and returns its associations C-contiguous.  ``kept``,
     if given, receives the initial objective's images (see
-    :func:`objective`) for the first step to read.  The calling thread gets
-    ``n_clusters + 1`` footprint slots for the run.
+    :func:`objective`) for the first step to read.  Each live cluster's
+    footprint at its current motion is held from the initial objective on
+    (see :func:`_hold`).
     """
     if config is None:
         config = SolverConfig()
     start = build_count()
     models = _resolve_models(models, n_clusters)
-    footprint_slots(n_clusters + 1)
     if init is None:
         clusters, associations = initialize_greedy(packet, n_clusters, models, config)
         init_mode = "greedy"
@@ -939,6 +940,7 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
         if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
             raise ValueError("init shape does not match packet / cluster count")
         init_mode = "given"
+    _hold(packet, clusters)
     trace = [objective(packet, clusters, associations, config, kept=kept)]
     own_trace: list[float] = []
     warp_counts: list[int] = []

@@ -30,17 +30,12 @@ import functools
 import numpy as np
 
 from .events import EventPacket
-from .iwe import (
-    accumulate_unweighted,
-    sample_deposited,
-    sample_local,
-    smooth,
-    variance_contrast,
-)
 # this module calls none of initialize_greedy, accumulate_unweighted,
 # sample_local, smooth, variance_contrast, warp_packet or
-# displacement_sensitivity; they stay bound here because
-# perfbench/tracing.py wraps each name in every module that binds it
+# displacement_sensitivity (its columns are read through the solver's
+# _sample_warped); they stay bound here because perfbench/tracing.py wraps
+# each name in every module that binds it
+from .iwe import accumulate_unweighted, sample_local, smooth, variance_contrast
 from .solver import (
     EPSILON_C,
     FD_STEP,
@@ -50,6 +45,7 @@ from .solver import (
     _alternate,
     _column_sums,
     _normalize_rows,
+    _sample_warped,
     _step_clusters,
     cluster_image,
     initialize_greedy,
@@ -95,7 +91,7 @@ def component_likelihood(
     """
     img = cluster_image(packet, params, _unit_weights(packet.n), config)
     total = img.total_mass
-    values = sample_deposited(img, out=out)
+    values = _sample_warped(img, packet, params, out)
     if total > 0.0:
         values /= total
     return np.maximum(values, EPSILON_C, out=values)
@@ -178,7 +174,7 @@ def fuzzy_affinity(
     the warped position lands on empty pixels.  Computed in ``out`` (a
     table column, say) if given, else in a fresh array."""
     img = cluster_image(packet, params, _unit_weights(packet.n), config)
-    values = sample_deposited(img, out=out)
+    values = _sample_warped(img, packet, params, out)
     return np.log1p(np.maximum(values, 0.0, out=values), out=values)
 
 

@@ -5,6 +5,8 @@ them, so everything scene-like is session scoped and treated as read-only
 by the tests.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -103,6 +105,27 @@ def motionless_prefix(packet, n=2000):
         np.concatenate([packet.polarity[:n], packet.polarity]),
         packet.geometry,
     )
+
+
+def in_fresh_thread(fn):
+    """Run ``fn`` in a new thread, whose kernel scratch starts empty, and
+    return what it returns or raise what it raises."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(out) == 1
+    returned, value = out[0]
+    if not returned:
+        raise value
+    return value
 
 
 @pytest.fixture

@@ -106,6 +106,43 @@ class TestDataErrors:
         for name in ("assoc.csv", "params.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("segment", ["--max-iters", "2"]), ("compare", ["--iters", "2"])],
+    )
+    def test_events_out_of_time_order_are_data_error(
+        self, sim_dir, tmp_path, capsys, command, extra
+    ):
+        # validation sorts the events, so the outputs would pair in time
+        # order with rows given in file order.  Rows validation drops (a NaN
+        # time, a row off the sensor) do not count
+        header, *rows = (sim_dir / "events.txt").read_text().splitlines()
+        times = [float(row.split()[0]) for row in rows]
+        k = next(i for i in range(10, len(rows)) if times[i] < times[i + 1])
+        rows = ["nan 10 10 1", *rows[:k], "0.0 500 10 1", rows[k + 1], rows[k], *rows[k + 2 :]]
+        events = tmp_path / "events.txt"
+        events.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--events", str(events), *extra]
+        if command == "segment":
+            argv += ["--out", str(out)]
+        else:
+            argv += ["--truth", str(sim_dir / "truth.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: event times must not decrease: row {k + 3} is earlier than row {k + 2}"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_with_fewer_than_one_repeat_is_data_error(self, sim_dir, capsys, repeats):
+        argv = ["bench", "--events", str(sim_dir / "events.txt"), "--iters", "1"]
+        assert main(argv + ["--repeats", repeats]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: need at least one repeat, got {repeats}")
+        assert "nan" not in captured.out
+
     @pytest.mark.parametrize("flag, value", [("--sigma", "inf"), ("--mu", "nan")])
     def test_non_finite_solver_setting_is_data_error(self, sim_dir, tmp_path, capsys, flag, value):
         argv = [

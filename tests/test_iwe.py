@@ -15,13 +15,15 @@ from evseg.iwe import (
     NegativeWeightError,
     accumulate_unweighted,
     accumulate_weighted,
-    sample_deposited,
+    hold_footprints,
     sample_local,
     smooth,
     variance_contrast,
 )
 from evseg.solver import SolverConfig, cluster_contrast, cluster_image
 from evseg.warps import WarpParams, warp_packet, warp_points
+
+from conftest import in_fresh_thread
 
 
 GEOM = ImageGeometry(16, 12)
@@ -355,17 +357,10 @@ def test_sample_at_a_row_and_a_column_reads_their_broadcast_positions():
         sample_local(field, row, col, out=np.empty(expect.size))
 
 
-def _in_fresh_thread(fn):
-    """Run ``fn`` in a new thread, whose kernel scratch starts empty."""
-    out = []
-    worker = threading.Thread(target=lambda: out.append(fn()))
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive() and len(out) == 1
-    return out[0]
-
-
-def test_sample_deposited_reads_as_sample_local_at_the_deposit():
+def test_keyed_read_after_a_weighted_deposit_reads_as_a_fresh_read():
+    # a deposit multiplies its weights outside the footprint, so a read with
+    # the deposit's key, which takes the footprint from its slot and reads
+    # no positions, has the bytes of a read that computes it afresh
     rng = np.random.default_rng(8)
     n = 5_000
     geom = ImageGeometry(60, 45)
@@ -374,22 +369,69 @@ def test_sample_deposited_reads_as_sample_local_at_the_deposit():
     wx[:3] = [np.nan, np.inf, -np.inf]
     field = Iwe(rng.normal(size=(geom.height, geom.width)), geom)
     expect = sample_local(field, wx, wy).tobytes()
-    accumulate_weighted(wx, wy, np.ones(n), geom, scratch=True)
-    assert sample_deposited(field).tobytes() == expect
-    # the footprint stays until the next deposit or sample_local
-    out = np.empty(n)
-    assert sample_deposited(field, out=out) is out
-    assert out.tobytes() == expect
-    with pytest.raises(ValueError):
-        sample_deposited(field, out=np.empty(n - 1))
-    with pytest.raises(ValueError):
-        sample_deposited(Iwe(np.zeros((45, 61)), ImageGeometry(61, 45)))
-    sample_local(field, wx[:10], wy[:10])
-    with pytest.raises(ValueError):
-        sample_deposited(field)
-    # other weights are multiplied outside the footprint, which stays intact
-    accumulate_weighted(wx, wy, rng.uniform(0, 2, n), geom)
-    assert sample_deposited(field).tobytes() == expect
+    unread = np.full(n, np.nan), np.full(n, np.nan)
+
+    class Owner:
+        pass
+
+    def run():
+        owner = Owner()
+        key = (owner, "deposit")
+        accumulate_weighted(wx, wy, rng.uniform(0, 2, n), geom, scratch=True, key=key)
+        got = [sample_local(field, *unread, key=key).tobytes()]
+        out = np.empty(n)
+        assert sample_local(field, *unread, out=out, key=key) is out
+        got.append(out.tobytes())
+        # a held footprint stays through keyless calls, which take the spare
+        hold_footprints([key])
+        accumulate_weighted(wx[:10], wy[:10], np.full(10, 3.0), geom)
+        sample_local(field, wx[:10], wy[:10])
+        accumulate_weighted(*unread, rng.uniform(0, 2, n), geom, key=key)
+        got.append(sample_local(field, *unread, key=key).tobytes())
+        return got
+
+    assert in_fresh_thread(run) == [expect] * 3
+
+
+def test_slots_follow_the_held_keys():
+    # a held key's footprint keeps a slot of its own, every other footprint
+    # goes into the first slot holding no held key (a new one when there is
+    # none), and a hold frees the slots beyond one per held key and one
+    # spare, wherever the held ones lie
+    geom = ImageGeometry(20, 15)
+    rng = np.random.default_rng(3)
+    wx, wy = rng.uniform(0, 20, 50), rng.uniform(0, 15, 50)
+
+    class Owner:
+        pass
+
+    def run():
+        owner = Owner()
+        keys = [(owner, tag) for tag in "abcd"]
+        a, b, c, d = keys
+        slots = iwe_module._scratch.slots
+        seen = []
+
+        def build(*named):
+            for key in named:
+                accumulate_weighted(wx, wy, np.ones(50), geom, key=key)
+            seen.append(("".join(k[1] for k in keys if iwe_module.has_footprint(k)), len(slots)))
+
+        build(None)
+        build(a, b)
+        hold_footprints([a, b])
+        build(a, c)
+        build(d)
+        hold_footprints([d])
+        build()
+        build(c)
+        hold_footprints([])
+        build()
+        return seen
+
+    assert in_fresh_thread(run) == [
+        ("", 1), ("b", 1), ("abc", 3), ("abd", 3), ("bd", 2), ("cd", 2), ("d", 1)
+    ]
 
 
 def test_scratch_reuse_across_sizes_and_geometries():
@@ -420,7 +462,7 @@ def test_scratch_reuse_across_sizes_and_geometries():
     def as_bytes(outs):
         return [a.tobytes() for a in outs]
 
-    fresh = [as_bytes(_in_fresh_thread(lambda c=c: run(c))) for c in cases]
+    fresh = [as_bytes(in_fresh_thread(lambda c=c: run(c))) for c in cases]
     kept = [run(c) for c in cases]
     for k in (1, 0, 2, 1, 0):
         assert as_bytes(run(cases[k])) == fresh[k]
@@ -452,7 +494,7 @@ def test_concurrent_threads_keep_their_own_scratch():
         # build and read must use the footprint of the packet it names
         for _, _, weights, pk in (inputs[k], inputs[(k + 1) % len(inputs)]):
             built = cluster_image(pk, flow, weights, config)
-            out += [built.pixels, sample_deposited(built)]
+            out += [built.pixels, solver_module._sample_warped(built, pk, flow)]
             bx, by = warp_packet(pk, flow)
             out += [bx, by, sample_local(built, bx, by), solver_module._sample_warped(built, pk, flow)]
         return b"".join(a.tobytes() for a in out)
@@ -483,45 +525,42 @@ def test_steady_state_builds_do_not_page_fault(standard_recording):
     # a build hands no grid- or position-sized buffer back to the allocator,
     # so once its scratch has grown it pages nothing in; builds that freed
     # their buffers made 230-376 minor faults each in a faulting process.
-    # A solve at J = 2 keeps J + 1 = 3 footprint slots: builds cycled through
-    # three motions find every footprint in its slot, and through four
-    # compute every footprint into a reused slot
+    # A solve at J = 2 holds two motions' footprints: builds cycled through
+    # those two and two unheld motions find the held footprints in their
+    # slots and compute every other into the one spare slot
     resource = pytest.importorskip("resource")
     pk = standard_recording.packet
     config = SolverConfig()
-    saved = iwe_module._scratch.count
-    iwe_module.footprint_slots(3)
-    try:
+
+    def run():
         for n in (100, pk.n):
             packet = make_packet(
                 pk.x[:n], pk.y[:n], pk.t[:n], pk.polarity[:n], pk.geometry, t_ref=pk.t_ref
             )
             weights = np.ones(n)
-            for count in (3, 4):
-                motions = [WarpParams("flow2", np.array([50.0 + k, 0.0])) for k in range(count)]
+            motions = [WarpParams("flow2", np.array([50.0 + k, 0.0])) for k in range(4)]
+            keys = [solver_module._footprint_key(packet, p) for p in motions]
+            hold_footprints(keys[:2])
 
-                def build(i):
-                    cluster_contrast(packet, motions[i % count], weights, config)
+            def build(i):
+                cluster_contrast(packet, motions[i % 4], weights, config)
 
-                for i in range(5 * count):
-                    build(i)
-                held = [
-                    iwe_module.has_footprint(solver_module._footprint_key(packet, p))
-                    for p in motions
-                ]
-                assert all(held) == (count == 3)
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                for i in range(50):
-                    build(i)
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                assert faults < 50, f"{faults} minor faults in 50 builds of {n} events"
-                # whether freed buffers fault depends on the allocator's state,
-                # so check the cause too: nothing grid-sized (345,600 bytes) is
-                # allocated
-                peak = _peak_bytes(lambda: [build(i) for i in range(count)])
-                assert peak < 200_000
-    finally:
-        iwe_module.footprint_slots(saved)
+            for i in range(20):
+                build(i)
+            assert len(iwe_module._scratch.slots) == 3
+            assert [iwe_module.has_footprint(k) for k in keys] == [True, True, False, True]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for i in range(50):
+                build(i)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults < 50, f"{faults} minor faults in 50 builds of {n} events"
+            # whether freed buffers fault depends on the allocator's state,
+            # so check the cause too: nothing grid-sized (345,600 bytes) is
+            # allocated
+            peak = _peak_bytes(lambda: [build(i) for i in range(4)])
+            assert peak < 200_000
+
+    in_fresh_thread(run)
 
 
 def _peak_bytes(fn) -> int:

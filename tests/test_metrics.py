@@ -272,6 +272,12 @@ class TestBenchmarks:
         with pytest.raises(ValueError, match="at least one cluster"):
             throughput_benchmark(mini_recording.packet, j_values, iterations=1, repeats=1)
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_throughput_rejects_fewer_than_one_repeat(self, mini_recording, repeats):
+        # a median of no timings would be NaN
+        with pytest.raises(ValueError, match=f"at least one repeat, got {repeats}"):
+            throughput_benchmark(mini_recording.packet, [1], iterations=1, repeats=repeats)
+
     def test_compare_methods_structure(self, mini_recording):
         packet = mini_recording.packet
         out = compare_methods(

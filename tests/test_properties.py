@@ -27,9 +27,7 @@ import evseg.iwe as iwe
 from evseg.iwe import (
     Iwe,
     accumulate_weighted,
-    footprint_slots,
     hold_footprints,
-    sample_deposited,
     sample_local,
     variance_contrast,
 )
@@ -50,7 +48,7 @@ from evseg.solver import (
 from evseg.variants import fuzzy_e_step, mixture_e_step, segment_fuzzy, segment_mixture
 from evseg.warps import MODEL_PARAM_COUNT, WarpParams, warp_packet, warp_points, zero_params
 
-from conftest import build_drift_packet
+from conftest import build_drift_packet, in_fresh_thread
 
 ROW_TOL = 1e-12
 
@@ -595,9 +593,9 @@ def test_zero_weight_events_change_no_build_byte(model, drawn, velocity, spin):
 @st.composite
 def slot_sequences(draw):
     """A small packet with lattice or fractional coordinates, some events off
-    the sensor; more motions than footprint slots, non-finite ones among
-    them; and a run of builds, reads and holds at those motions, each build
-    with unit weights or weights that may be zero."""
+    the sensor; two to four motions, non-finite ones among them; and a run
+    of holds of a few of those motions, and of builds and reads at one, each
+    build with unit weights or weights that may be zero."""
     geometry = ImageGeometry(24, 18)
     n = draw(st.integers(1, 30))
     x = draw(arrays(np.float64, n, elements=st.floats(-4.0, 28.0)))
@@ -610,30 +608,32 @@ def slot_sequences(draw):
         np.ones(n),
         draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))),
     ]
-    count = draw(st.integers(1, 3))
     value = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([np.nan, np.inf, -np.inf]))
     motions = []
-    for _ in range(count + draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(2, 4))):
         model = draw(st.sampled_from(sorted(MODEL_PARAM_COUNT)))
         theta = draw(arrays(np.float64, MODEL_PARAM_COUNT[model], elements=value))
         motions.append(WarpParams(model, theta))
-    step = st.tuples(
-        st.sampled_from(["build", "read", "hold"]),
-        st.integers(0, len(motions) - 1),
-        st.integers(0, 1),
-    )
-    return packet, weights, count, motions, draw(st.lists(step, min_size=1, max_size=14))
+    index = st.integers(0, len(motions) - 1)
+    use = st.tuples(st.sampled_from(["build", "read"]), st.tuples(index, st.integers(0, 1)))
+    hold = st.tuples(st.just("hold"), st.lists(index, max_size=3))
+    step = st.one_of(use, use, hold)
+    return packet, weights, motions, draw(st.lists(step, min_size=4, max_size=20))
 
 
 @given(slot_sequences())
 def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
     # builds and reads named by (packet, motion) take their footprint from
-    # a slot whenever one holds it; over more motions than slots, with holds
-    # moving the eviction order, each must give the bytes of a build or read
-    # whose footprint is computed afresh from the warped positions
-    packet, weights, count, motions, steps = drawn
+    # a slot whenever one holds it.  Over drawn holds, each must give the
+    # bytes of a build or read whose footprint is computed afresh from the
+    # warped positions, and a keyed read right after a build computes none;
+    # the thread never has more slots than one per held motion plus the
+    # spare, and a held motion's footprint, once in a slot, stays there and
+    # is not computed again while it is held
+    packet, weights, motions, steps = drawn
     geometry = packet.geometry
     field = Iwe(np.random.default_rng(packet.n).normal(size=(18, 24)), geometry)
+    keys = [solver._footprint_key(packet, m) for m in motions]
     with np.errstate(invalid="ignore", over="ignore"):
         warped = [warp_packet(packet, m) for m in motions]
         expect_build = {
@@ -642,51 +642,76 @@ def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
             for k in range(2)
         }
         expect_read = [sample_local(field, *xy).tobytes() for xy in warped]
-        saved = iwe._scratch.count
-        footprint_slots(count)
-        try:
-            for kind, m, k in steps:
+    computed = []
+    footprint = iwe._footprint
+
+    def counted(*args):
+        computed.append(None)
+        footprint(*args)
+
+    def run():
+        held, kept = set(), set()   # held tags; those of them with a footprint
+        with np.errstate(invalid="ignore", over="ignore"):
+            for kind, arg in steps:
                 if kind == "hold":
-                    hold_footprints([solver._footprint_key(packet, motions[m])])
-                elif kind == "read":
+                    held = {keys[m][1] for m in arg}
+                    kept = {key[1] for key in keys if key[1] in held and iwe.has_footprint(key)}
+                    hold_footprints([keys[m] for m in arg])
+                    assert all(iwe.has_footprint(key) for key in keys if key[1] in kept)
+                    continue
+                m, k = arg
+                tag = keys[m][1]
+                before = len(computed)
+                if kind == "read":
                     got = solver._sample_warped(field, packet, motions[m])
                     assert got.tobytes() == expect_read[m]
                 else:
                     key, wx, wy = solver._warped(packet, motions[m])
                     img = accumulate_weighted(wx, wy, weights[k], geometry, key=key)
                     assert img.pixels.tobytes() == expect_build[m, k]
-                    assert sample_deposited(field).tobytes() == expect_read[m]
-        finally:
-            footprint_slots(saved)
+                    after_build = len(computed)
+                    got = solver._sample_warped(field, packet, motions[m])
+                    assert got.tobytes() == expect_read[m]
+                    assert len(computed) == after_build
+                if tag in kept:
+                    assert len(computed) == before
+                elif tag in held:
+                    kept.add(tag)
+                assert len(iwe._scratch.slots) <= len(held) + 1
+                assert all(iwe.has_footprint(key) for key in keys if key[1] in kept)
+
+    iwe._footprint = counted
+    try:
+        in_fresh_thread(run)
+    finally:
+        iwe._footprint = footprint
 
 
 def test_a_new_packet_never_gets_a_dropped_packets_footprint():
     # a packet made after another is dropped often takes the dropped one's
-    # id(); the footprints that packet left in the slots must never serve
-    # the new one
+    # id(); the footprints that packet left in the slots, held ones
+    # included, must never serve the new one
     geometry = ImageGeometry(24, 18)
     params = WarpParams("flow2", np.array([30.0, -20.0]))
     rng = np.random.default_rng(31)
     field = Iwe(rng.normal(size=(18, 24)), geometry)
     config = SolverConfig(sigma=0.0)
     ids = set()
-    saved = iwe._scratch.count
-    footprint_slots(3)
-    try:
-        for _ in range(40):
-            t = np.sort(rng.uniform(0.0, 0.1, 30))
-            packet = make_packet(
-                rng.uniform(-2, 26, 30), rng.uniform(-2, 20, 30), t, np.ones(30), geometry
-            )
-            ids.add(id(packet))
-            # keyed first, while the dropped packet's footprints are in the
-            # slots; the slot-free references after
-            built = cluster_image(packet, params, np.ones(30), config).pixels.tobytes()
-            read = solver._sample_warped(field, packet, params).tobytes()
-            wx, wy = warp_packet(packet, params)
-            assert built == accumulate_weighted(wx, wy, np.ones(30), geometry).pixels.tobytes()
-            assert read == sample_local(field, wx, wy).tobytes()
-            del packet
-    finally:
-        footprint_slots(saved)
+    for i in range(40):
+        t = np.sort(rng.uniform(0.0, 0.1, 30))
+        packet = make_packet(
+            rng.uniform(-2, 26, 30), rng.uniform(-2, 20, 30), t, np.ones(30), geometry
+        )
+        ids.add(id(packet))
+        # every other packet's footprint is held, as a solve holds its own
+        hold_footprints([solver._footprint_key(packet, params)] if i % 2 else [])
+        # keyed first, while the dropped packet's footprints are in the
+        # slots; the slot-free references after
+        built = cluster_image(packet, params, np.ones(30), config).pixels.tobytes()
+        read = solver._sample_warped(field, packet, params).tobytes()
+        wx, wy = warp_packet(packet, params)
+        assert built == accumulate_weighted(wx, wy, np.ones(30), geometry).pixels.tobytes()
+        assert read == sample_local(field, wx, wy).tobytes()
+        del packet
+    hold_footprints(())
     assert len(ids) < 40, "no packet took a dropped packet's id, so nothing was tested"

@@ -6,6 +6,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 import evseg.solver as solver
+import evseg.variants as variants
 from evseg.events import ImageGeometry, count_windows, make_packet
 from evseg.iwe import accumulate_weighted, variance_contrast
 from evseg.metrics import per_event_accuracy
@@ -682,6 +683,115 @@ def test_layered_refreshes_build_no_image(monkeypatch, mini_recording):
     monkeypatch.setattr(solver, "update_associations", counted)
     result = segment(mini_recording.packet, 3, "flow2", SolverConfig(max_iters=6))
     assert len(builds) == result.iterations and builds == [0] * result.iterations
+
+
+def _record_warps(monkeypatch):
+    """The motions of every warp a build or read makes from here on, in
+    order: each goes through ``solver.warp_packet``."""
+    warps = []
+    warp = solver.warp_packet
+
+    def counted(packet, params, *args, **kwargs):
+        warps.append((params.model, params.theta.tobytes()))
+        return warp(packet, params, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "warp_packet", counted)
+    return warps
+
+
+def _warps_per_call(monkeypatch, module, name, warps):
+    """Wrap ``module.name`` to record how many warps each call makes."""
+    per_call = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        start = len(warps)
+        out = original(*args, **kwargs)
+        per_call.append(len(warps) - start)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    return per_call
+
+
+def _moving_start(drift_packet):
+    """A drift packet of two motions and a given init near them, from which
+    a solve takes steps that the line searches accept."""
+    pk, _ = drift_packet([(30.0, 0.0), (-24.0, 14.0)], n_sources=20, n_times=15)
+    clusters = ClusterSet(
+        [WarpParams("flow2", np.array(t)) for t in ((26.0, 2.0), (-20.0, 11.0))],
+        np.ones(2, dtype=bool),
+    )
+    return pk, (clusters, np.full((pk.n, 2), 0.5))
+
+
+def _moved(result, init):
+    """Whether every cluster of ``result`` ended away from its init motion."""
+    pairs = zip(result.clusters.params, init[0].params)
+    return all(not np.array_equal(p.theta, q.theta) for p, q in pairs)
+
+
+def test_layered_solve_warps_no_current_motion_again(monkeypatch, drift_packet):
+    # from the initial objective on, each live cluster's footprint at its
+    # current motion is held: the association refreshes and each ascent's
+    # first builds, all at current motions, warp nothing, and every motion
+    # is warped once, the initial ones by the initial objective and the
+    # others as line-search candidates
+    pk, init = _moving_start(drift_packet)
+    warps = _record_warps(monkeypatch)
+    refreshes = _warps_per_call(monkeypatch, solver, "update_associations", warps)
+    objectives = _warps_per_call(monkeypatch, solver, "objective", warps)
+    firsts = []
+    ascend, steps = solver.ascend_motion, solver._step_clusters
+
+    def ascend_counted(*args, **kwargs):
+        firsts.append(len(warps))
+        return ascend(*args, **kwargs)
+
+    def steps_counted(*args, **kwargs):
+        # the step loop begins where the ascent's first builds end
+        firsts[-1] = len(warps) - firsts[-1]
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "ascend_motion", ascend_counted)
+    monkeypatch.setattr(solver, "_step_clusters", steps_counted)
+    result = segment(pk, 2, "flow2", SolverConfig(max_iters=8), init=init)
+    assert objectives == [2]
+    assert refreshes == [0] * result.iterations
+    assert firsts == [0] * result.iterations
+    assert len(warps) > 2 and len(set(warps)) == len(warps)
+    assert _moved(result, init)
+
+
+@pytest.mark.parametrize("solve", [segment_mixture, segment_fuzzy])
+def test_variant_solve_warps_each_candidate_column_once(monkeypatch, drift_packet, solve):
+    # a variant's first table reads the images the initial objective built
+    # at the held current motions, and each summed-sharpness objective
+    # builds at current motions too: none of them warps.  A candidate
+    # column warps once, for its build, and its read, with the key of that
+    # build, warps nothing
+    pk, init = _moving_start(drift_packet)
+    warps = _record_warps(monkeypatch)
+    builds = _warps_per_call(monkeypatch, variants, "cluster_image", warps)
+    reads = _warps_per_call(monkeypatch, variants, "_sample_warped", warps)
+    objectives = _warps_per_call(monkeypatch, variants, "objective", warps)
+    first_table = []
+    table = variants._column_table
+
+    def table_counted(*args, **kwargs):
+        if not first_table:
+            first_table.append(len(builds))
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(variants, "_column_table", table_counted)
+    result = solve(pk, 2, "flow2", SolverConfig(max_iters=8), init=init)
+    # the first table is the first two builds; every later build is a candidate
+    assert first_table == [0] and builds[:2] == [0, 0]
+    candidates = builds[2:]
+    assert len(candidates) > 4 and candidates == [1] * len(candidates)
+    assert reads == [0] * len(builds)
+    assert objectives and objectives == [0] * len(objectives)
+    assert _moved(result, init)
 
 
 def test_settled_clusters_cost_one_build_each(mini_recording, mini_result, dying_run):
