@@ -9,16 +9,20 @@ centres; sampling uses the matching bilinear interpolation.  Both take each
 position's footprint from one helper, :func:`_footprint`, which makes
 deposit and read-out adjoint to one another.  A footprint indexes the
 sensor grid padded by a ring of ``RING`` pixels: one int64 row holds each
-position's top-left corner as a flat index, and four rows hold the weights
-of its corners 00, 10, 01 and 11, which lie at fixed offsets from the
-first.  A deposit scatters, and a read takes, corner by corner through
-views of the padded grid at those offsets.  A position is clamped into the
-ring first, so one that lands off the sensor (NaN and infinite ones
-included) puts all four corners on padding.  Events landing outside
-the sensor contribute only the in-bounds fraction of their mass; sampling
-outside returns zero.
+position's top-left corner as a flat index, and two float64 rows hold the
+fractions ``fx`` and ``fy`` of its offset from that corner, 24 bytes per
+position in all.  A deposit scatters, and a read takes, corner by corner
+through views of the padded grid at the fixed offsets of corners 00, 10, 01
+and 11 from the first, and forms each corner's weight from the fractions as
+it needs it: ``(1-fx)*(1-fy)``, ``fx*(1-fy)``, ``(1-fx)*fy`` and ``fx*fy``,
+then times the event weights or the gathered value: the operands and order
+of a layout that kept the four weights, so the same bytes.  A position is
+clamped into the ring first, so one that lands off the sensor (NaN and
+infinite ones included) puts all four corners on padding.  Events landing
+outside the sensor contribute only the in-bounds fraction of their mass;
+sampling outside returns zero.
 
-Every footprint is computed into one of this thread's footprint slots, 40
+Every footprint is computed into one of this thread's footprint slots, 24
 bytes per position each.  A deposit or read may name its positions with a
 ``key``, an ``(owner, tag)`` pair: ``owner`` is any object that takes weak
 references, compared by identity, and ``tag`` a hashable value compared by
@@ -31,17 +35,20 @@ footprints stay follows from the keys :func:`hold_footprints` holds: a
 held key's footprint keeps a slot of its own, and every other footprint
 goes into one spare slot.  A new footprint takes the first slot that holds
 no held key, or a new slot when every slot holds one, so a thread never
-has more than one slot beyond its held keys.  A deposit never writes its
-weights into the footprint, so a keyed read after a weighted deposit reads
-with the footprint that deposit computed.
+has more than one slot beyond its held keys; a hold of no keys frees every
+slot, so a solve that releases its holds when it returns keeps no
+footprint.  A deposit never writes its weights into the footprint, so a
+keyed read after a weighted deposit reads with the footprint that deposit
+computed.  :func:`position_rows` hands out the rows the next new footprint
+takes its positions from, so a caller can warp straight into them.
 
 Every image build would otherwise allocate, and free, about eight
 grid-sized or position-sized arrays, and freeing them lets the allocator
 hand their pages back to the system, so the next build page-faults them all
 in again.  So the kernels work in per-thread scratch (``threading.local``):
-the footprint slots, one work row that grows to the largest footprint seen,
-padded grids kept per image shape, and blurs kept per image shape and
-sigma.
+the footprint slots, three work rows that grow to the largest footprint
+seen, padded grids kept per image shape, and blurs kept per image shape
+and sigma.
 
 There is one deposit and one blur.  The deposit scatters every corner into
 this thread's deposit grid; the blur computes ``gaussian_filter``'s
@@ -103,48 +110,49 @@ def _no_owner() -> None:
 
 
 class _Slot:
-    """One footprint slot: the corner-00 indices and corner weights of ``n``
-    positions on ``geometry``'s padded grid, with the corners' flat offsets
-    from corner 00, in one buffer as long as the largest footprint it has
-    held; and a weak reference to the owner of the key that names them, and
-    its tag."""
+    """One footprint slot: the corner-00 indices and the two fractions of
+    ``n`` positions on ``geometry``'s padded grid, with the corners' flat
+    offsets from corner 00, in one buffer as long as the largest footprint
+    it has held; and a weak reference to the owner of the key that names
+    them, and its tag."""
 
     def __init__(self) -> None:
         self.owner, self.tag, self.size = _no_owner, None, -1
 
-    def rows(self, n: int, geometry: ImageGeometry):
-        """The (n,) index row and (4, n) weight rows for a new footprint on
-        ``geometry``, which no key names yet; this thread's work row is made
-        at least as long."""
+    def rows(self, n: int):
+        """The (n,) index row and x and y fraction rows for a new footprint,
+        which no key names yet; this thread's work rows are made at least as
+        long.  The same ``n`` gives the same rows until the buffer grows, so
+        positions written into the fraction rows before (see
+        :func:`position_rows`) are still there."""
         if n > self.size:
             # the old buffer goes first, so it and the new one never coexist
-            self.index = self.weight = self.buffer = None
-            self.buffer, self.size = np.empty(5 * n), n
-        if n > _scratch.work.size:
-            _scratch.work = np.empty(n)
-        stride = geometry.width + 2 * RING
-        self.owner, self.tag = _no_owner, None
-        self.n, self.geometry = n, geometry
-        self.offsets = (0, 1, stride, stride + 1)
+            self.index = self.fx = self.fy = self.buffer = None
+            self.buffer, self.size = np.empty(3 * n), n
+        if n > _scratch.work.shape[1]:
+            _scratch.work = None
+            _scratch.work = np.empty((3, n))
+        self.owner, self.tag, self.n = _no_owner, None, n
         # the index row is the buffer's first n entries read as int64, and
-        # the weight rows follow it, so a shorter footprint stays contiguous
+        # the fraction rows follow it, so a shorter footprint stays contiguous
         self.index = self.buffer[:n].view(np.int64)
-        self.weight = self.buffer[n : 5 * n].reshape(4, n)
-        return self.index, self.weight
+        self.fx, self.fy = self.buffer[n : 3 * n].reshape(2, n)
+        return self.index, self.fx, self.fy
 
 
 class _Scratch(threading.local):
-    """One thread's work arrays: the footprint slots and the held keys; one
-    free work row, as long as the largest footprint seen in this thread;
-    padded grids kept per image shape, each with its sensor-sized interior
-    view; the blurs kept per image shape and sigma; and the deviations of
-    ``variance_contrast``.  Fresh and scratch calls share them."""
+    """One thread's work arrays: the footprint slots and the held keys;
+    three free work rows, as long as the largest footprint seen in this
+    thread; padded grids kept per image shape, each with its sensor-sized
+    interior view; the blurs kept per image shape and sigma; and the
+    deviations of ``variance_contrast``.  Fresh and scratch calls share
+    them."""
 
     def __init__(self) -> None:
         self.slots: list = []
         # (id(owner), tag) of each held key; the holder keeps the owners alive
         self.held: set = set()
-        self.work = np.empty(0)
+        self.work = np.empty((3, 0))
         self.grids: dict = {}
         self.blurs: dict = {}
         self.deviations = np.empty(0)
@@ -203,8 +211,14 @@ def hold_footprints(keys) -> None:
     """Hold the footprints of ``keys`` in this thread's slots in place of the
     keys held before: a held key's footprint, once computed, keeps its slot
     until its key is released.  Slots beyond one per held key and one spare
-    are freed, the held ones kept."""
+    are freed, the held ones kept.  A hold of no keys frees every slot and
+    the work rows, so a thread that holds nothing keeps no memory per
+    position."""
     _scratch.held = {(id(owner), tag) for owner, tag in keys}
+    if not _scratch.held:
+        _scratch.slots.clear()
+        _scratch.work = np.empty((3, 0))
+        return
     # a stable sort, so the spare is still the first slot holding no held key
     _scratch.slots.sort(key=lambda slot: not _scratch.holds(slot))
     del _scratch.slots[len(_scratch.held) + 1 :]
@@ -214,6 +228,16 @@ def has_footprint(key) -> bool:
     """Whether one of this thread's slots holds the footprint ``key`` names,
     so that a deposit or read with that key reads no positions."""
     return _scratch.find(key) is not None
+
+
+def position_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y fraction rows, ``n`` long, of the slot that the next
+    footprint computed in this thread goes into.  Positions written there
+    and passed to that deposit or read are computed in place, with no copy
+    of them; the footprint overwrites them."""
+    slot = _scratch.spare()
+    slot.rows(n)
+    return slot.fx, slot.fy
 
 
 def _slot_for(wx, wy, geometry: ImageGeometry, key) -> _Slot:
@@ -241,29 +265,33 @@ def _footprint(wx, wy, geometry: ImageGeometry, slot: _Slot) -> None:
 
     ``wx`` and ``wy`` are float64 arrays whose shapes broadcast together, to
     n positions in all: two flat arrays of one length, say, or a row of x
-    and a column of y.  The slot receives, each row in the broadcast shape's
-    C order, the flat padded index of each position's corner 00 and the
-    weights of its corners 00, 10, 01 and 11.  Positions are clamped into
-    [-RING, w] x [-RING, h] first (``fmax`` maps NaN to the low edge), which
-    leaves every footprint that reaches the sensor as it is and puts every
-    other one, NaN and infinite positions included, wholly on padding.  Each
-    axis is clamped, floored and split at its own shape, and only the
-    corner index and weights are formed at the broadcast shape, so a row
-    and a column give the bytes the flat positions they broadcast to would.
-    The thread's work row is overwritten.
+    and a column of y.  They may be the slot's own fraction rows (see
+    :func:`position_rows`), which are then computed in place.  The slot
+    receives, each row in the broadcast shape's C order, the flat padded
+    index of each position's corner 00 and the fractions ``fx`` and ``fy``
+    of its offset from that corner; :func:`_corner_weights` forms the four
+    corners' weights from them.  Positions are clamped into [-RING, w] x
+    [-RING, h] first (``fmax`` maps NaN to the low edge), which leaves every
+    footprint that reaches the sensor as it is and puts every other one, NaN
+    and infinite positions included, wholly on padding.  Each axis is
+    clamped, floored and split at its own shape, and only the corner index
+    and the fraction rows are filled at the broadcast shape, so a row and a
+    column give the bytes the flat positions they broadcast to would.  The
+    thread's first work row is overwritten.
     """
     w, h = geometry.width, geometry.height
     stride = w + 2 * RING
     same = wx.shape == wy.shape
     shape = wx.shape if same else np.broadcast_shapes(wx.shape, wy.shape)
     n = math.prod(shape)
-    index, weight = slot.rows(n, geometry)
-    w00, w10, w01, w11 = weight.reshape((4,) + shape)
+    index, fx_row, fy_row = slot.rows(n)
+    slot.geometry, slot.offsets = geometry, (0, 1, stride, stride + 1)
+    fx_row, fy_row = fx_row.reshape(shape), fy_row.reshape(shape)
+    work = _scratch.work[0, :n].reshape(shape)
     if same:
-        # each axis's fraction and floor live in rows that the corners
-        # overwrite after their last read, so the footprint needs one row
-        # beyond its output
-        fx, x0, fy, y0 = _scratch.work[:n].reshape(shape), w00, w10, w01
+        # x's floor lives in the index row, read as float64, until the
+        # index overwrites it
+        fx, x0, fy, y0 = fx_row, slot.buffer[:n].reshape(shape), fy_row, work
     else:
         # an axis is as long as one side of the positions, not all of them
         fx, x0, fy, y0 = (np.empty(a.shape) for a in (wx, wx, wy, wy))
@@ -276,27 +304,39 @@ def _footprint(wx, wy, geometry: ImageGeometry, slot: _Slot) -> None:
     # corner 00's flat index, exact in float64 (small integers), cast as
     # the last sum is stored
     y0 *= stride
-    corner = np.add(y0, x0, out=w01)
+    corner = np.add(y0, x0, out=work)
     np.add(corner, RING * stride + RING, out=index.reshape(shape), casting="unsafe")
-    # fx fy, (1-fx)fy, (1-fx)(1-fy) and fx(1-fy), with 1-fx in x0 and 1-fy
-    # in fy, in an order that writes each row after its last read
-    np.multiply(fx, fy, out=w11)
-    one_x = np.subtract(1.0, fx, out=x0)
-    np.multiply(one_x, fy, out=w01)
-    one_y = np.subtract(1.0, fy, out=fy)
-    np.multiply(one_x, one_y, out=w00)
-    np.multiply(fx, one_y, out=w10)
+    if not same:
+        np.copyto(fx_row, fx)
+        np.copyto(fy_row, fy)
+
+
+def _corner_weights(slot: _Slot):
+    """The bilinear weights of corners 00, 10, 01 and 11 of the footprint in
+    ``slot``, one corner at a time in this thread's second work row, which
+    the caller may overwrite before it asks for the next corner: (1-fx)(1-fy),
+    fx (1-fy), (1-fx) fy and fx fy, each product of the same two operands as
+    ever, so each weight has the same bytes.  The third work row is left to
+    the caller; the first holds 1-fy."""
+    one_y, weight = _scratch.work[0, : slot.n], _scratch.work[1, : slot.n]
+    fx, fy = slot.fx, slot.fy
+    np.subtract(1.0, fy, out=one_y)
+    np.subtract(1.0, fx, out=weight)
+    yield np.multiply(weight, one_y, out=weight)
+    yield np.multiply(fx, one_y, out=weight)
+    np.subtract(1.0, fx, out=weight)
+    yield np.multiply(weight, fy, out=weight)
+    yield np.multiply(fx, fy, out=weight)
 
 
 def _splat(slot: _Slot, weights, unit: bool, scratch: bool) -> np.ndarray:
     # corner after corner into this thread's deposit grid, so each pixel
-    # sums its deposits in a fixed order; weighted corners go through the
-    # work row, which leaves the footprint as it was
+    # sums its deposits in a fixed order; each corner's weight is formed in
+    # a work row and multiplied by the event weights there
     padded, pixels = _scratch.grid(slot.geometry, "deposit")
     padded.fill(0.0)
-    work = _scratch.work[: slot.n]
-    for k, offset in enumerate(slot.offsets):
-        value = slot.weight[k] if unit else np.multiply(slot.weight[k], weights, out=work)
+    for offset, weight in zip(slot.offsets, _corner_weights(slot)):
+        value = weight if unit else np.multiply(weight, weights, out=weight)
         np.add.at(padded[offset:], slot.index, value)
     return pixels if scratch else pixels.copy()
 
@@ -508,11 +548,11 @@ def _read(padded, slot: _Slot, out: np.ndarray) -> np.ndarray:
     """Sum each position's four corners of the padded image, weighted by its
     footprint in ``slot``, into ``out``, whose C order is the footprint's."""
     out.fill(0.0)
-    work = _scratch.work[: slot.n]
+    work = _scratch.work[2, : slot.n]
     term = work.reshape(out.shape)
-    for k, offset in enumerate(slot.offsets):
+    for offset, weight in zip(slot.offsets, _corner_weights(slot)):
         # every index is in range; "clip" lets take() write into work directly
         np.take(padded[offset:], slot.index, out=work, mode="clip")
-        np.multiply(slot.weight[k], work, out=work)
+        np.multiply(weight, work, out=work)
         out += term
     return out

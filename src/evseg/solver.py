@@ -34,7 +34,8 @@ cluster for the whole solve.  From the initial objective on, each live
 cluster's warp at its current motion is held (see :func:`_hold`): its
 bilinear footprint keeps a footprint slot of its own (see :mod:`evseg.iwe`),
 so every build and read at that motion reuses it without warping again,
-and every other footprint shares the thread's one spare slot.
+and every other footprint shares the thread's one spare slot.  A solve
+releases its holds when it returns or raises, which frees every slot.
 
 Every per-event table, shaped (n_events, n_clusters), is kept column-major
 inside the solvers: a cluster's weights are one contiguous column for its
@@ -61,6 +62,7 @@ from .iwe import (
     accumulate_weighted,
     has_footprint,
     hold_footprints,
+    position_rows,
     sample_local,
     smooth,
     variance_contrast,
@@ -174,18 +176,10 @@ def _resolve_models(models, n_clusters: int) -> list:
 
 
 class _Builds(threading.local):
-    """One thread's count of full-sensor image builds, and the buffers its
-    builds warp the packet into (as long as the longest packet seen)."""
+    """One thread's count of full-sensor image builds."""
 
     def __init__(self) -> None:
         self.count = 0
-        self.size = -1
-
-    def positions(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n > self.size:
-            self.xy = np.empty((2, n))
-            self.size = n
-        return self.xy[0, :n], self.xy[1, :n]
 
 
 _builds = _Builds()
@@ -206,14 +200,17 @@ def _footprint_key(packet: EventPacket, params: WarpParams) -> tuple:
 
 
 def _warped(packet: EventPacket, params: WarpParams):
-    """The footprint key of ``params``'s warp of ``packet`` and this thread's
-    position buffers, which hold the warped positions unless a slot already
-    holds the key's footprint: then nothing is warped, and a deposit or read
-    with the key reads no positions."""
+    """The footprint key of ``params``'s warp of ``packet`` and positions for
+    a deposit or read with it.  When a slot holds the key's footprint nothing
+    is warped, and the positions are a placeholder of their shape that the
+    deposit or read does not read; otherwise the warp goes straight into the
+    rows the footprint will be computed from (see :func:`position_rows`)."""
     key = _footprint_key(packet, params)
-    wx, wy = _builds.positions(packet.n)
-    if not has_footprint(key):
-        warp_packet(packet, params, out=(wx, wy))
+    if has_footprint(key):
+        unread = np.broadcast_to(np.nan, packet.n)
+        return key, unread, unread
+    wx, wy = position_rows(packet.n)
+    warp_packet(packet, params, out=(wx, wy))
     return key, wx, wy
 
 
@@ -332,19 +329,27 @@ def update_associations(
     holds it.  They must be kept copies, not :func:`cluster_image` scratch
     views, which the builds of the other clusters overwrite.
     """
-    n, n_clusters = associations.shape
     alive_idx = np.flatnonzero(clusters.alive)
-    scores = np.empty((n, alive_idx.size), order="F")
-    for col, j in enumerate(alive_idx):
+    out = np.zeros_like(associations)
+    # each live cluster's scores go straight into its column of the output,
+    # floored there and then divided in place by the row sums.  Those add
+    # the columns one after another, as numpy sums the rows of a
+    # column-major table (0 + a score is the score: every score is positive)
+    rowsum = np.zeros(associations.shape[0])
+    for j in alive_idx:
         prm = clusters.params[j]
         if images is not None and j in images:
             img = images[j]
         else:
             img = cluster_image(packet, prm, associations[:, j], config)
-        _sample_warped(img, packet, prm, out=scores[:, col])
-    np.maximum(scores, EPSILON_C, out=scores)
-    out = np.zeros_like(associations)
-    out[:, alive_idx] = np.divide(scores, scores.sum(axis=1, keepdims=True), out=scores)
+        column = _sample_warped(img, packet, prm, out=out[:, j])
+        np.maximum(column, EPSILON_C, out=column)
+        rowsum += column
+    if rowsum.size == 1:
+        # one row is contiguous in either order, and numpy sums it pairwise
+        rowsum = out[:, alive_idx].sum(axis=1)
+    for j in alive_idx:
+        np.divide(out[:, j], rowsum, out=out[:, j])
     return out
 
 
@@ -513,16 +518,28 @@ def apply_collapse(
     return ClusterSet(list(clusters.params), alive), out
 
 
+SUM_BLOCK = 4096    # rows per block of _column_sums' running sum
+
+
 def _column_sums(table: np.ndarray) -> np.ndarray:
     """Each column's sum over events, added row after row as numpy sums a
     C-ordered table over its rows.  Summing a contiguous column would switch
     to pairwise summation and change the last bits; a running sum down each
-    column keeps them without a C-ordered copy.  A single column is one
-    contiguous run in either order, so numpy sums it pairwise."""
+    column keeps them without a C-ordered copy.  The running sum goes
+    through ``SUM_BLOCK`` rows at a time, each block's first row adding the
+    sum so far, so it never needs a table as large as ``table``.  A single
+    column is one contiguous run in either order, so numpy sums it
+    pairwise."""
     n, n_clusters = table.shape
     if n == 0 or n_clusters == 1:
         return table.sum(axis=0)
-    return np.cumsum(table, axis=0)[-1]
+    total = None
+    for start in range(0, n, SUM_BLOCK):
+        block = table[start : start + SUM_BLOCK].copy(order="K")
+        if total is not None:
+            block[0] += total
+        total = np.cumsum(block, axis=0, out=block)[-1]
+    return total.copy()
 
 
 def _hard_labels(table: np.ndarray) -> np.ndarray:
@@ -926,72 +943,77 @@ def _alternate(packet, n_clusters, models, config, init, early_stop, method, ste
     if given, receives the initial objective's images (see
     :func:`objective`) for the first step to read.  Each live cluster's
     footprint at its current motion is held from the initial objective on
-    (see :func:`_hold`).
+    (see :func:`_hold`), and every hold is released when the run returns or
+    raises, so a finished solve keeps no footprint slot.
     """
     if config is None:
         config = SolverConfig()
     start = build_count()
     models = _resolve_models(models, n_clusters)
-    if init is None:
-        clusters, associations = initialize_greedy(packet, n_clusters, models, config)
-        init_mode = "greedy"
-    else:
-        clusters, associations = init[0].copy(), np.array(init[1], order="F")
-        if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
-            raise ValueError("init shape does not match packet / cluster count")
-        init_mode = "given"
-    _hold(packet, clusters)
-    trace = [objective(packet, clusters, associations, config, kept=kept)]
-    own_trace: list[float] = []
-    warp_counts: list[int] = []
-    settled = np.zeros(n_clusters, dtype=bool)
-    settled_at = np.full(n_clusters, -1, dtype=np.int64)
-    stagnant = held = 0
-    labels = _hard_labels(associations) if early_stop else None
-    stop = "budget"
-    for iteration in range(1, config.max_iters + 1):
-        clusters, associations, sharpness, own = step(
-            packet, clusters, associations, config, settled
-        )
-        settled_at[settled & (settled_at < 0)] = iteration
-        trace.append(sharpness)
-        warp_counts.append(build_count() - start)
-        if own is not None:
-            own_trace.append(own)
-        if not early_stop:
-            continue
-        series = trace if own is None else own_trace
-        if len(series) >= 2:
-            gain = (series[-1] - series[-2]) / max(abs(series[-2]), 1e-12)
-            stagnant = stagnant + 1 if gain < config.rel_tol else 0
-        previous, labels = labels, _hard_labels(associations)
-        if _settled_and_held(settled, clusters.alive, labels, previous, config):
-            held += 1
+    try:
+        if init is None:
+            clusters, associations = initialize_greedy(packet, n_clusters, models, config)
+            init_mode = "greedy"
         else:
-            held = 0
-        if held >= CONVERGENCE_WINDOW:
-            stop = "settled"
-            break
-        if stagnant >= CONVERGENCE_WINDOW:
-            stop = "stagnant"
-            break
-    diagnostics = {
-        "method": method,
-        "init": init_mode,
-        "warp_counts": np.asarray(warp_counts, dtype=np.int64),
-        "settled": settled_at,
-        "stop": stop,
-    }
-    if own_trace:
-        diagnostics["own_trace"] = np.asarray(own_trace)
-    return SegmentationResult(
-        clusters=clusters,
-        associations=np.ascontiguousarray(associations),
-        objective_trace=np.asarray(trace),
-        iterations=len(trace) - 1,
-        converged=stop != "budget",
-        diagnostics=diagnostics,
-    )
+            clusters, associations = init[0].copy(), np.array(init[1], order="F")
+            if clusters.n_clusters != n_clusters or associations.shape != (packet.n, n_clusters):
+                raise ValueError("init shape does not match packet / cluster count")
+            init_mode = "given"
+        _hold(packet, clusters)
+        trace = [objective(packet, clusters, associations, config, kept=kept)]
+        own_trace: list[float] = []
+        warp_counts: list[int] = []
+        settled = np.zeros(n_clusters, dtype=bool)
+        settled_at = np.full(n_clusters, -1, dtype=np.int64)
+        stagnant = held = 0
+        labels = _hard_labels(associations) if early_stop else None
+        stop = "budget"
+        for iteration in range(1, config.max_iters + 1):
+            clusters, associations, sharpness, own = step(
+                packet, clusters, associations, config, settled
+            )
+            settled_at[settled & (settled_at < 0)] = iteration
+            trace.append(sharpness)
+            warp_counts.append(build_count() - start)
+            if own is not None:
+                own_trace.append(own)
+            if not early_stop:
+                continue
+            series = trace if own is None else own_trace
+            if len(series) >= 2:
+                gain = (series[-1] - series[-2]) / max(abs(series[-2]), 1e-12)
+                stagnant = stagnant + 1 if gain < config.rel_tol else 0
+            previous, labels = labels, _hard_labels(associations)
+            if _settled_and_held(settled, clusters.alive, labels, previous, config):
+                held += 1
+            else:
+                held = 0
+            if held >= CONVERGENCE_WINDOW:
+                stop = "settled"
+                break
+            if stagnant >= CONVERGENCE_WINDOW:
+                stop = "stagnant"
+                break
+        diagnostics = {
+            "method": method,
+            "init": init_mode,
+            "warp_counts": np.asarray(warp_counts, dtype=np.int64),
+            "settled": settled_at,
+            "stop": stop,
+        }
+        if own_trace:
+            diagnostics["own_trace"] = np.asarray(own_trace)
+        return SegmentationResult(
+            clusters=clusters,
+            associations=np.ascontiguousarray(associations),
+            objective_trace=np.asarray(trace),
+            iterations=len(trace) - 1,
+            converged=stop != "budget",
+            diagnostics=diagnostics,
+        )
+    finally:
+        # the footprints are the solve's own: a hold of no keys frees them all
+        hold_footprints(())
 
 
 def segment_stream(

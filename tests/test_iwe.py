@@ -397,7 +397,7 @@ def test_slots_follow_the_held_keys():
     # a held key's footprint keeps a slot of its own, every other footprint
     # goes into the first slot holding no held key (a new one when there is
     # none), and a hold frees the slots beyond one per held key and one
-    # spare, wherever the held ones lie
+    # spare, wherever the held ones lie; a hold of no keys frees them all
     geom = ImageGeometry(20, 15)
     rng = np.random.default_rng(3)
     wx, wy = rng.uniform(0, 20, 50), rng.uniform(0, 15, 50)
@@ -427,10 +427,11 @@ def test_slots_follow_the_held_keys():
         build(c)
         hold_footprints([])
         build()
+        build(a)
         return seen
 
     assert in_fresh_thread(run) == [
-        ("", 1), ("b", 1), ("abc", 3), ("abd", 3), ("bd", 2), ("cd", 2), ("d", 1)
+        ("", 1), ("b", 1), ("abc", 3), ("abd", 3), ("bd", 2), ("cd", 2), ("", 0), ("a", 1)
     ]
 
 

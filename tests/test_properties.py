@@ -241,6 +241,17 @@ def test_column_sums_add_rows_in_order_in_either_layout(drawn):
         assert _column_sums(layout(table)).tobytes() == reference
 
 
+@pytest.mark.parametrize("blocks", [0.5, 1, 2.5, 3])
+def test_column_sums_carry_across_row_blocks(blocks):
+    # the running sum goes through a block of rows at a time: the sum so
+    # far must carry into each block as numpy's one sum over the rows has it
+    n = int(blocks * solver.SUM_BLOCK) + 1
+    table = np.random.default_rng(n).uniform(0.0, 1.0, (n, 3)) ** 4
+    reference = table.sum(axis=0).tobytes()
+    for layout in LAYOUTS:
+        assert _column_sums(layout(table)).tobytes() == reference
+
+
 @given(refreshes(), st.sampled_from([0.0, 1.0]))
 def test_update_associations_gives_the_same_bytes_in_either_layout(drawn, sigma):
     packet, clusters, assoc, _ = drawn
@@ -594,8 +605,9 @@ def test_zero_weight_events_change_no_build_byte(model, drawn, velocity, spin):
 def slot_sequences(draw):
     """A small packet with lattice or fractional coordinates, some events off
     the sensor; two to four motions, non-finite ones among them; and a run
-    of holds of a few of those motions, and of builds and reads at one, each
-    build with unit weights or weights that may be zero."""
+    of holds of a few of the keys those motions give, and of builds, reads
+    and grid reads at one motion, each build with unit weights or weights
+    that may be zero."""
     geometry = ImageGeometry(24, 18)
     n = draw(st.integers(1, 30))
     x = draw(arrays(np.float64, n, elements=st.floats(-4.0, 28.0)))
@@ -615,8 +627,9 @@ def slot_sequences(draw):
         theta = draw(arrays(np.float64, MODEL_PARAM_COUNT[model], elements=value))
         motions.append(WarpParams(model, theta))
     index = st.integers(0, len(motions) - 1)
-    use = st.tuples(st.sampled_from(["build", "read"]), st.tuples(index, st.integers(0, 1)))
-    hold = st.tuples(st.just("hold"), st.lists(index, max_size=3))
+    use = st.tuples(st.sampled_from(["build", "read", "grid"]), st.tuples(index, st.integers(0, 1)))
+    # a motion's flat key is its index, its grid key the index plus the count
+    hold = st.tuples(st.just("hold"), st.lists(st.integers(0, 2 * len(motions) - 1), max_size=3))
     step = st.one_of(use, use, hold)
     return packet, weights, motions, draw(st.lists(step, min_size=4, max_size=20))
 
@@ -627,13 +640,18 @@ def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
     # a slot whenever one holds it.  Over drawn holds, each must give the
     # bytes of a build or read whose footprint is computed afresh from the
     # warped positions, and a keyed read right after a build computes none;
-    # the thread never has more slots than one per held motion plus the
-    # spare, and a held motion's footprint, once in a slot, stays there and
-    # is not computed again while it is held
+    # the thread never has more slots than one per held key plus the spare,
+    # a held key's footprint, once in a slot, stays there and is not
+    # computed again while it is held, and every slot keeps 24 bytes per
+    # position.  A grid read takes a row of a motion's warped x and a column
+    # of its warped y, as the simulator reads its textures, under a key of
+    # its own, and must give the bytes of a fresh read at the flat
+    # positions they broadcast to
     packet, weights, motions, steps = drawn
     geometry = packet.geometry
     field = Iwe(np.random.default_rng(packet.n).normal(size=(18, 24)), geometry)
     keys = [solver._footprint_key(packet, m) for m in motions]
+    keys += [(packet, ("grid", m)) for m in range(len(motions))]
     with np.errstate(invalid="ignore", over="ignore"):
         warped = [warp_packet(packet, m) for m in motions]
         expect_build = {
@@ -642,6 +660,14 @@ def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
             for k in range(2)
         }
         expect_read = [sample_local(field, *xy).tobytes() for xy in warped]
+        grids = [
+            (wx[None, : max(1, wx.size // 2)], wy[-max(1, wy.size // 3) :, None])
+            for wx, wy in warped
+        ]
+        expect_grid = [
+            sample_local(field, *(a.ravel().copy() for a in np.broadcast_arrays(*xy))).tobytes()
+            for xy in grids
+        ]
     computed = []
     footprint = iwe._footprint
 
@@ -665,6 +691,10 @@ def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
                 if kind == "read":
                     got = solver._sample_warped(field, packet, motions[m])
                     assert got.tobytes() == expect_read[m]
+                elif kind == "grid":
+                    tag = keys[len(motions) + m][1]
+                    got = sample_local(field, *grids[m], key=keys[len(motions) + m])
+                    assert got.tobytes() == expect_grid[m]
                 else:
                     key, wx, wy = solver._warped(packet, motions[m])
                     img = accumulate_weighted(wx, wy, weights[k], geometry, key=key)
@@ -679,6 +709,11 @@ def test_footprint_slots_give_the_bytes_of_fresh_footprints(drawn):
                     kept.add(tag)
                 assert len(iwe._scratch.slots) <= len(held) + 1
                 assert all(iwe.has_footprint(key) for key in keys if key[1] in kept)
+                for slot in iwe._scratch.slots:
+                    assert slot.buffer.nbytes == 24 * slot.size
+                    rows = (slot.index, slot.fx, slot.fy)
+                    assert [r.nbytes for r in rows] == [8 * slot.n] * 3
+                    assert all(np.shares_memory(r, slot.buffer) for r in rows)
 
     iwe._footprint = counted
     try:

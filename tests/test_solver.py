@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+import evseg.iwe as iwe
 import evseg.solver as solver
 import evseg.variants as variants
 from evseg.events import ImageGeometry, count_windows, make_packet
@@ -792,6 +793,46 @@ def test_variant_solve_warps_each_candidate_column_once(monkeypatch, drift_packe
     assert reads == [0] * len(builds)
     assert objectives and objectives == [0] * len(objectives)
     assert _moved(result, init)
+
+
+def _holds_nothing() -> bool:
+    """Whether the calling thread holds no footprint key, and keeps no slot
+    and no work row."""
+    s = iwe._scratch
+    return not s.held and not s.slots and s.work.size == 0
+
+
+@pytest.mark.parametrize("solve", ["segment", "segment_mixture", "segment_fuzzy", "segment_stream"])
+def test_a_finished_solve_keeps_no_footprint(drift_packet, solve):
+    # a solve holds its clusters' footprints while it runs and releases them
+    # when it returns, so the calling thread keeps no slot behind it, also
+    # none that it held before the solve
+    pk, init = _moving_start(drift_packet)
+    other, _ = drift_packet([(5.0, 5.0)], n_sources=10, n_times=5, seed=2)
+    key = solver._footprint_key(other, zero_params("flow2"))
+    iwe.hold_footprints([key])
+    solver.cluster_image(other, zero_params("flow2"), np.ones(other.n), SolverConfig())
+    assert iwe.has_footprint(key)
+    config = SolverConfig(max_iters=4)
+    if solve == "segment_stream":
+        pairs = list(segment_stream(pk, 2, "flow2", config, window_events=pk.n // 2))
+        assert len(pairs) == 3 and all(r is not None for _, r in pairs)
+    else:
+        run = {"segment": segment, "segment_mixture": segment_mixture,
+               "segment_fuzzy": segment_fuzzy}[solve]
+        run(pk, 2, "flow2", config, init=init)
+    assert _holds_nothing()
+
+
+def test_a_solve_that_raises_keeps_no_footprint(drift_packet):
+    # events that never move: greedy init builds images, finds no rotation
+    # that beats standing still and raises, and the slots it used go with it
+    pk, _ = drift_packet([(0.0, 0.0)], n_sources=100, n_times=20, seed=3)
+    before = solver.build_count()
+    with pytest.raises(DegenerateInitError):
+        segment(pk, 2, "rotation")
+    assert solver.build_count() > before
+    assert _holds_nothing()
 
 
 def test_settled_clusters_cost_one_build_each(mini_recording, mini_result, dying_run):
