@@ -251,7 +251,6 @@ def _cmd_segment(args) -> int:
     solve = solvers[run.method]
     packet = _load_packet(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     solver_cfg = run.solver_config()
 
     # a whole file, or a window longer than the file, is one window
@@ -273,6 +272,8 @@ def _cmd_segment(args) -> int:
             )
             continue
         solved += 1
+        # made only now, so a setting that segment_stream rejects leaves none
+        out.mkdir(parents=True, exist_ok=True)
         suffix = f"_{idx:03d}" if multi else ""
         write_associations_csv(out / f"assoc{suffix}.csv", result)
         write_params_csv(out / f"params{suffix}.csv", result)

@@ -180,17 +180,13 @@ def fuzzy_affinity(
 
 def fuzzy_e_step(affinities: np.ndarray, b: float, alive: np.ndarray) -> np.ndarray:
     """Inverse-power membership refresh: p_kj proportional to
-    affinity^(1/(b-1)) over the ``alive`` clusters; all-zero rows become
-    uniform over them."""
-    powed = np.zeros_like(affinities)
-    exponent = 1.0 / (b - 1.0)
-    for j in np.flatnonzero(alive):
-        # each live column is copied and raised in place, so no fancy-indexed
-        # temporaries; ** rather than np.power keeps numpy's shortcuts for
-        # exponents such as 1.0 and 2.0, and so the bytes
-        column = powed[:, j]
-        column[...] = affinities[:, j]
-        column **= exponent
+    affinity^(1/(b-1)) over the ``alive`` clusters, each row divided by its
+    sum (see :func:`evseg.solver._normalize_rows`); all-zero rows become
+    uniform over them.  One copy of the table, its dead columns zeroed, is
+    raised in place with ``**`` rather than ``np.power``, which keeps
+    numpy's shortcuts for exponents such as 1.0 and 2.0, and so the bytes."""
+    powed = np.where(alive, affinities, 0.0)
+    powed **= 1.0 / (b - 1.0)
     return _normalize_rows(powed, alive, out=powed)
 
 

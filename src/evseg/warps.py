@@ -22,12 +22,6 @@ from .events import subsample_stride
 
 MODEL_PARAM_COUNT = {"flow2": 2, "rotation": 3, "fourdof": 4}
 
-MODEL_PARAM_NAMES = {
-    "flow2": ("vx", "vy"),
-    "rotation": ("cx", "cy", "omega"),
-    "fourdof": ("vx", "vy", "omega", "s"),
-}
-
 
 @dataclass(frozen=True)
 class WarpParams:

@@ -199,6 +199,30 @@ class TestDataErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--sigma", "-1"], ""),
+            ([], "sigma = nan\n"),
+            ([], "window_events = -3\n"),
+            ([], "t_ref_mode = middle\n"),
+        ],
+        ids=["negative-sigma-flag", "nan-sigma", "negative-window", "unknown-t-ref-mode"],
+    )
+    def test_rejected_segment_setting_leaves_no_out_dir(
+        self, sim_dir, tmp_path, capsys, flags, config
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [
+            "segment", "--events", str(sim_dir / "events.txt"), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), "--max-iters", "2", *flags,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_eval_shape_mismatch(self, tmp_path):
         assoc = tmp_path / "assoc.csv"
         assoc.write_text("# live 1\np_1\n1.0\n1.0\n")

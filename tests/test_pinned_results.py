@@ -99,6 +99,22 @@ def test_fixed_budget_j6_flow2_without_deaths(mini_recording):
     )
 
 
+def test_fixed_budget_j12_flow2_with_deaths(mini_recording):
+    # a wide table: a random flow2 start over greedy init's velocity bound,
+    # the default collapse floor, so columns die during the run and the
+    # refreshes and collapses see 12 columns with dead ones among them
+    packet = mini_recording.packet
+    j = 12
+    rng = np.random.default_rng(0)
+    params = [WarpParams("flow2", rng.uniform(-300.0, 300.0, 2)) for _ in range(j)]
+    init = (ClusterSet(params, np.ones(j, dtype=bool)), np.full((packet.n, j), 1.0 / j))
+    result = segment(packet, j, "flow2", SolverConfig(max_iters=12), init=init, early_stop=False)
+    assert result.clusters.n_alive == 8
+    assert digest([result]) == (
+        "fe427ba8b6fc0394f211fe6a336702b17a8fb44ed0a0a861a4911f3b754273b1"
+    )
+
+
 def test_fixed_budget_rotation_flow2_and_fourdof(mini_recording):
     # one cluster of each model from a given start
     packet = mini_recording.packet
