@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -77,17 +77,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _list_of(kind):
+    """An argparse type for a comma-separated list of ``kind``."""
+    def comma_list(text: str) -> list:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    return comma_list
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--width", type=int, help="sensor width; replaces the file header's")
+    size.add_argument("--height", type=int, help="sensor height; replaces the file header's")
 
     sim = sub.add_parser("simulate", help="generate a labeled synthetic recording")
     sim.add_argument("--preset", choices=["two_pebbles", "fan_coin"], default="two_pebbles")
@@ -105,20 +107,22 @@ def _build_parser() -> _Parser:
     sim.add_argument("--jitter", type=float, default=0.0)
     sim.add_argument("--seed", type=int, default=7)
 
-    seg = sub.add_parser("segment", help="cluster an event file by motion")
+    # each run-setting flag's dest is the RunConfig field it sets
+    seg = sub.add_parser("segment", parents=[size], help="cluster an event file by motion")
     seg.add_argument("--events", required=True)
     seg.add_argument("--out", required=True, help="output directory")
     seg.add_argument("--config", help="key=value settings file")
-    seg.add_argument("--j", type=int, help="number of clusters")
-    seg.add_argument("--model", help="warp model, or comma list per cluster")
+    seg.add_argument("--j", type=int, dest="n_clusters", metavar="J", help="number of clusters")
+    seg.add_argument("--model", dest="models", metavar="MODEL",
+                     help="warp model, or comma list per cluster")
     seg.add_argument("--method", choices=["layered", "mixture", "fuzzy"])
-    seg.add_argument("--window", type=int, help="events per window (0: whole file)")
-    seg.add_argument("--stride", type=int, help="window stride in events")
+    seg.add_argument("--window", type=int, dest="window_events", metavar="WINDOW",
+                     help="events per window (0: whole file)")
+    seg.add_argument("--stride", type=int, dest="stride_events", metavar="STRIDE",
+                     help="window stride in events")
     seg.add_argument("--sigma", type=float)
-    seg.add_argument("--mu", type=float, help="ascent step scale")
+    seg.add_argument("--mu", type=float, dest="step_mu", metavar="MU", help="ascent step scale")
     seg.add_argument("--max-iters", type=int)
-    seg.add_argument("--width", type=int, help="sensor width if the file has no header")
-    seg.add_argument("--height", type=int, help="sensor height if the file has no header")
     seg.add_argument("--cluster-images", action="store_true",
                      help="also write one PGM per live cluster")
 
@@ -127,29 +131,25 @@ def _build_parser() -> _Parser:
     ev.add_argument("--truth", required=True)
     ev.add_argument("--out", help="write the report as CSV here")
 
-    bench = sub.add_parser("bench", help="fixed-budget throughput benchmark")
+    bench = sub.add_parser("bench", parents=[size], help="fixed-budget throughput benchmark")
     bench.add_argument("--events", required=True)
-    bench.add_argument("--j", type=_int_list, default=[2, 5, 10, 20, 50])
+    bench.add_argument("--j", type=_list_of(int), default=[2, 5, 10, 20, 50])
     bench.add_argument("--iters", type=int, default=10)
     bench.add_argument("--repeats", type=int, default=5)
-    bench.add_argument("--width", type=int)
-    bench.add_argument("--height", type=int)
     bench.add_argument("--out", help="write points as CSV here")
 
-    cmp_p = sub.add_parser("compare", help="run all three methods from one start")
+    cmp_p = sub.add_parser("compare", parents=[size], help="run all three methods from one start")
     cmp_p.add_argument("--events", required=True)
     cmp_p.add_argument("--truth")
     cmp_p.add_argument("--j", type=int, default=2)
     cmp_p.add_argument("--model", default="flow2")
     cmp_p.add_argument("--iters", type=int, default=40)
-    cmp_p.add_argument("--width", type=int)
-    cmp_p.add_argument("--height", type=int)
     cmp_p.add_argument("--out", help="write per-iteration traces as CSV here")
 
     curve = sub.add_parser("curve", help="accuracy vs relative displacement sweep")
-    curve.add_argument("--delta-v", type=_float_list, default=[30.0, 60.0, 120.0])
+    curve.add_argument("--delta-v", type=_list_of(float), default=[30.0, 60.0, 120.0])
     curve.add_argument("--base-v", type=float, default=50.0)
-    curve.add_argument("--displacements", type=_float_list, default=[2.0, 4.0, 6.0, 8.0])
+    curve.add_argument("--displacements", type=_list_of(float), default=[2.0, 4.0, 6.0, 8.0])
     curve.add_argument("--seed", type=int, default=7)
     curve.add_argument("--out", help="write points as CSV here")
 
@@ -209,13 +209,14 @@ def _cmd_simulate(args) -> int:
         noise_rate=args.noise_rate,
         seed=args.seed,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.preset == "two_pebbles":
         scene = preset_two_pebbles(args.delta_v, args.base_v, geometry, cfg)
     else:
         scene = preset_fan_and_coin(args.omega, (args.vx, args.vy), geometry, cfg)
     recording = simulate(scene, geometry, cfg)
+    # made only now, so a scene the preset or simulator rejects leaves none
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_events_text(out / "events.txt", recording.packet)
     write_ground_truth(out / "truth.txt", recording.labels, recording.truth)
     print(f"wrote {recording.packet.n} events to {out / 'events.txt'}")
@@ -223,20 +224,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _merge_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = read_config_file(args.config, cfg)
-    overrides = {
-        "n_clusters": args.j,
-        "models": args.model,
-        "method": args.method,
-        "window_events": args.window,
-        "stride_events": args.stride,
-        "sigma": args.sigma,
-        "step_mu": args.mu,
-        "max_iters": args.max_iters,
-    }
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    """The defaults, then the config file's settings, then every flag given.
+    Each step checks the solver settings, so a bad one raises before the
+    events file is read."""
+    cfg = read_config_file(args.config) if args.config else RunConfig()
+    known = {f.name for f in fields(RunConfig)}
+    return replace(cfg, **{k: v for k, v in vars(args).items() if k in known and v is not None})
 
 
 def _cmd_segment(args) -> int:
@@ -251,14 +244,13 @@ def _cmd_segment(args) -> int:
     solve = solvers[run.method]
     packet = _load_packet(args)
     out = Path(args.out)
-    solver_cfg = run.solver_config()
 
     # a whole file, or a window longer than the file, is one window
     size = min(run.window_events or packet.n, packet.n)
     stride = run.stride_events or None
     multi = count_windows(packet.n, size, stride) > 1
     pairs = segment_stream(
-        packet, run.n_clusters, run.model_list(), solver_cfg,
+        packet, run.n_clusters, run.model_list(), run,
         size, stride, run.t_ref_mode, solve,
     )
     solved = 0
@@ -277,9 +269,9 @@ def _cmd_segment(args) -> int:
         suffix = f"_{idx:03d}" if multi else ""
         write_associations_csv(out / f"assoc{suffix}.csv", result)
         write_params_csv(out / f"params{suffix}.csv", result)
-        write_segmentation_ppm(out / f"segmentation{suffix}.ppm", window, result, solver_cfg)
+        write_segmentation_ppm(out / f"segmentation{suffix}.ppm", window, result, run)
         if args.cluster_images:
-            write_cluster_pgms(out, window, result, solver_cfg)
+            write_cluster_pgms(out, window, result, run, suffix)
         live = int(result.clusters.alive.sum())
         print(
             f"window {idx}: {window.n} events, {live}/{run.n_clusters} live clusters, "

@@ -8,7 +8,7 @@ with ``repr`` so a write/read round trip reproduces values exactly.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _text_lines(path):
+    """``(line number, stripped line)`` for each non-blank line of a text
+    file, numbered from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
+
+
 def read_events_text(
     path, geometry: ImageGeometry | None = None
 ) -> tuple[EventPacket, ImageGeometry]:
@@ -49,38 +59,34 @@ def read_events_text(
     """
     ts, xs, ys, ps = [], [], [], []
     file_geometry = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 4 and parts[0] == "width" and parts[2] == "height":
-                    try:
-                        file_geometry = ImageGeometry(int(parts[1]), int(parts[3]))
-                    except ValueError as exc:
-                        raise ParseError(f"bad geometry header: {exc}", lineno)
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}", lineno)
-            try:
-                t = float(parts[0])
-                x = float(parts[1])
-                y = float(parts[2])
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", lineno)
-            if parts[3] in ("1", "+1"):
-                p = 1
-            elif parts[3] in ("0", "-1"):
-                p = -1
-            else:
-                raise ParseError(f"polarity must be 0/1 or -1/+1, got {parts[3]!r}", lineno)
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) >= 4 and parts[0] == "width" and parts[2] == "height":
+                try:
+                    file_geometry = ImageGeometry(int(parts[1]), int(parts[3]))
+                except ValueError as exc:
+                    raise ParseError(f"bad geometry header: {exc}", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", lineno)
+        try:
+            t = float(parts[0])
+            x = float(parts[1])
+            y = float(parts[2])
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", lineno)
+        if parts[3] in ("1", "+1"):
+            p = 1
+        elif parts[3] in ("0", "-1"):
+            p = -1
+        else:
+            raise ParseError(f"polarity must be 0/1 or -1/+1, got {parts[3]!r}", lineno)
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        ps.append(p)
     geom = geometry or file_geometry
     if geom is None:
         raise MissingGeometryError(
@@ -119,29 +125,25 @@ def read_ground_truth(path) -> tuple[np.ndarray, dict]:
     that is not a non-negative integer or a bad ``# motion`` header."""
     labels = []
     truth: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "motion":
-                    try:
-                        label = int(parts[1])
-                        model = parts[2]
-                        theta = np.array([float(v) for v in parts[3:]])
-                        truth[label] = WarpParams(model, theta)
-                    except (IndexError, ValueError) as exc:
-                        raise ParseError(f"bad motion header: {exc}", lineno)
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise ParseError(f"label must be an integer, got {line!r}", lineno)
-            if label < 0:
-                raise ParseError(f"label must not be negative, got {label}", lineno)
-            labels.append(label)
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts and parts[0] == "motion":
+                try:
+                    label = int(parts[1])
+                    model = parts[2]
+                    theta = np.array([float(v) for v in parts[3:]])
+                    truth[label] = WarpParams(model, theta)
+                except (IndexError, ValueError) as exc:
+                    raise ParseError(f"bad motion header: {exc}", lineno)
+            continue
+        try:
+            label = int(line)
+        except ValueError:
+            raise ParseError(f"label must be an integer, got {line!r}", lineno)
+        if label < 0:
+            raise ParseError(f"label must not be negative, got {label}", lineno)
+        labels.append(label)
     return np.asarray(labels, dtype=np.int32), truth
 
 
@@ -179,46 +181,40 @@ def read_associations_csv(path) -> tuple[np.ndarray, np.ndarray, list]:
     params: list = []
     states: list = []  # (line number, state) of each cluster header
     width = width_line = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "live":
-                    live_line, live = lineno, parts[1:]
-                elif parts and parts[0] == "cluster":
-                    try:
-                        index, model, state = parts[1], parts[2], parts[3]
-                        theta = np.array([float(v) for v in parts[4:]])
-                        params.append(WarpParams(model, theta))
-                    except (IndexError, ValueError) as exc:
-                        raise ParseError(f"bad cluster header: {exc}", lineno)
-                    if index != str(len(params)):
-                        raise ParseError(
-                            f"cluster header {index!r} out of sequence, expected {len(params)}",
-                            lineno,
-                        )
-                    if state not in ("alive", "dead"):
-                        raise ParseError(
-                            f"cluster state must be alive or dead, got {state!r}", lineno
-                        )
-                    states.append((lineno, state))
-                continue
-            fields = line.split(",")
-            if width is None:
-                width, width_line = len(fields), lineno  # the p_1,...,p_J column row
-                continue
-            if len(fields) != width:
-                raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
-            try:
-                row = [float(v) for v in fields]
-            except ValueError:
-                raise ParseError(f"non-numeric association row {line!r}", lineno)
-            if not all(0.0 <= v < np.inf for v in row):
-                raise ParseError(f"shares must be finite and non-negative, got {line!r}", lineno)
-            rows.append(row)
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts and parts[0] == "live":
+                live_line, live = lineno, parts[1:]
+            elif parts and parts[0] == "cluster":
+                try:
+                    index, model, state = parts[1], parts[2], parts[3]
+                    theta = np.array([float(v) for v in parts[4:]])
+                    params.append(WarpParams(model, theta))
+                except (IndexError, ValueError) as exc:
+                    raise ParseError(f"bad cluster header: {exc}", lineno)
+                if index != str(len(params)):
+                    raise ParseError(
+                        f"cluster header {index!r} out of sequence, expected {len(params)}",
+                        lineno,
+                    )
+                if state not in ("alive", "dead"):
+                    raise ParseError(f"cluster state must be alive or dead, got {state!r}", lineno)
+                states.append((lineno, state))
+            continue
+        fields = line.split(",")
+        if width is None:
+            width, width_line = len(fields), lineno  # the p_1,...,p_J column row
+            continue
+        if len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
+        try:
+            row = [float(v) for v in fields]
+        except ValueError:
+            raise ParseError(f"non-numeric association row {line!r}", lineno)
+        if not all(0.0 <= v < np.inf for v in row):
+            raise ParseError(f"shares must be finite and non-negative, got {line!r}", lineno)
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path} holds no association rows")
     alive = np.zeros(width, dtype=bool)
@@ -250,15 +246,20 @@ def write_params_csv(path, result: SegmentationResult) -> None:
             )
 
 
+def _write_netpbm(path, magic: str, levels: np.ndarray) -> None:
+    """Binary 8-bit PGM (``P5``) or PPM (``P6``) of ``levels`` on a 0-255
+    scale, rounded and clipped."""
+    data = np.clip(np.rint(levels), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode("ascii"))
+        fh.write(data.tobytes())
+
+
 def write_pgm(path, iwe: Iwe) -> None:
     """Binary 8-bit PGM of an event image, scaled so the peak maps to 255."""
     img = iwe.pixels
     peak = float(img.max())
-    scaled = (img / peak * 255.0) if peak > 0 else np.zeros_like(img)
-    data = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_netpbm(path, "P5", (img / peak * 255.0) if peak > 0 else np.zeros_like(img))
 
 
 def cluster_palette(n_clusters: int) -> np.ndarray:
@@ -268,20 +269,28 @@ def cluster_palette(n_clusters: int) -> np.ndarray:
     )
 
 
+def _live_images(packet: EventPacket, result: SegmentationResult,
+                 config: SolverConfig | None):
+    """``(j, image)`` for each live cluster j: its shares of the events,
+    deposited at its warped positions and blurred.  Each image is the
+    solver's scratch (see :func:`cluster_image`), valid only until the next
+    one is built."""
+    config = config or SolverConfig()
+    for j in np.flatnonzero(result.clusters.alive):
+        yield j, cluster_image(
+            packet, result.clusters.params[j], result.associations[:, j], config
+        )
+
+
 def render_segmentation(
     packet: EventPacket, result: SegmentationResult, config: SolverConfig | None = None
 ) -> np.ndarray:
     """Float RGB composite: each live cluster deposits its share of every
     event at that cluster's warped position in its own hue."""
-    if config is None:
-        config = SolverConfig()
     geom = packet.geometry
     rgb = np.zeros((geom.height, geom.width, 3))
     palette = cluster_palette(result.clusters.n_clusters)
-    for j in np.flatnonzero(result.clusters.alive):
-        img = cluster_image(
-            packet, result.clusters.params[j], result.associations[:, j], config
-        )
+    for j, img in _live_images(packet, result, config):
         rgb += img.pixels[:, :, None] * palette[j]
     peak = float(rgb.max())
     if peak > 0:
@@ -291,10 +300,7 @@ def render_segmentation(
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Binary 8-bit PPM from a float RGB array in [0, 1]."""
-    data = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_netpbm(path, "P6", rgb * 255.0)
 
 
 def write_segmentation_ppm(path, packet: EventPacket, result: SegmentationResult,
@@ -304,20 +310,14 @@ def write_segmentation_ppm(path, packet: EventPacket, result: SegmentationResult
 
 def write_cluster_pgms(
     out_dir, packet: EventPacket, result: SegmentationResult,
-    config: SolverConfig | None = None,
+    config: SolverConfig | None = None, suffix: str = "",
 ) -> list:
-    """Per-live-cluster warped images as PGM files; returns the paths."""
-    if config is None:
-        config = SolverConfig()
-    out_dir = Path(out_dir)
+    """Per-live-cluster warped images as PGM files, ``cluster_<j><suffix>.pgm``
+    with j counted from 1; returns the paths."""
     paths = []
-    for j in np.flatnonzero(result.clusters.alive):
-        img = cluster_image(
-            packet, result.clusters.params[j], result.associations[:, j], config
-        )
-        p = out_dir / f"cluster_{j + 1}.pgm"
-        write_pgm(p, img)
-        paths.append(p)
+    for j, img in _live_images(packet, result, config):
+        paths.append(Path(out_dir) / f"cluster_{j + 1}{suffix}.pgm")
+        write_pgm(paths[-1], img)
     return paths
 
 
@@ -326,8 +326,10 @@ def write_cluster_pgms(
 
 
 @dataclass
-class RunConfig:
-    """Bundle of run settings the command line and config files populate."""
+class RunConfig(SolverConfig):
+    """Bundle of run settings the command line and config files populate:
+    the solver settings it inherits, checked when it is made, plus the
+    run's own."""
 
     method: str = "layered"
     n_clusters: int = 2
@@ -335,21 +337,7 @@ class RunConfig:
     window_events: int = 0          # 0: whole file as one packet
     stride_events: int = 0          # 0: half window
     t_ref_mode: str = "first"
-    sigma: float = 1.0
-    step_mu: float = 1.0
-    max_iters: int = 100
-    rel_tol: float = 1e-4
-    collapse_frac: float = 0.02
     fuzziness: float = 2.0
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            sigma=self.sigma,
-            step_mu=self.step_mu,
-            max_iters=self.max_iters,
-            rel_tol=self.rel_tol,
-            collapse_frac=self.collapse_frac,
-        )
 
     def model_list(self) -> list:
         return [m.strip() for m in self.models.split(",") if m.strip()]
@@ -359,25 +347,23 @@ def read_config_file(path, base: RunConfig | None = None) -> RunConfig:
     """Apply ``key = value`` lines to a run configuration.
 
     Unknown keys and untypeable values raise :class:`ParseError` with the
-    line number.
+    line number; a solver setting that :class:`SolverConfig` rejects raises
+    its ``ValueError`` once the file is read.
     """
     cfg = base or RunConfig()
     known = {f.name for f in dc_fields(RunConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ParseError(f"unknown setting {key!r}", lineno)
-            try:
-                values[key] = type(getattr(cfg, key))(value)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno)
+    for lineno, line in _text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in known:
+            raise ParseError(f"unknown setting {key!r}", lineno)
+        try:
+            values[key] = type(getattr(cfg, key))(value)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno)
     return replace(cfg, **values)

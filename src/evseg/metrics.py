@@ -354,8 +354,11 @@ def compare_methods(
 
     Returns per method: the result, the summed-sharpness trace on the common
     scale, cumulative warp counts per iteration, the final objective, and
-    accuracy when labels are supplied.
+    accuracy when labels are supplied.  Labels of another length than the
+    packet raise :class:`ShapeMismatchError` before anything is solved.
     """
+    if labels is not None and len(labels) != packet.n:
+        raise ShapeMismatchError(f"{packet.n} events vs {len(labels)} labels")
     if config is None:
         config = SolverConfig()
     cfg = dc_replace(config, max_iters=iterations)

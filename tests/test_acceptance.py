@@ -1,8 +1,9 @@
 """Acceptance gate: ten end-to-end criteria, one test (one pass/fail line
 under ``pytest -v``) per criterion.
 
-These run the full pipeline at benchmark scale, so the module takes a few
-minutes; the fine-grained unit suites live next to each module's tests.
+These run the full pipeline at benchmark scale, so the module takes tens of
+seconds (44 s on a shared 2-vCPU Xeon VM); the fine-grained unit suites
+live next to each module's tests.
 """
 import time
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from evseg import cli
 from evseg.cli import main
 from evseg.events import make_packet, validate_packet, with_t_ref
 from evseg.evio import (
@@ -222,6 +223,37 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--sigma", "-1"], ""), ([], "sigma = -1\n")],
+        ids=["flag", "config-file"],
+    )
+    def test_bad_solver_setting_is_rejected_before_the_events_file_is_read(
+        self, tmp_path, capsys, flags, config
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [
+            "segment", "--events", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), *flags,
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: step_mu and sigma must be non-negative\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--width", "40", "--height", "40"], "sensor too small for 11 px of travel"),
+            (["--preset", "fan_coin", "--vx", "900"], "coin travel leaves the sensor"),
+        ],
+        ids=["small-sensor", "coin-off-sensor"],
+    )
+    def test_rejected_scene_leaves_no_out_dir(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_shape_mismatch(self, tmp_path):
         assoc = tmp_path / "assoc.csv"
@@ -497,6 +529,25 @@ class TestPipeline:
         for p in out.glob("cluster_*.pgm"):
             assert p.read_bytes().startswith(b"P5\n120 90\n255\n")
 
+    def test_windowed_cluster_images_carry_the_window_index(self, sim_dir, tmp_path):
+        out = tmp_path / "imgs"
+        code = main(
+            [
+                "segment",
+                "--events", str(sim_dir / "events.txt"),
+                "--out", str(out),
+                "--j", "2", "--window", "2000", "--stride", "2000", "--max-iters", "4",
+                "--cluster-images",
+            ]
+        )
+        assert code == 0
+        pgms = sorted(p.name for p in out.glob("cluster_*.pgm"))
+        live = [
+            read_associations_csv(out / f"assoc_{idx}.csv")[1].sum() for idx in ("000", "001")
+        ]
+        assert len(pgms) == sum(live)
+        assert {name[-8:] for name in pgms} == {"_000.pgm", "_001.pgm"}
+
     def test_config_file_drives_segment(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_clusters = 2\nmax_iters = 6\nmethod = layered\n")
@@ -526,6 +577,32 @@ class TestPipeline:
         )
         assert code == 2
         assert "fuzziness" in capsys.readouterr().err
+
+    def test_every_setting_flag_overrides_the_config_file(self, tmp_path):
+        # each of the eight run-setting flags against a config file that gives
+        # the same setting another value; a flag that lands on no setting
+        # would leave the file's value standing
+        from_file = {
+            "n_clusters": 3, "models": "rotation", "method": "mixture",
+            "window_events": 500, "stride_events": 250,
+            "sigma": 2.0, "step_mu": 0.5, "max_iters": 7,
+        }
+        from_flags = {
+            "n_clusters": 4, "models": "fourdof", "method": "fuzzy",
+            "window_events": 600, "stride_events": 300,
+            "sigma": 1.5, "step_mu": 0.25, "max_iters": 9,
+        }
+        flags = [
+            "--j", "4", "--model", "fourdof", "--method", "fuzzy",
+            "--window", "600", "--stride", "300",
+            "--sigma", "1.5", "--mu", "0.25", "--max-iters", "9",
+        ]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in from_file.items()))
+        base = ["segment", "--events", "e.txt", "--out", "o", "--config", str(cfg)]
+        for argv, expected in ((base, from_file), (base + flags, from_flags)):
+            run = cli._merge_run_config(cli._build_parser().parse_args(argv))
+            assert {k: getattr(run, k) for k in expected} == expected
 
 
 class TestAnalysisCommands:

@@ -24,7 +24,7 @@ from evseg.evio import (
     write_segmentation_ppm,
 )
 from evseg.iwe import Iwe
-from evseg.solver import ClusterSet, SegmentationResult
+from evseg.solver import ClusterSet, SegmentationResult, SolverConfig
 from evseg.warps import WarpParams
 
 
@@ -331,14 +331,31 @@ class TestImages:
 
 class TestRunConfig:
     def test_solver_config_mapping(self):
+        # a run's settings are its solver config, defaults included
         run = RunConfig(sigma=2.0, step_mu=0.5, max_iters=17, rel_tol=1e-3,
                         collapse_frac=0.05)
-        cfg = run.solver_config()
-        assert cfg.sigma == 2.0
-        assert cfg.step_mu == 0.5
-        assert cfg.max_iters == 17
-        assert cfg.rel_tol == 1e-3
-        assert cfg.collapse_frac == 0.05
+        assert isinstance(run, SolverConfig)
+        assert run.sigma == 2.0
+        assert run.step_mu == 0.5
+        assert run.max_iters == 17
+        assert run.rel_tol == 1e-3
+        assert run.collapse_frac == 0.05
+        default = RunConfig()
+        assert all(
+            getattr(default, f) == getattr(SolverConfig(), f)
+            for f in ("sigma", "step_mu", "max_iters", "rel_tol", "collapse_frac")
+        )
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("sigma = -1", "non-negative"), ("max_iters = 0", "positive"),
+         ("rel_tol = 1.5", "rel_tol"), ("collapse_frac = inf", "finite")],
+    )
+    def test_bad_solver_setting_rejected_as_it_is_read(self, tmp_path, setting, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"method = mixture\n{setting}\n")
+        with pytest.raises(ValueError, match=message):
+            read_config_file(path)
 
     def test_model_list_splits_on_commas(self):
         assert RunConfig(models="flow2, rotation ,fourdof").model_list() == [

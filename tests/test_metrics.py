@@ -26,7 +26,7 @@ from evseg.metrics import (
     throughput_benchmark,
 )
 from evseg.simulate import SimConfig
-from evseg.solver import ClusterSet, SegmentationResult
+from evseg.solver import ClusterSet, SegmentationResult, build_count
 from evseg.warps import WarpParams, zero_params
 
 
@@ -277,6 +277,17 @@ class TestBenchmarks:
         # a median of no timings would be NaN
         with pytest.raises(ValueError, match=f"at least one repeat, got {repeats}"):
             throughput_benchmark(mini_recording.packet, [1], iterations=1, repeats=repeats)
+
+    def test_compare_methods_checks_label_count_before_solving(self, mini_recording):
+        # labels of another length would fail the accuracy score only after
+        # greedy init and all three solves
+        start = build_count()
+        with pytest.raises(ShapeMismatchError, match="events vs 100 labels"):
+            compare_methods(
+                mini_recording.packet, 2, "flow2",
+                labels=mini_recording.labels[:100], iterations=2,
+            )
+        assert build_count() == start
 
     def test_compare_methods_structure(self, mini_recording):
         packet = mini_recording.packet
