@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 def _list_of(kind):
     """An argparse type for a comma-separated list of ``kind``."""
     def comma_list(text: str) -> list:
-        return [kind(v) for v in text.split(",") if v.strip()]
+        return [kind(v.strip()) for v in text.split(",") if v.strip()]
     return comma_list
 
 
@@ -142,7 +142,8 @@ def _build_parser() -> _Parser:
     cmp_p.add_argument("--events", required=True)
     cmp_p.add_argument("--truth")
     cmp_p.add_argument("--j", type=int, default=2)
-    cmp_p.add_argument("--model", default="flow2")
+    cmp_p.add_argument("--model", type=_list_of(str), default=["flow2"],
+                       help="warp model, or comma list per cluster")
     cmp_p.add_argument("--iters", type=int, default=40)
     cmp_p.add_argument("--out", help="write per-iteration traces as CSV here")
 

@@ -192,7 +192,6 @@ def accuracy_vs_displacement(
     base_v: float,
     window_spans,
     sim_config: SimConfig | None = None,
-    solver_config: SolverConfig | None = None,
     geometry: ImageGeometry | None = None,
 ) -> list:
     """Accuracy of two-cluster segmentation on the two-strip scene, swept
@@ -207,8 +206,6 @@ def accuracy_vs_displacement(
     """
     if sim_config is None:
         sim_config = SimConfig()
-    if solver_config is None:
-        solver_config = SolverConfig()
     points = []
     for dv in delta_vs:
         spans = window_spans[float(dv)] if isinstance(window_spans, dict) else window_spans
@@ -217,7 +214,7 @@ def accuracy_vs_displacement(
             scene = preset_two_pebbles(dv, base_v, geometry, cfg)
             recording = simulate(scene, geometry or ImageGeometry(240, 180), cfg)
             try:
-                result = segment(recording.packet, 2, "flow2", solver_config)
+                result = segment(recording.packet, 2, "flow2", SolverConfig())
             except DegenerateInitError:
                 # too little displacement for even one motion hypothesis:
                 # report the point instead of aborting the whole sweep
@@ -295,7 +292,6 @@ def detection_success(
 def throughput_benchmark(
     packet: EventPacket,
     j_values: Iterable[int],
-    config: SolverConfig | None = None,
     iterations: int = 10,
     repeats: int = 5,
 ) -> list:
@@ -311,9 +307,7 @@ def throughput_benchmark(
         raise ValueError(f"need at least one cluster, got {min(j_values)}")
     if repeats < 1:
         raise ValueError(f"need at least one repeat, got {repeats}")
-    if config is None:
-        config = SolverConfig()
-    cfg = dc_replace(config, max_iters=iterations, collapse_frac=1e-12)
+    cfg = SolverConfig(max_iters=iterations, collapse_frac=1e-12)
     out = []
     for j in j_values:
         rng = np.random.default_rng(0)

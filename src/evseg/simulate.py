@@ -278,8 +278,9 @@ def simulate(
     level_prev, owner_prev = render_scene(scene, geometry, 0.0, out=frames[0])
     ref = level_prev.copy()
     t_prev = 0.0
-    w = geometry.width
-    ex, ey, et, ep, el = [], [], [], [], []
+    # each frame's flat pixel rows, times, polarities and labels, after an
+    # empty array of each dtype so that a recording without events joins too
+    er, et, ep, el = ([np.empty(0, dtype=d)] for d in (np.intp, np.float64, np.int8, np.int32))
     for k, t_cur in enumerate(times):
         level_cur, owner_cur = render_scene(
             scene, geometry, float(t_cur), out=frames[(k + 1) % 2]
@@ -305,8 +306,7 @@ def simulate(
             frac = np.clip(frac, 0.0, 1.0)
             lab_cur = np.repeat(owner_cur.ravel()[act], counts)
             lab_prev = np.repeat(owner_prev.ravel()[act], counts)
-            ex.append((rows % w).astype(np.float64))
-            ey.append((rows // w).astype(np.float64))
+            er.append(rows)
             et.append(t_prev + frac * (t_cur - t_prev))
             ep.append(pols.astype(np.int8))
             el.append(np.where(lab_cur > 0, lab_cur, lab_prev).astype(np.int32))
@@ -314,18 +314,9 @@ def simulate(
         level_prev, owner_prev = level_cur, owner_cur
         t_prev = float(t_cur)
 
-    if ex:
-        x = np.concatenate(ex)
-        y = np.concatenate(ey)
-        t = np.concatenate(et)
-        p = np.concatenate(ep)
-        lab = np.concatenate(el)
-    else:
-        x = np.empty(0)
-        y = np.empty(0)
-        t = np.empty(0)
-        p = np.empty(0, dtype=np.int8)
-        lab = np.empty(0, dtype=np.int32)
+    rows = np.concatenate(er)
+    x, y = (rows % geometry.width).astype(np.float64), (rows // geometry.width).astype(np.float64)
+    t, p, lab = (np.concatenate(parts) for parts in (et, ep, el))
 
     if config.timestamp_jitter > 0 and t.size:
         t = np.clip(

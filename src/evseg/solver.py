@@ -636,14 +636,11 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray):
     if dt_max <= 0.0:
         return []
     step_v = INIT_SCAN_PX / dt_max
-    grids = []
     if model in ("flow2", "fourdof"):
         vals = np.arange(-INIT_V_BOUND, INIT_V_BOUND + 0.5 * step_v, step_v)
         pad = np.zeros(MODEL_PARAM_COUNT[model] - 2)
-        for vx in vals:
-            for vy in vals:
-                grids.append(WarpParams(model, np.concatenate(([vx, vy], pad))))
-    elif model == "rotation":
+        return [WarpParams(model, np.concatenate(([vx, vy], pad))) for vx in vals for vy in vals]
+    if model == "rotation":
         wsum = float(weights.sum())
         if wsum <= 0.0:
             return []
@@ -656,11 +653,8 @@ def _scan_grids(packet: EventPacket, model: str, weights: np.ndarray):
         vals = np.arange(
             -INIT_OMEGA_BOUND, INIT_OMEGA_BOUND + 0.5 * step_w, step_w
         )
-        for om in vals:
-            grids.append(WarpParams(model, np.array([cx, cy, om])))
-    else:
-        raise ValueError(f"unknown warp model {model!r}")
-    return grids
+        return [WarpParams(model, np.array([cx, cy, om])) for om in vals]
+    raise ValueError(f"unknown warp model {model!r}")
 
 
 def _ascend_single(
@@ -825,18 +819,15 @@ def initialize_greedy(
             params_list.append(zero_params(models[j]))
             continue
         params_list.append(prm)
+        # the last cluster claims every row still unclaimed
+        rows = ~claimed
         if j < n_clusters - 1:
-            newly = _claim_mask(packet, prm, residual, config) & ~claimed
-            if newly.any():
-                associations[newly] = low
-                associations[newly, j] = share
-                claimed |= newly
-                residual = np.where(claimed, 0.0, 1.0)
-        else:
-            leftover = ~claimed
-            if n_clusters > 1 and leftover.any():
-                associations[leftover] = low
-                associations[leftover, j] = share
+            rows &= _claim_mask(packet, prm, residual, config)
+        if n_clusters > 1 and rows.any():
+            associations[rows] = low
+            associations[rows, j] = share
+            claimed |= rows
+            residual = np.where(claimed, 0.0, 1.0)
     clusters = ClusterSet(params_list, np.ones(n_clusters, dtype=bool))
     return clusters, associations
 

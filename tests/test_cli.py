@@ -643,6 +643,17 @@ class TestAnalysisCommands:
         # three methods, each with the initial value plus five iterations
         assert len(lines) == 1 + 3 * 6
 
+    @pytest.mark.parametrize("models", ["rotation,flow2", "rotation, flow2"])
+    def test_compare_takes_a_model_per_cluster(self, tmp_path, capsys, models):
+        # as segment --model does: a comma list, one model per cluster
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out", str(sim), "--preset", "fan_coin",
+                     "--duration", "0.02"]) == 0
+        argv = ["compare", "--events", str(sim / "events.txt"), "--j", "2",
+                "--model", models, "--iters", "1"]
+        assert main(argv) == 0
+        assert "fuzzy: final objective" in capsys.readouterr().out
+
     def test_curve_writes_points(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         code = main(

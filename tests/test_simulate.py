@@ -2,7 +2,6 @@
 integrator, label bookkeeping, preset scene geometry, reproducibility, the
 texture blur against scipy's, and a run of the package without scipy."""
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import evseg
-
+import evseg.simulate as simulate_module
 from evseg.events import ImageGeometry
 from evseg.iwe import Iwe, sample_local
 from evseg.simulate import (
@@ -34,8 +33,6 @@ from evseg.simulate import (
 from evseg.warps import WarpParams, warp_points
 
 C = 0.2  # default contrast threshold used throughout
-# the module itself: the package binds the name simulate to the function
-simulate_module = importlib.import_module("evseg.simulate")
 
 
 def solid_object(amplitude, v=(40.0, 0.0), rect=Rect(2, 3, 16, 6)):
@@ -739,19 +736,19 @@ class TestPeriodicBlur:
             assert out.tobytes() == expect.tobytes()
 
 
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's evseg."""
+    src = str(Path(evseg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 class TestRunsWithoutScipy:
     """numpy is the package's one runtime dependency."""
 
-    def _run(self, code):
-        src = str(Path(evseg.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-
     def test_simulates_and_segments_with_scipy_blocked(self):
-        self._run(
+        _run_fresh(
             """
 import sys
 
@@ -762,9 +759,10 @@ class BlockScipy:
         return None
 
 sys.meta_path.insert(0, BlockScipy())
-import evseg, evseg.cli
-from evseg import ImageGeometry, SimConfig, SolverConfig, segment, simulate
-from evseg import preset_fan_and_coin, preset_two_pebbles
+import evseg.cli
+from evseg.events import ImageGeometry
+from evseg.simulate import SimConfig, preset_fan_and_coin, preset_two_pebbles, simulate
+from evseg.solver import SolverConfig, segment
 
 geom, cfg = ImageGeometry(120, 90), SimConfig(duration=0.03, seed=7)
 rec = simulate(preset_two_pebbles(60.0, 50.0, geom, cfg), geom, cfg)
@@ -776,11 +774,12 @@ assert result.associations.shape == (rec.packet.n, 2)
         )
 
     def test_import_and_simulate_load_no_scipy_module(self):
-        self._run(
+        _run_fresh(
             """
 import sys
-import evseg
-from evseg import ImageGeometry, SimConfig, preset_two_pebbles, simulate
+import evseg.metrics  # and with it the solver, the variants and the simulator
+from evseg.events import ImageGeometry
+from evseg.simulate import SimConfig, preset_two_pebbles, simulate
 
 geom, cfg = ImageGeometry(120, 90), SimConfig(duration=0.03, seed=7)
 simulate(preset_two_pebbles(60.0, 50.0, geom, cfg), geom, cfg)
@@ -788,3 +787,19 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 """
         )
+
+
+def test_each_name_has_one_import_path():
+    """The package binds no name of its modules: importing it loads none of
+    them, and ``evseg.simulate`` is the simulator module, not its function."""
+    _run_fresh(
+        """
+import sys
+import evseg
+loaded = sorted(m for m in sys.modules if m.startswith("evseg."))
+assert not loaded, loaded
+import evseg.simulate as m
+assert m is sys.modules["evseg.simulate"], m
+assert callable(m.simulate)
+"""
+    )
