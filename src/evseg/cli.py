@@ -15,8 +15,6 @@ from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .events import (
     EmptyPacketError,
     ImageGeometry,
@@ -53,7 +51,7 @@ from .simulate import (
     preset_two_pebbles,
     simulate,
 )
-from .solver import DegenerateInitError, segment, segment_stream
+from .solver import DegenerateInitError, _resolve_models, segment, segment_stream
 from .variants import segment_fuzzy, segment_mixture
 
 _DATA_ERRORS = (
@@ -170,18 +168,8 @@ def _geometry_override(args) -> ImageGeometry | None:
 
 def _load_packet(args):
     """Read and leniently validate the events file, saying on stderr how many
-    rows validation dropped.  The rows it keeps must be in time order:
-    validation would sort them, and every per-event output, in time order,
-    would then no longer pair with the file's rows (or its truth file's)."""
+    rows validation dropped."""
     packet, _ = read_events_text(args.events, _geometry_override(args))
-    kept = np.flatnonzero(np.isfinite(packet.t) & packet.geometry.contains(packet.x, packet.y))
-    back = np.diff(packet.t[kept]) < 0.0
-    if back.any():
-        row = int(np.argmax(back))
-        raise ValueError(
-            f"event times must not decrease: row {kept[row + 1]} is earlier "
-            f"than row {kept[row]} (rows counted from 0)"
-        )
     valid = validate_packet(packet, strict=False)
     if valid.n < packet.n:
         print(
@@ -226,7 +214,7 @@ def _cmd_simulate(args) -> int:
 
 def _merge_run_config(args) -> RunConfig:
     """The defaults, then the config file's settings, then every flag given.
-    Each step checks the solver settings, so a bad one raises before the
+    Each step checks the run's settings, so a bad one raises before the
     events file is read."""
     cfg = read_config_file(args.config) if args.config else RunConfig()
     known = {f.name for f in fields(RunConfig)}
@@ -240,9 +228,9 @@ def _cmd_segment(args) -> int:
         "mixture": segment_mixture,
         "fuzzy": partial(segment_fuzzy, b=run.fuzziness),
     }
-    if run.method not in solvers:
-        raise ValueError(f"unknown method {run.method!r}: use layered, mixture or fuzzy")
     solve = solvers[run.method]
+    # matched here, not in RunConfig, whose fields are merged one at a time
+    models = _resolve_models(run.model_list(), run.n_clusters)
     packet = _load_packet(args)
     out = Path(args.out)
 
@@ -251,7 +239,7 @@ def _cmd_segment(args) -> int:
     stride = run.stride_events or None
     multi = count_windows(packet.n, size, stride) > 1
     pairs = segment_stream(
-        packet, run.n_clusters, run.model_list(), run,
+        packet, run.n_clusters, models, run,
         size, stride, run.t_ref_mode, solve,
     )
     solved = 0

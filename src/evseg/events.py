@@ -7,7 +7,7 @@ vectorised over whole packets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -25,15 +25,6 @@ class OutOfBoundsError(ValueError):
     def __init__(self, message: str, indices: np.ndarray):
         super().__init__(message)
         self.indices = indices
-
-
-class Event(NamedTuple):
-    """A single camera measurement: position, time and polarity sign."""
-
-    x: float
-    y: float
-    t: float
-    polarity: int
 
 
 @dataclass(frozen=True)
@@ -62,11 +53,12 @@ class ImageGeometry:
 
 @dataclass(frozen=True)
 class EventPacket:
-    """A time-sorted batch of events sharing one reference time.
+    """A batch of events in time order sharing one reference time.
 
     ``t_ref`` is the instant events are transported to before scoring
-    cluster sharpness; it must lie inside [t[0], t[-1]].
-    Treated as immutable after construction.
+    cluster sharpness; it must lie inside [t[0], t[-1]].  Treated as
+    immutable after construction; :func:`validate_packet` checks a packet
+    and :meth:`take` cuts one.
     """
 
     x: np.ndarray
@@ -83,16 +75,13 @@ class EventPacket:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0]) if self.n else 0.0
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(float(self.x[i]), float(self.y[i]), float(self.t[i]), int(self.polarity[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(self.n):
-            yield self[i]
+    def take(self, rows) -> "EventPacket":
+        """The events at ``rows`` on the same sensor and reference time:
+        views of the arrays for a slice, copies for a boolean mask or an
+        index array."""
+        return replace(
+            self, x=self.x[rows], y=self.y[rows], t=self.t[rows], polarity=self.polarity[rows]
+        )
 
 
 def make_packet(x, y, t, polarity, geometry: ImageGeometry, t_ref: float | None = None) -> EventPacket:
@@ -112,61 +101,62 @@ def make_packet(x, y, t, polarity, geometry: ImageGeometry, t_ref: float | None 
 
 
 def subsample_stride(n: int, max_points: int) -> int:
-    """Stride ``max(1, n // max_points)`` of :func:`subsample_indices`; a
-    slice ``[::stride]`` takes the same rows as a view."""
+    """Stride ``s = max(1, n // max_points)`` of a subsample ``[::s]`` of
+    ``n`` events: every row when ``n < 2 * max_points``, otherwise at least
+    ``max_points`` rows and fewer than twice as many."""
     return max(1, n // max_points)
 
 
-def subsample_indices(n: int, max_points: int) -> np.ndarray:
-    """Rows ``0, s, 2s, ...`` of ``n`` events at stride
-    ``s = subsample_stride(n, max_points)``: every row when
-    ``n < 2 * max_points``, otherwise at least ``max_points`` and fewer than
-    twice as many."""
-    return np.arange(0, n, subsample_stride(n, max_points))
-
-
 def validate_packet(packet: EventPacket, strict: bool = True) -> EventPacket:
-    """Normalise a packet: sort by time, check bounds, clamp ``t_ref`` into
-    the kept time span (a NaN ``t_ref`` becomes the first time).
+    """Check a packet and clamp ``t_ref`` into the kept time span (a NaN
+    ``t_ref`` becomes the first time).
 
     In strict mode events outside the sensor raise :class:`OutOfBoundsError`
     with the offending indices, and a NaN or infinite timestamp raises
     ``ValueError`` naming the first bad row; otherwise both kinds of row are
-    dropped.  Polarities must be -1 or +1.  Idempotent: validating a
-    validated packet is a no-op (modulo array copies).
+    dropped.  Polarities must be -1 or +1.  In both modes the kept rows must
+    be in time order, or ``ValueError`` names the first pair out of order
+    by their rows in ``packet``: every per-event output pairs with the
+    caller's rows by position, so rows are never reordered.  Idempotent:
+    validating a validated packet is a no-op (modulo array copies).
     """
     if packet.n == 0:
         raise EmptyPacketError("packet holds no events")
-    x, y, t, p = packet.x, packet.y, packet.t, packet.polarity
 
-    bad_p = (p != 1) & (p != -1)
+    bad_p = (packet.polarity != 1) & (packet.polarity != -1)
     if bad_p.any():
         raise ValueError(f"polarities must be -1 or +1; first bad row {int(np.argmax(bad_p))}")
 
-    finite_t = np.isfinite(t)
+    finite_t = np.isfinite(packet.t)
     if strict and not finite_t.all():
         raise ValueError(f"timestamps must be finite; first bad row {int(np.argmin(finite_t))}")
 
-    inside = packet.geometry.contains(x, y)
+    inside = packet.geometry.contains(packet.x, packet.y)
     keep = inside & finite_t
+    kept = packet
     if not keep.all():
         if strict:
             idx = np.flatnonzero(~inside)
             raise OutOfBoundsError(
                 f"{idx.size} events outside {packet.geometry.width}x{packet.geometry.height}", idx
             )
-        x, y, t, p = x[keep], y[keep], t[keep], p[keep]
-        if x.size == 0:
+        kept = packet.take(keep)
+        if kept.n == 0:
             raise EmptyPacketError("no valid events left after filtering")
 
-    order = np.argsort(t, kind="stable")
-    if not np.array_equal(order, np.arange(order.size)):
-        x, y, t, p = x[order], y[order], t[order], p[order]
+    back = np.diff(kept.t) < 0.0
+    if back.any():
+        rows = np.flatnonzero(keep)
+        i = int(np.argmax(back))
+        raise ValueError(
+            f"event times must not decrease: row {rows[i + 1]} is earlier "
+            f"than row {rows[i]} (rows counted from 0)"
+        )
 
+    first, last = float(kept.t[0]), float(kept.t[-1])
     # a packet made from rows whose first time was NaN carries a NaN t_ref
-    t_ref = float(t[0]) if np.isnan(packet.t_ref) else packet.t_ref
-    t_ref = min(max(t_ref, float(t[0])), float(t[-1]))
-    return EventPacket(x=x, y=y, t=t, polarity=p, geometry=packet.geometry, t_ref=t_ref)
+    t_ref = first if np.isnan(packet.t_ref) else packet.t_ref
+    return replace(kept, t_ref=min(max(t_ref, first), last))
 
 
 def with_t_ref(packet: EventPacket, mode: str = "first") -> EventPacket:
@@ -210,16 +200,7 @@ def sliding_windows(
     """
     stride = window_stride(window_events, stride_events)
     for start in range(0, events.n - window_events + 1, stride):
-        stop = start + window_events
-        win = EventPacket(
-            x=events.x[start:stop],
-            y=events.y[start:stop],
-            t=events.t[start:stop],
-            polarity=events.polarity[start:stop],
-            geometry=events.geometry,
-            t_ref=events.t_ref,
-        )
-        yield with_t_ref(win, t_ref_mode)
+        yield with_t_ref(events.take(slice(start, start + window_events)), t_ref_mode)
 
 
 def count_windows(n_events: int, window_events: int, stride_events: int | None = None) -> int:

@@ -328,8 +328,9 @@ def write_cluster_pgms(
 @dataclass
 class RunConfig(SolverConfig):
     """Bundle of run settings the command line and config files populate:
-    the solver settings it inherits, checked when it is made, plus the
-    run's own."""
+    the solver settings it inherits plus the run's own, all checked when it
+    is made.  Whether the model list fits ``n_clusters`` is not checked
+    here, since a merge may change one before the other."""
 
     method: str = "layered"
     n_clusters: int = 2
@@ -339,6 +340,22 @@ class RunConfig(SolverConfig):
     t_ref_mode: str = "first"
     fuzziness: float = 2.0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.method not in ("layered", "mixture", "fuzzy"):
+            raise ValueError(f"unknown method {self.method!r}: use layered, mixture or fuzzy")
+        if self.n_clusters < 1:
+            raise ValueError(f"need at least one cluster, got {self.n_clusters}")
+        for model in self.model_list():
+            if model not in MODEL_PARAM_COUNT:
+                raise ValueError(f"unknown warp model {model!r} in models")
+        if self.window_events < 0 or self.stride_events < 0:
+            raise ValueError("window_events and stride_events must not be negative")
+        if self.t_ref_mode not in ("first", "midpoint"):
+            raise ValueError(f"unknown t_ref mode {self.t_ref_mode!r}")
+        if not 1.0 < self.fuzziness < np.inf:
+            raise ValueError("fuzziness must be finite and exceed 1")
+
     def model_list(self) -> list:
         return [m.strip() for m in self.models.split(",") if m.strip()]
 
@@ -347,8 +364,8 @@ def read_config_file(path, base: RunConfig | None = None) -> RunConfig:
     """Apply ``key = value`` lines to a run configuration.
 
     Unknown keys and untypeable values raise :class:`ParseError` with the
-    line number; a solver setting that :class:`SolverConfig` rejects raises
-    its ``ValueError`` once the file is read.
+    line number; a setting that :class:`RunConfig` rejects raises its
+    ``ValueError`` once the file is read.
     """
     cfg = base or RunConfig()
     known = {f.name for f in dc_fields(RunConfig)}

@@ -339,7 +339,6 @@ def compare_methods(
     packet: EventPacket,
     n_clusters: int,
     models="flow2",
-    config: SolverConfig | None = None,
     labels: np.ndarray | None = None,
     iterations: int = 40,
 ) -> dict:
@@ -353,9 +352,7 @@ def compare_methods(
     """
     if labels is not None and len(labels) != packet.n:
         raise ShapeMismatchError(f"{packet.n} events vs {len(labels)} labels")
-    if config is None:
-        config = SolverConfig()
-    cfg = dc_replace(config, max_iters=iterations)
+    cfg = SolverConfig(max_iters=iterations)
     start = build_count()
     init = initialize_greedy(packet, n_clusters, models, cfg)
     runners = {

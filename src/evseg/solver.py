@@ -54,7 +54,7 @@ from .events import (
     EventPacket,
     ImageGeometry,
     sliding_windows,
-    subsample_indices,
+    subsample_stride,
     window_stride,
 )
 from .iwe import (
@@ -589,15 +589,7 @@ def _weighted_events(packet: EventPacket, weights: np.ndarray):
     keep = weights != 0.0
     if keep.all():
         return packet, weights
-    sub = EventPacket(
-        x=packet.x[keep],
-        y=packet.y[keep],
-        t=packet.t[keep],
-        polarity=packet.polarity[keep],
-        geometry=packet.geometry,
-        t_ref=packet.t_ref,
-    )
-    return sub, weights[keep]
+    return packet.take(keep), weights[keep]
 
 
 def _coarse_eval_factory(packet: EventPacket, weights: np.ndarray):
@@ -609,20 +601,20 @@ def _coarse_eval_factory(packet: EventPacket, weights: np.ndarray):
     only the events ``weights`` gives non-zero mass (see
     :func:`_weighted_events`).
     """
-    idx = subsample_indices(packet.n, INIT_SCAN_EVENTS)
-    idx = idx[weights[idx] != 0.0]
-    xs, ys, ts, ws = packet.x[idx], packet.y[idx], packet.t[idx], weights[idx]
+    # an index array takes copies, so every evaluation reads contiguous rows
+    rows = np.arange(0, packet.n, subsample_stride(packet.n, INIT_SCAN_EVENTS))
+    rows = rows[weights[rows] != 0.0]
+    sub, ws = packet.take(rows), weights[rows]
     scale = float(INIT_SCAN_DOWNSCALE)
     geom = ImageGeometry(
         max(2, int(np.ceil(packet.geometry.width / scale))),
         max(2, int(np.ceil(packet.geometry.height / scale))),
     )
     center = packet.geometry.center
-    t_ref = packet.t_ref
 
     def evaluate(params: WarpParams) -> float:
         # the image becomes a float at once, so it may stay in scratch
-        wx, wy = warp_points(xs, ys, ts, params, t_ref, center)
+        wx, wy = warp_points(sub.x, sub.y, sub.t, params, sub.t_ref, center)
         img = accumulate_weighted(wx / scale, wy / scale, ws, geom, scratch=True)
         return variance_contrast(smooth(img, 0.75, scratch=True))
 

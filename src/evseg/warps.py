@@ -110,21 +110,6 @@ def warp_points(
     return out[0], out[1]
 
 
-def warp_point(
-    x: float,
-    y: float,
-    t: float,
-    params: WarpParams,
-    t_ref: float,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> tuple[float, float]:
-    """Scalar convenience wrapper around :func:`warp_points`."""
-    wx, wy = warp_points(
-        np.float64(x), np.float64(y), np.float64(t), params, t_ref, center
-    )
-    return float(wx), float(wy)
-
-
 def warp_packet(
     packet, params: WarpParams, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -114,9 +114,9 @@ class TestDataErrors:
     def test_events_out_of_time_order_are_data_error(
         self, sim_dir, tmp_path, capsys, command, extra
     ):
-        # validation sorts the events, so the outputs would pair in time
-        # order with rows given in file order.  Rows validation drops (a NaN
-        # time, a row off the sensor) do not count
+        # validation rejects them, since the outputs would otherwise pair in
+        # time order with rows given in file order.  Rows validation drops (a
+        # NaN time, a row off the sensor) do not count
         header, *rows = (sim_dir / "events.txt").read_text().splitlines()
         times = [float(row.split()[0]) for row in rows]
         k = next(i for i in range(10, len(rows)) if times[i] < times[i + 1])
@@ -225,12 +225,25 @@ class TestDataErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "flags, config",
-        [(["--sigma", "-1"], ""), ([], "sigma = -1\n")],
-        ids=["flag", "config-file"],
+        "flags, config, message",
+        [
+            (["--sigma", "-1"], "", "step_mu and sigma must be non-negative"),
+            ([], "sigma = -1\n", "step_mu and sigma must be non-negative"),
+            ([], "window_events = -3\n", "window_events and stride_events must not be negative"),
+            (["--stride", "-1"], "", "window_events and stride_events must not be negative"),
+            ([], "n_clusters = 0\n", "need at least one cluster, got 0"),
+            ([], "method = fuzzy\nfuzziness = 0.5\n", "fuzziness must be finite and exceed 1"),
+            ([], "models = warp9\n", "unknown warp model 'warp9' in models"),
+            ([], "t_ref_mode = middle\n", "unknown t_ref mode 'middle'"),
+            (["--model", "flow2,rotation,fourdof"], "", "got 3 models for 2 clusters"),
+        ],
+        ids=[
+            "flag", "config-file", "negative-window", "negative-stride", "no-clusters",
+            "fuzziness-below-one", "unknown-model", "unknown-t-ref-mode", "model-count",
+        ],
     )
     def test_bad_solver_setting_is_rejected_before_the_events_file_is_read(
-        self, tmp_path, capsys, flags, config
+        self, tmp_path, capsys, flags, config, message
     ):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -239,7 +252,7 @@ class TestDataErrors:
             "--config", str(cfg), *flags,
         ]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: step_mu and sigma must be non-negative\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from evseg.events import (
     EmptyPacketError,
-    Event,
     ImageGeometry,
     OutOfBoundsError,
     count_windows,
     make_packet,
     sliding_windows,
-    subsample_indices,
+    subsample_stride,
     validate_packet,
     with_t_ref,
 )
@@ -48,8 +49,6 @@ def test_make_packet_coerces_and_defaults_t_ref():
     assert p.x.dtype == np.float64 and p.t.dtype == np.float64
     assert p.t_ref == 0.5
     assert len(p) == 2
-    assert p[1] == Event(2.0, 4.0, 0.7, -1)
-    assert [e.polarity for e in p] == [1, -1]
 
 
 def test_make_packet_rejects_ragged_input():
@@ -57,21 +56,44 @@ def test_make_packet_rejects_ragged_input():
         make_packet([1, 2], [3], [0.1, 0.2], [1, 1], GEOM)
 
 
-def test_duration():
-    p = simple_packet(50)
-    assert p.duration == pytest.approx(float(p.t[-1] - p.t[0]))
+@pytest.mark.parametrize("strict", [True, False])
+def test_validate_rejects_decreasing_time(strict):
+    # every per-event output pairs with the caller's rows by position, so
+    # rows out of time order are rejected, not sorted; equal times are fine
+    p = make_packet([1, 2, 3, 4], [1, 1, 1, 1], [0.1, 0.3, 0.3, 0.2], [1, 1, -1, 1], GEOM)
+    with pytest.raises(ValueError) as err:
+        validate_packet(p, strict=strict)
+    assert str(err.value) == (
+        "event times must not decrease: row 3 is earlier than row 2 (rows counted from 0)"
+    )
 
 
-def test_validate_sorts_by_time_stably():
-    p = make_packet([1, 2, 3, 4], [1, 1, 1, 1], [0.3, 0.1, 0.3, 0.2], [1, 1, -1, 1], GEOM)
-    v = validate_packet(p)
-    assert v.t.tolist() == [0.1, 0.2, 0.3, 0.3]
-    # equal timestamps keep their original order
-    assert v.x.tolist() == [2.0, 4.0, 1.0, 3.0]
+def test_validate_lenient_numbers_the_callers_rows():
+    # row 1 (off the sensor, and earlier than row 0) and row 2 (NaN time)
+    # are dropped first; of the kept rows, row 4 is earlier than row 3
+    p = make_packet(
+        [1, 99, 2, 3, 4, 5], [1, 1, 1, 1, 1, 1],
+        [0.1, 0.0, np.nan, 0.4, 0.2, 0.2], [1, 1, 1, 1, 1, 1], GEOM,
+    )
+    with pytest.raises(ValueError, match="row 4 is earlier than row 3 "):
+        validate_packet(p, strict=False)
+
+
+def test_take_slice_shares_memory_and_mask_copies():
+    p = replace(simple_packet(20), t_ref=0.5)
+    view = p.take(slice(4, 12, 2))
+    copy = p.take(p.x > 10.0)
+    for name in ("x", "y", "t", "polarity"):
+        assert np.shares_memory(getattr(view, name), getattr(p, name))
+        assert not np.shares_memory(getattr(copy, name), getattr(p, name))
+    np.testing.assert_array_equal(view.t, p.t[4:12:2])
+    np.testing.assert_array_equal(copy.x, p.x[p.x > 10.0])
+    for sub in (view, copy):
+        assert sub.geometry == GEOM and sub.t_ref == 0.5
 
 
 def test_validate_is_idempotent():
-    p = make_packet([5, 1], [2, 3], [0.9, 0.2], [-1, 1], GEOM, t_ref=5.0)
+    p = make_packet([1, 5], [3, 2], [0.2, 0.9], [1, -1], GEOM, t_ref=5.0)
     once = validate_packet(p)
     twice = validate_packet(once)
     np.testing.assert_array_equal(once.x, twice.x)
@@ -109,7 +131,7 @@ def test_validate_non_finite_timestamps(bad):
     p = make_packet([1, 2, 99, 4], [1, 1, 1, 1], [0.1, bad, 0.3, 0.4], [1, 1, 1, 1], GEOM)
     v = validate_packet(p, strict=False)
     assert v.x.tolist() == [1.0, 4.0]
-    assert v.duration == pytest.approx(0.3)
+    assert v.t.tolist() == [0.1, 0.4]
 
 
 def test_validate_lenient_nan_first_time_keeps_t_ref_finite():
@@ -181,7 +203,7 @@ def test_windows_apply_t_ref_mode():
 
 def test_subsample_indices_stride():
     for n, max_points in [(0, 5), (4, 5), (9, 5), (10, 5), (19, 5), (44372, 512)]:
-        idx = subsample_indices(n, max_points)
+        idx = np.arange(n)[:: subsample_stride(n, max_points)]
         assert idx.tolist() == list(range(0, n, max(1, n // max_points)))
         if n < 2 * max_points:
             assert idx.size == n

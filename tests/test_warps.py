@@ -8,7 +8,6 @@ from evseg.warps import (
     displacement_sensitivity,
     numeric_warp_jacobian,
     warp_packet,
-    warp_point,
     warp_points,
     zero_params,
 )
@@ -45,7 +44,7 @@ def test_params_shape_validated():
 
 def test_flow_simple_arithmetic():
     p = WarpParams("flow2", np.array([20.0, -10.0]))
-    wx, wy = warp_point(10.0, 5.0, 0.1, p, t_ref=0.0)
+    wx, wy = warp_points(np.float64(10.0), np.float64(5.0), np.float64(0.1), p, t_ref=0.0)
     assert wx == pytest.approx(8.0, abs=1e-15)
     assert wy == pytest.approx(6.0, abs=1e-15)
 
@@ -66,7 +65,7 @@ def test_identity_at_reference_time_all_models():
 def test_rotation_quarter_turn():
     # a point at (1, 0) after a quarter turn at rate pi/2 over dt=1
     p = WarpParams("rotation", np.array([0.0, 0.0, np.pi / 2]))
-    wx, wy = warp_point(1.0, 0.0, 1.0, p, t_ref=0.0)
+    wx, wy = warp_points(np.float64(1.0), np.float64(0.0), np.float64(1.0), p, t_ref=0.0)
     assert wx == pytest.approx(0.0, abs=1e-12)
     assert wy == pytest.approx(-1.0, abs=1e-12)
 
@@ -112,7 +111,9 @@ def test_fourdof_zoom_contracts_about_center():
     # pure expansion rate s: a point r from centre maps to r * exp(-s dt)
     c = (10.0, 10.0)
     p = WarpParams("fourdof", np.array([0.0, 0.0, 0.0, 0.5]))
-    wx, wy = warp_point(14.0, 10.0, 1.0, p, t_ref=0.0, center=c)
+    wx, wy = warp_points(
+        np.float64(14.0), np.float64(10.0), np.float64(1.0), p, t_ref=0.0, center=c
+    )
     assert wx == pytest.approx(10.0 + 4.0 * np.exp(-0.5), rel=1e-12)
     assert wy == pytest.approx(10.0, abs=1e-12)
 
@@ -171,7 +172,8 @@ def test_vectorised_warp_matches_scalar_loop_exactly():
         p = WarpParams(m, rng.uniform(-3, 3, MODEL_PARAM_COUNT[m]))
         wx, wy = warp_points(x, y, t, p, t_ref=0.2, center=(99.5, 74.5))
         for i in range(0, n, 97):
-            sx, sy = warp_point(x[i], y[i], t[i], p, t_ref=0.2, center=(99.5, 74.5))
+            # x[i], y[i] and t[i] are np.float64 scalars
+            sx, sy = warp_points(x[i], y[i], t[i], p, t_ref=0.2, center=(99.5, 74.5))
             assert wx[i] == sx and wy[i] == sy
 
 
